@@ -64,7 +64,7 @@ def _build_config(args) -> PipelineConfig:
     overrides: dict = {}
     if getattr(args, "method", None):
         overrides["method"] = args.method
-    if getattr(args, "subbands", None):
+    if getattr(args, "subbands", None) is not None:
         overrides["subbands"] = args.subbands
     if getattr(args, "fft", None):
         overrides["fft_size"] = args.fft
@@ -72,7 +72,7 @@ def _build_config(args) -> PipelineConfig:
         overrides["window"] = args.window
     if getattr(args, "loading", None) is not None:
         overrides["loading"] = args.loading
-    if getattr(args, "train_pulses", None):
+    if getattr(args, "train_pulses", None) is not None:
         overrides["train_pulses"] = args.train_pulses
     if getattr(args, "cfar_db", None) is not None:
         overrides["cfar_threshold_db"] = args.cfar_db
@@ -86,7 +86,7 @@ def _build_config(args) -> PipelineConfig:
         overrides["seed"] = args.seed
     if getattr(args, "snr_db", None) is not None:
         overrides["snr_db"] = args.snr_db
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     if getattr(args, "out", None):
         overrides["output_dir"] = args.out

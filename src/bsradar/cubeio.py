@@ -65,12 +65,9 @@ def save_cube(path, cube: DataCube) -> None:
     """Write a data cube as float32 IQ pairs behind the fixed header."""
     geom = cube.geometry
     dims = (geom.n_z, geom.n_x, cube.chirp.pulse_samples, cube.chirp.num_pulses)
-    payload = np.empty(cube.samples.shape + (2,), dtype="<f4")
-    payload[..., 0] = cube.samples.real
-    payload[..., 1] = cube.samples.imag
     with open(path, "wb") as handle:
         _write_header(handle, FLAG_COMPLEX, dims, cube.chirp.sample_rate)
-        handle.write(payload.tobytes())
+        cube.samples.astype("<c8").tofile(handle)
 
 
 def load_cube(
@@ -92,8 +89,7 @@ def load_cube(
     expected = n_z * n_x * n_fast * n_pulses * 2
     if raw.size != expected:
         raise ValueError(f"payload holds {raw.size} floats, expected {expected}")
-    pairs = raw.reshape(n_z * n_x, n_fast, n_pulses, 2).astype(np.float64)
-    samples = pairs[..., 0] + 1j * pairs[..., 1]
+    samples = raw.view("<c8").reshape(n_z * n_x, n_fast, n_pulses).astype(complex)
 
     if geometry is None:
         geometry = ArrayGeometry(n_z=n_z, n_x=n_x, design_freq=fs * 20.0)

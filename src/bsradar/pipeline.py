@@ -112,6 +112,8 @@ class PipelineConfig:
             raise ValueError(f"method: {self.method!r} not one of {METHODS}")
         if self.preset is None and self.scenario is None:
             raise ValueError("preset/scenario: one of the two must be given")
+        if self.subbands < 1:
+            raise ValueError(f"subbands: {self.subbands} must be >= 1")
         if self.chirp.pulse_samples % self.subbands != 0:
             raise ValueError(
                 f"subbands: {self.subbands} does not divide "

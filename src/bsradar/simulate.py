@@ -6,6 +6,13 @@ are delayed by an integer number of fast-time samples so the cube doubles
 as an exact oracle for range-bin scoring; every frequency component of a
 wideband emitter is steered with its own frequency-scaled array response.
 
+All wideband-noise interferers are summed in the spectrum, one small
+per-frequency matrix product (antennas x emitters times emitters x
+pulses), and the cube is inverse-transformed once.  Targets, narrowband
+tones and thermal noise are then accumulated in place in the time domain,
+an antenna row (or a segment of one) at a time, so no cube-sized
+temporary is ever allocated.
+
 Generation is reproducible: a scenario carries its own seed, and identical
 (scenario, geometry, chirp) inputs yield bit-identical cubes.  Target
 contributions draw nothing from the random stream (their complex gains are
@@ -221,37 +228,74 @@ def _noise_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, 0)))
 
 
-def _add_noise_interferer(
-    out: np.ndarray,
+#: Byte budget of one frequency chunk of the interferer spectrum product.
+_CHUNK_BYTES = 1 << 25
+#: Targets accumulated per pass over the cube, and the byte budget of the
+#: cache-sized fast-time segment of an antenna row that they are added to.
+_TARGET_GROUP = 8
+_SEGMENT_BYTES = 1 << 19
+
+
+def _noise_interferer_spectrum(
     spec: InterfererSpec,
-    geom: ArrayGeometry,
     chirp: ChirpParams,
     ref_power: float,
     rng: np.random.Generator,
-) -> None:
+) -> np.ndarray:
+    """Emitter spectrum per fast-time bin and pulse, shape (pulse_samples, num_pulses).
+
+    One draw of shape (num_pulses, n_bins, 2) takes the random stream in
+    the same order as one (n_bins, 2) draw per pulse.
+    """
     n_fast = chirp.pulse_samples
     base_freqs = np.fft.fftfreq(n_fast, 1.0 / chirp.sample_rate)
     mask = np.abs(base_freqs) <= spec.bandwidth_fraction * chirp.sample_rate / 2.0
     n_bins = int(mask.sum())
-    steer = _steering_vs_frequency(spec.direction, geom, chirp.carrier_freq + base_freqs)
     # Spectral variance chosen so the time-domain per-element power is
     # power * ref_power after the unitary-inverse scaling of ifft.
     sigma_f = np.sqrt(spec.power * ref_power * n_fast**2 / n_bins / 2.0)
-    for m in range(chirp.num_pulses):
-        spectrum = np.zeros(n_fast, dtype=complex)
-        draws = rng.standard_normal((n_bins, 2))
-        spectrum[mask] = sigma_f * (draws[:, 0] + 1j * draws[:, 1])
-        out[:, :, m] += np.fft.ifft(steer * spectrum[None, :], axis=1)
+    draws = rng.standard_normal((chirp.num_pulses, n_bins, 2))
+    spectrum = np.zeros((n_fast, chirp.num_pulses), dtype=complex)
+    spectrum[mask] = (sigma_f * (draws[..., 0] + 1j * draws[..., 1])).T
+    return spectrum
 
 
-def _add_tone_interferer(
+def _render_noise_interferers(
     out: np.ndarray,
+    emitters: Sequence[tuple[InterfererSpec, np.ndarray]],
+    geom: ArrayGeometry,
+    chirp: ChirpParams,
+) -> None:
+    """Overwrite ``out`` with the summed time-domain field of noise emitters.
+
+    ``emitters`` pairs each spec with its (pulse_samples, num_pulses)
+    spectrum.  Per frequency the array field is ``steering (N, I) @
+    spectra (I, P)``; the products fill ``out`` in frequency chunks, then
+    each antenna's slab is inverse-transformed once along fast time.
+    """
+    n_fast = chirp.pulse_samples
+    rf = chirp.carrier_freq + np.fft.fftfreq(n_fast, 1.0 / chirp.sample_rate)
+    chunk = max(1, _CHUNK_BYTES // (out.itemsize * geom.n * chirp.num_pulses))
+    for f0 in range(0, n_fast, chunk):
+        f1 = min(n_fast, f0 + chunk)
+        steer = np.stack(
+            [_steering_vs_frequency(spec.direction, geom, rf[f0:f1]) for spec, _ in emitters],
+            axis=-1,
+        )
+        spectra = np.stack([spectrum[f0:f1] for _, spectrum in emitters], axis=1)
+        out[:, f0:f1, :] = np.matmul(steer.transpose(1, 0, 2), spectra).transpose(1, 0, 2)
+    for slab in out:
+        slab[...] = np.fft.ifft(slab, axis=0)
+
+
+def _tone_waveform(
     spec: InterfererSpec,
     geom: ArrayGeometry,
     chirp: ChirpParams,
     ref_power: float,
     rng: np.random.Generator,
-) -> None:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(steering (N,), fast-time x pulse waveform) of a narrowband tone."""
     half_band = spec.bandwidth_fraction * chirp.sample_rate / 2.0
     f_tone = rng.uniform(-half_band, half_band)
     phase0 = rng.uniform(0.0, 2.0 * np.pi)
@@ -265,7 +309,54 @@ def _add_tone_interferer(
     tone = amp * np.exp(
         1j * (2.0 * np.pi * f_tone * (t_fast[:, None] + t_pulse[None, :]) + phase0)
     )
-    out += steer[:, None, None] * tone[None, :, :]
+    return steer, tone
+
+
+def _add_targets(
+    out: np.ndarray,
+    targets: Sequence[TargetSpec],
+    geom: ArrayGeometry,
+    chirp: ChirpParams,
+) -> None:
+    """Add each target's ``amplitude * block[n, :, None] * doppler`` in place.
+
+    Every sample receives the targets in list order; a group of targets is
+    added to one cache-sized row segment before moving to the next.
+    """
+    pulse = generate_chirp(chirp)
+    seg = max(1, _SEGMENT_BYTES // (out.itemsize * chirp.num_pulses))
+    seg_buf = np.empty((seg, chirp.num_pulses), dtype=complex)
+    for first in range(0, len(targets), _TARGET_GROUP):
+        group = []
+        for target in targets[first : first + _TARGET_GROUP]:
+            # Keep the block named: numpy would scale an unnamed temporary
+            # in place, and its in-place complex loop rounds differently.
+            block = _target_block(target, geom, chirp, pulse)
+            group.append(
+                (target.amplitude * block, _doppler_phases(target.radial_velocity, chirp))
+            )
+        for n, row in enumerate(out):
+            for f0 in range(0, chirp.pulse_samples, seg):
+                part = row[f0 : f0 + seg]
+                buf = seg_buf[: len(part)]
+                for block, dopp in group:
+                    np.multiply(block[n, f0 : f0 + seg, None], dopp[None, :], out=buf)
+                    part += buf
+
+
+def _add_thermal_noise(out: np.ndarray, noise_power: float, rng: np.random.Generator) -> None:
+    """Add circular Gaussian noise: all real parts, then all imaginary parts.
+
+    The draws fill one antenna-sized buffer at a time, in the order of one
+    ``rng.standard_normal(out.shape)`` call per part.
+    """
+    sigma = np.sqrt(noise_power / 2.0)
+    draw = np.empty(out.shape[1:])
+    for part in ("real", "imag"):
+        for row in out:
+            rng.standard_normal(out=draw)
+            draw *= sigma
+            getattr(row, part)[...] += draw
 
 
 def synthesize_datacube(
@@ -280,28 +371,34 @@ def synthesize_datacube(
     with the steering applied per fast-time frequency bin, integer-sample
     target delays, and circular complex Gaussian noise of per-element
     variance ``noise_power``.
+
+    Wideband-noise interferers are summed in the spectrum and transformed
+    once; targets, tones and thermal noise are then accumulated in place,
+    one antenna row at a time, so no cube-sized temporary is allocated.
     """
-    pulse = generate_chirp(chirp)
     out = np.zeros((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
 
-    for target in scenario.targets:
-        block = _target_block(target, geom, chirp, pulse)
-        dopp = _doppler_phases(target.radial_velocity, chirp)
-        out += target.amplitude * block[:, :, None] * dopp[None, None, :]
-
     ref_power = scenario.noise_power if scenario.noise_power > 0 else 1.0
+    emitters, tones = [], []
     for idx, spec in enumerate(scenario.interferers):
         rng = _interferer_rng(scenario.seed, idx)
         if spec.waveform_kind == "wideband-noise":
-            _add_noise_interferer(out, spec, geom, chirp, ref_power, rng)
+            emitters.append((spec, _noise_interferer_spectrum(spec, chirp, ref_power, rng)))
         else:
-            _add_tone_interferer(out, spec, geom, chirp, ref_power, rng)
+            tones.append(_tone_waveform(spec, geom, chirp, ref_power, rng))
+    if emitters:
+        _render_noise_interferers(out, emitters, geom, chirp)
+    del emitters  # the spectra are not needed past this point
+
+    _add_targets(out, scenario.targets, geom, chirp)
+    row_buf = np.empty(out.shape[1:], dtype=complex)
+    for steer, tone in tones:
+        for n, row in enumerate(out):
+            np.multiply(steer[n], tone, out=row_buf)
+            row += row_buf
 
     if scenario.noise_power > 0:
-        rng = _noise_rng(scenario.seed)
-        sigma = np.sqrt(scenario.noise_power / 2.0)
-        out += sigma * rng.standard_normal(out.shape)
-        out += 1j * sigma * rng.standard_normal(out.shape)
+        _add_thermal_noise(out, scenario.noise_power, _noise_rng(scenario.seed))
 
     return DataCube(out, geom, chirp)
 

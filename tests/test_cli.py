@@ -150,6 +150,16 @@ def test_errors_exit_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,field",
+    [("--subbands", "subbands"), ("--train-pulses", "train_pulses"), ("--workers", "workers")],
+)
+def test_zero_overrides_are_rejected_not_replaced(flag, field, capsys):
+    rc = main(["run", "--preset", "A1", flag, "0"])
+    assert rc == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
 def test_unknown_preset_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--preset", "Z9", "--out", "x.bin"])

@@ -72,6 +72,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="subbands"):
             PipelineConfig(preset="A1", subbands=100).validate()
 
+    @pytest.mark.parametrize("subbands", [0, -2])
+    def test_subbands_must_be_positive(self, subbands):
+        with pytest.raises(ValueError, match="subbands: .* must be >= 1"):
+            PipelineConfig(preset="A1", subbands=subbands).validate()
+
     def test_window_must_fit_grid(self):
         with pytest.raises(ValueError, match="window"):
             PipelineConfig(preset="A1", window=(8, 4)).validate()

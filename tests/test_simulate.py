@@ -12,7 +12,16 @@ from bsradar import (
     scenario_preset,
     synthesize_datacube,
 )
-from bsradar.simulate import _ground_elevation, with_targets
+from bsradar.simulate import (
+    _add_thermal_noise,
+    _doppler_phases,
+    _ground_elevation,
+    _interferer_rng,
+    _noise_rng,
+    _steering_vs_frequency,
+    _target_block,
+    with_targets,
+)
 
 
 class TestGenerateChirp:
@@ -188,6 +197,155 @@ class TestSynthesizeDatacube:
         top = np.sort(spectrum)[::-1]
         # off-grid tone leaks via the rectangular window, but stays compact
         assert top[:8].sum() / spectrum.sum() > 0.95
+
+
+# ---------------------------------------------------------------------------
+# Reference synthesis: the per-pulse time-domain renderer, kept as an oracle
+# ---------------------------------------------------------------------------
+
+
+def _reference_noise_interferer(out, spec, geom, chirp, ref_power, rng):
+    n_fast = chirp.pulse_samples
+    base_freqs = np.fft.fftfreq(n_fast, 1.0 / chirp.sample_rate)
+    mask = np.abs(base_freqs) <= spec.bandwidth_fraction * chirp.sample_rate / 2.0
+    n_bins = int(mask.sum())
+    steer = _steering_vs_frequency(spec.direction, geom, chirp.carrier_freq + base_freqs)
+    sigma_f = np.sqrt(spec.power * ref_power * n_fast**2 / n_bins / 2.0)
+    for m in range(chirp.num_pulses):
+        spectrum = np.zeros(n_fast, dtype=complex)
+        draws = rng.standard_normal((n_bins, 2))
+        spectrum[mask] = sigma_f * (draws[:, 0] + 1j * draws[:, 1])
+        out[:, :, m] += np.fft.ifft(steer * spectrum[None, :], axis=1)
+
+
+def _reference_tone_interferer(out, spec, geom, chirp, ref_power, rng):
+    half_band = spec.bandwidth_fraction * chirp.sample_rate / 2.0
+    f_tone = rng.uniform(-half_band, half_band)
+    phase0 = rng.uniform(0.0, 2.0 * np.pi)
+    amp = np.sqrt(spec.power * ref_power)
+    steer = _steering_vs_frequency(
+        spec.direction, geom, np.array([chirp.carrier_freq + f_tone])
+    )[:, 0]
+    t_fast = np.arange(chirp.pulse_samples) / chirp.sample_rate
+    t_pulse = np.arange(chirp.num_pulses) * chirp.pri
+    tone = amp * np.exp(
+        1j * (2.0 * np.pi * f_tone * (t_fast[:, None] + t_pulse[None, :]) + phase0)
+    )
+    out += steer[:, None, None] * tone[None, :, :]
+
+
+def reference_datacube(scenario, geom, chirp):
+    """Cube rendered pulse by pulse in the time domain, one emitter at a time."""
+    pulse = generate_chirp(chirp)
+    out = np.zeros((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
+    for target in scenario.targets:
+        block = _target_block(target, geom, chirp, pulse)
+        dopp = _doppler_phases(target.radial_velocity, chirp)
+        out += target.amplitude * block[:, :, None] * dopp[None, None, :]
+    ref_power = scenario.noise_power if scenario.noise_power > 0 else 1.0
+    for idx, spec in enumerate(scenario.interferers):
+        rng = _interferer_rng(scenario.seed, idx)
+        if spec.waveform_kind == "wideband-noise":
+            _reference_noise_interferer(out, spec, geom, chirp, ref_power, rng)
+        else:
+            _reference_tone_interferer(out, spec, geom, chirp, ref_power, rng)
+    if scenario.noise_power > 0:
+        rng = _noise_rng(scenario.seed)
+        sigma = np.sqrt(scenario.noise_power / 2.0)
+        out += sigma * rng.standard_normal(out.shape)
+        out += 1j * sigma * rng.standard_normal(out.shape)
+    return out
+
+
+def _small_scene(kinds, noise_power=0.5, seed=21, n_targets=3):
+    """Targets within 100 m (delays under 330 samples) plus one interferer per ``kinds`` entry."""
+    targets = tuple(
+        TargetSpec(
+            position=(4.0 * k - 5.0, 30.0 + 17.0 * k, 2.0 - 1.5 * k),
+            radial_velocity=-40.0 + 25.0 * k,
+            amplitude=complex(np.cos(k + 0.3), np.sin(k + 0.3)),
+        )
+        for k in range(n_targets)
+    )
+    interferers = tuple(
+        InterfererSpec(
+            direction=Direction.from_degrees(-35.0 + 11.0 * i, -25.0 + 3.0 * i),
+            power=10.0 ** (1.0 + 0.4 * i),
+            waveform_kind=kind,
+            bandwidth_fraction=0.3 + 0.1 * i,
+        )
+        for i, kind in enumerate(kinds)
+    )
+    return Scenario(targets=targets, interferers=interferers, noise_power=noise_power, seed=seed)
+
+
+NOISE, TONE = "wideband-noise", "narrowband-tone"
+
+
+class TestReferenceSynthesis:
+    @pytest.mark.parametrize(
+        "kinds,noise_power,pulse_samples",
+        [
+            ((), 0.5, 256),
+            ((), 0.0, 256),
+            ((TONE,), 0.5, 256),
+            ((TONE, TONE), 2.0, 256),
+            # blocks above numpy's 256 KiB temporary-elision threshold
+            ((TONE,), 0.5, 4096),
+        ],
+    )
+    def test_time_domain_scenes_bit_identical(self, kinds, noise_power, pulse_samples):
+        geom = ArrayGeometry(2, 4, 10e9)
+        cp = tiny_chirp(pulse_samples=pulse_samples, num_pulses=4)
+        sc = _small_scene(kinds, noise_power)
+        got = synthesize_datacube(sc, geom, cp).samples
+        assert np.array_equal(got, reference_datacube(sc, geom, cp))
+
+    @pytest.mark.parametrize(
+        "kinds,shape",
+        [
+            ((NOISE,), (2, 4)),
+            ((NOISE, NOISE, TONE, NOISE), (2, 4)),
+            ((TONE, NOISE, NOISE), (3, 5)),
+        ],
+    )
+    def test_noise_interferers_match_within_roundoff(self, kinds, shape):
+        geom = ArrayGeometry(*shape, 10e9)
+        cp = tiny_chirp(pulse_samples=512, num_pulses=8)
+        sc = _small_scene(kinds)
+        got = synthesize_datacube(sc, geom, cp).samples
+        want = reference_datacube(sc, geom, cp)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_chunk_sizes_do_not_change_the_cube(self, monkeypatch):
+        import bsradar.simulate as simulate
+
+        geom = ArrayGeometry(2, 3, 10e9)
+        cp = tiny_chirp(pulse_samples=500, num_pulses=4)
+        scenes = [
+            _small_scene((NOISE, TONE, NOISE), n_targets=5),
+            _small_scene((TONE,), n_targets=5),
+        ]
+        whole = [synthesize_datacube(sc, geom, cp).samples for sc in scenes]
+        row_bytes = 16 * cp.num_pulses
+        # uneven chunks: 7 frequencies, 2 targets, 9 fast-time samples each
+        monkeypatch.setattr(simulate, "_CHUNK_BYTES", 7 * row_bytes * geom.n)
+        monkeypatch.setattr(simulate, "_TARGET_GROUP", 2)
+        monkeypatch.setattr(simulate, "_SEGMENT_BYTES", 9 * row_bytes)
+        chunked = [synthesize_datacube(sc, geom, cp).samples for sc in scenes]
+        assert np.array_equal(chunked[0], whole[0])
+        assert np.array_equal(chunked[1], whole[1])
+        assert np.array_equal(chunked[1], reference_datacube(scenes[1], geom, cp))
+
+    def test_chunked_noise_draw_reproduces_one_draw(self):
+        out = np.zeros((3, 5, 4), dtype=complex)
+        _add_thermal_noise(out, 3.0, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        sigma = np.sqrt(3.0 / 2.0)
+        real = sigma * rng.standard_normal(out.shape)
+        imag = sigma * rng.standard_normal(out.shape)
+        assert np.array_equal(out.real, real)
+        assert np.array_equal(out.imag, imag)
 
 
 class TestPresets:

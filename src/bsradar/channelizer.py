@@ -69,19 +69,19 @@ def channelize(cube: DataCube, L: int, ops: OpCounter | None = None) -> SubbandC
         raise ValueError(f"subband count {L} must be even (or 1 for passthrough)")
 
     n_ant, _, n_pulses = cube.samples.shape
-    blocks = cube.samples.reshape(n_ant, n_fast // L, L, n_pulses)
-    spectra = np.fft.fft(blocks * _half_bin_ramp(L)[None, None, :, None], axis=2)
+    n_snap = n_fast // L
+    blocks = cube.samples.reshape(n_ant, n_snap, L, n_pulses)
+    ramp = _half_bin_ramp(L)[None, :, None]
+    # one antenna at a time, so no cube-sized temporary exists beside the output
+    samples = np.empty((n_ant, L, n_snap, n_pulses), dtype=complex)
+    for ant in range(n_ant):
+        samples[ant] = np.fft.fft(blocks[ant] * ramp, axis=1).transpose(1, 0, 2)
     if ops is not None:
         ops.add(
             "channelize",
-            counters.channelize_mults(n_ant, (n_fast // L) * n_pulses, L),
+            counters.channelize_mults(n_ant, n_snap * n_pulses, L),
         )
-    return SubbandCube(
-        np.ascontiguousarray(spectra.transpose(0, 2, 1, 3)),
-        L,
-        cube.geometry,
-        cube.chirp,
-    )
+    return SubbandCube(samples, L, cube.geometry, cube.chirp)
 
 
 def synthesize(subband_outputs: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:

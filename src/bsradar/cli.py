@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cubeio
+from .detection import CFAR_STATISTICS
 from .mvdr import beam_pattern, lift_correlator, write_beam_pattern_csv
 from .pipeline import (
     METHODS,
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train-pulses", type=int, dest="train_pulses")
         p.add_argument("--cfar-db", type=float, dest="cfar_db")
         p.add_argument("--guard", type=int)
-        p.add_argument("--statistic", choices=("median", "mean"))
+        p.add_argument("--statistic", choices=CFAR_STATISTICS)
         p.add_argument("--no-recenter", action="store_true", dest="no_recenter")
         p.add_argument("--workers", type=int)
 

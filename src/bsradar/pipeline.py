@@ -45,6 +45,7 @@ from .channelizer import SubbandCube, bin_center_frequencies, channelize, synthe
 from .counters import OpCounter
 from .cubeio import save_map
 from .detection import (
+    CFAR_STATISTICS,
     Detection,
     DetectionScore,
     RangeDopplerMap,
@@ -128,6 +129,17 @@ class PipelineConfig:
             )
         if self.loading < 0:
             raise ValueError("loading: must be >= 0")
+        if self.cfar_guard_cells < 0:
+            raise ValueError(f"cfar_guard_cells: {self.cfar_guard_cells} must be >= 0")
+        if self.chirp.pulse_samples <= 2 * self.cfar_guard_cells + 1:
+            raise ValueError(
+                f"cfar_guard_cells: a guard band of {self.cfar_guard_cells} leaves no "
+                f"reference cells in pulse_samples {self.chirp.pulse_samples}"
+            )
+        if self.cfar_statistic not in CFAR_STATISTICS:
+            raise ValueError(
+                f"cfar_statistic: {self.cfar_statistic!r} not one of {CFAR_STATISTICS}"
+            )
         if self.workers < 1:
             raise ValueError("workers: must be >= 1")
         plan = self.beamspace_plan()

@@ -160,6 +160,12 @@ def test_zero_overrides_are_rejected_not_replaced(flag, field, capsys):
     assert f"error: {field}:" in capsys.readouterr().err
 
 
+def test_negative_guard_is_rejected(capsys):
+    rc = main(["run", "--preset", "A1", "--guard", "-1"])
+    assert rc == 2
+    assert "error: cfar_guard_cells:" in capsys.readouterr().err
+
+
 def test_unknown_preset_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--preset", "Z9", "--out", "x.bin"])

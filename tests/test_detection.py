@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsradar import (
     ArrayGeometry,
@@ -20,6 +21,62 @@ from bsradar.detection import (
     _mean_excluding_window,
     cfar_noise_floor,
 )
+
+
+def reference_median_column(column, guard):
+    """The per-column median floor the map-wide pass replaced, kept as an oracle."""
+    n = column.shape[0]
+    width = 2 * guard + 1
+    order = np.argsort(column, kind="stable")
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n)
+    srt = column[order]
+
+    offsets = np.arange(-guard, guard + 1)
+    neighbor = np.arange(n)[:, None] + offsets[None, :]
+    valid = (neighbor >= 0) & (neighbor < n)
+    excluded = np.where(valid, ranks[np.clip(neighbor, 0, n - 1)], n)
+    excluded = np.sort(excluded, axis=1)
+    remaining = n - valid.sum(axis=1)
+
+    def order_stat(k):
+        j = k.astype(np.int64)
+        for _ in range(width + 1):
+            j = k + np.sum(excluded <= j[:, None], axis=1)
+        return srt[j]
+
+    lo = order_stat((remaining - 1) // 2)
+    hi = order_stat(remaining // 2)
+    return 0.5 * (lo + hi)
+
+
+def reference_mean_column(column, guard):
+    n = column.shape[0]
+    csum = np.concatenate(([0.0], np.cumsum(column)))
+    left = np.clip(np.arange(n) - guard, 0, n)
+    right = np.clip(np.arange(n) + guard + 1, 0, n)
+    window_sum = csum[right] - csum[left]
+    count = n - (right - left)
+    return (csum[n] - window_sum) / np.maximum(count, 1)
+
+
+def reference_floor(power, guard, statistic="median"):
+    """Column-by-column floor, one Python call per velocity column."""
+    estimator = reference_median_column if statistic == "median" else reference_mean_column
+    floor = np.empty_like(power, dtype=float)
+    for col in range(power.shape[1]):
+        floor[:, col] = estimator(power[:, col], guard)
+    return floor
+
+
+def brute_force_median_floor(power, guard):
+    rows = power.shape[0]
+    floor = np.empty(power.shape)
+    for i in range(rows):
+        keep = np.ones(rows, dtype=bool)
+        keep[max(0, i - guard) : i + guard + 1] = False
+        floor[i] = np.median(power[keep], axis=0)
+    return floor
 
 
 def tiny_chirp(pulse_samples=512, num_pulses=16):
@@ -112,6 +169,99 @@ class TestExclusionStatistics:
         assert not np.allclose(med, mean)
         with pytest.raises(ValueError):
             cfar_noise_floor(power, 2, "mode")
+
+
+class TestFloorMatchesColumnOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_full_size_exponential_map(self, seed):
+        power = np.random.default_rng(seed).exponential(1.0, (4096, 64))
+        assert np.array_equal(cfar_noise_floor(power, 4), reference_floor(power, 4))
+
+    @pytest.mark.parametrize(
+        "shape,guard",
+        [
+            (shape, guard)
+            for shape in [(256, 8), (33, 5), (16, 2), (12, 3), (10, 3)]
+            for guard in [0, 1, 2, 4, 6]
+            if shape[0] > 2 * guard + 1
+        ],
+    )
+    def test_small_maps_and_guards(self, rng, shape, guard):
+        power = rng.exponential(1.0, shape)
+        assert np.array_equal(cfar_noise_floor(power, guard), reference_floor(power, guard))
+
+    def test_peaks_zeros_and_constant_columns(self, rng):
+        power = rng.exponential(1.0, (512, 8))
+        power[[10, 11, 200, 511], 1] = [1e6, 3e5, 4e4, 9e5]
+        power[0:40, 2] = 0.0
+        power[:, 3] = 0.0
+        power[:, 4] = 2.5
+        power[::2, 5] = 0.0
+        assert np.array_equal(cfar_noise_floor(power, 4), reference_floor(power, 4))
+
+    @pytest.mark.parametrize("levels", [2, 3, 8])
+    def test_heavily_tied_maps(self, rng, levels):
+        power = np.floor(rng.exponential(1.0, (1024, 16)) * levels / 4.0)
+        for guard in (0, 3, 4):
+            assert np.array_equal(
+                cfar_noise_floor(power, guard), reference_floor(power, guard)
+            )
+
+    @pytest.mark.parametrize("guard", [0, 1, 4, 6])
+    def test_rows_just_above_guard_band(self, rng, guard):
+        power = rng.exponential(1.0, (2 * guard + 2, 5))
+        assert np.array_equal(cfar_noise_floor(power, guard), reference_floor(power, guard))
+
+    @pytest.mark.parametrize("guard", [0, 4])
+    def test_mean_floor_matches_column_oracle(self, rng, guard):
+        power = rng.exponential(1.0, (4096, 64))
+        assert np.array_equal(
+            cfar_noise_floor(power, guard, "mean"), reference_floor(power, guard, "mean")
+        )
+
+    def test_column_call_matches_map_call(self, rng):
+        power = rng.exponential(1.0, (100, 3))
+        floor = cfar_noise_floor(power, 2)
+        for col in range(3):
+            assert np.array_equal(_median_excluding_window(power[:, col], 2), floor[:, col])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 60),
+        cols=st.integers(1, 6),
+        guard=st.integers(0, 8),
+        levels=st.sampled_from([2, 5, 1000, 0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_delete_and_median(self, rows, cols, guard, levels, seed):
+        rows = max(rows, 2 * guard + 2)
+        power = np.random.default_rng(seed).exponential(1.0, (rows, cols))
+        if levels:
+            power = np.round(power * levels) / levels
+        expected = brute_force_median_floor(power, guard)
+        assert np.array_equal(cfar_noise_floor(power, guard), expected)
+
+
+class TestFloorInputContract:
+    @pytest.mark.parametrize("statistic", ["median", "mean"])
+    def test_negative_guard_rejected(self, rng, statistic):
+        with pytest.raises(ValueError, match="guard_cells"):
+            cfar_noise_floor(rng.exponential(1.0, (64, 4)), -1, statistic)
+
+    @pytest.mark.parametrize("statistic", ["median", "mean"])
+    @pytest.mark.parametrize("rows,guard", [(9, 4), (8, 4), (1, 0), (3, 1)])
+    def test_guard_band_must_leave_reference_cells(self, rng, statistic, rows, guard):
+        with pytest.raises(ValueError, match="guard_cells"):
+            cfar_noise_floor(rng.exponential(1.0, (rows, 4)), guard, statistic)
+
+    def test_short_map_is_not_detected_against_a_zero_floor(self, rng):
+        rd = RangeDopplerMap(rng.exponential(1.0, (9, 4)), 0.3, 2.0)
+        with pytest.raises(ValueError, match="guard_cells"):
+            cfar_detect(rd, guard_cells=4, statistic="mean")
+
+    def test_map_must_be_two_dimensional(self, rng):
+        with pytest.raises(ValueError, match="power map"):
+            cfar_noise_floor(rng.exponential(1.0, 64), 2)
 
 
 class TestCfarDetect:

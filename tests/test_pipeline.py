@@ -77,6 +77,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="subbands: .* must be >= 1"):
             PipelineConfig(preset="A1", subbands=subbands).validate()
 
+    @pytest.mark.parametrize("guard", [-1, -4])
+    def test_negative_cfar_guard_rejected(self, guard):
+        with pytest.raises(ValueError, match="cfar_guard_cells: .* must be >= 0"):
+            PipelineConfig(preset="A1", cfar_guard_cells=guard).validate()
+
+    def test_cfar_guard_band_must_fit_pulse(self):
+        chirp = ChirpParams(pulse_samples=64, num_pulses=16, pri=1e-6)
+        with pytest.raises(ValueError, match="cfar_guard_cells: .* pulse_samples 64"):
+            PipelineConfig(
+                preset="A1", chirp=chirp, subbands=8, cfar_guard_cells=32
+            ).validate()
+        PipelineConfig(preset="A1", chirp=chirp, subbands=8, cfar_guard_cells=31).validate()
+
+    def test_unknown_cfar_statistic_rejected(self):
+        with pytest.raises(ValueError, match="cfar_statistic: 'mode'"):
+            PipelineConfig(preset="A1", cfar_statistic="mode").validate()
+
     def test_window_must_fit_grid(self):
         with pytest.raises(ValueError, match="window"):
             PipelineConfig(preset="A1", window=(8, 4)).validate()

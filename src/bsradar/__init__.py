@@ -63,7 +63,6 @@ from .pipeline import (
     ComplexityReport,
     PipelineConfig,
     PipelineResult,
-    complexity_count,
     process_cube,
     run_pipeline,
     sweep,

@@ -155,33 +155,32 @@ def window_indices(win: WindowSpec, plan: BeamspacePlan) -> tuple[np.ndarray, np
     return rows, cols
 
 
+def window_rows(win: WindowSpec, plan: BeamspacePlan) -> np.ndarray:
+    """Flat beam-grid indices of the window's bins, in window order."""
+    rows, cols = window_indices(win, plan)
+    return (cols[:, None] * plan.m_z + rows[None, :]).ravel()
+
+
 def extract_window(
     beam: np.ndarray, plan: BeamspacePlan, win: WindowSpec
 ) -> np.ndarray:
     """Select the window's bins from beam vector(s): the 0/1 selector product."""
-    rows, cols = window_indices(win, plan)
     arr = np.asarray(beam)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[:, None]
     if arr.shape[0] != plan.m:
         raise ValueError(f"beam vector length {arr.shape[0]} != grid size {plan.m}")
-    grid = arr.reshape(plan.m_x, plan.m_z, -1)
-    picked = grid[cols[:, None], rows[None, :], :].reshape(win.w, -1)
-    return picked[:, 0] if single else picked
+    return arr[window_rows(win, plan)]
 
 
 def scatter_window(
     values: np.ndarray, plan: BeamspacePlan, win: WindowSpec
 ) -> np.ndarray:
     """Adjoint of :func:`extract_window`: place window values on the full grid."""
-    rows, cols = window_indices(win, plan)
     values = np.asarray(values)
     if values.shape[0] != win.w:
         raise ValueError(f"expected {win.w} window values, got {values.shape[0]}")
-    grid = np.zeros((plan.m_x, plan.m_z), dtype=complex)
-    grid[cols[:, None], rows[None, :]] = values.reshape(win.w_x, win.w_z)
-    return grid.reshape(plan.m)
+    grid = np.zeros(plan.m, dtype=complex)
+    grid[window_rows(win, plan)] = values
+    return grid
 
 
 def windowed_steering(

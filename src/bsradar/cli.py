@@ -1,11 +1,10 @@
-"""Command-line entry point: simulate / run / sweep / beampattern / bench."""
+"""Command-line entry point: simulate / run / sweep / beampattern."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,8 +86,6 @@ def _build_config(args) -> PipelineConfig:
         overrides["seed"] = args.seed
     if getattr(args, "snr_db", None) is not None:
         overrides["snr_db"] = args.snr_db
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
     if getattr(args, "out", None):
         overrides["output_dir"] = args.out
     if getattr(args, "export_maps", False):
@@ -167,31 +164,6 @@ def _cmd_beampattern(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Wall-clock timings of the core kernels (informational only)."""
-    from scipy.linalg import cho_factor, cho_solve
-
-    rng = np.random.default_rng(0)
-    for n in args.sizes:
-        snaps = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
-        t0 = time.perf_counter()
-        cov = (snaps @ snaps.conj().T) / (2 * n)
-        t_cov = time.perf_counter() - t0
-        steer = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-        t0 = time.perf_counter()
-        factor = cho_factor(cov + 1e-3 * np.trace(cov).real / n * np.eye(n))
-        cho_solve(factor, steer)
-        t_solve = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        np.fft.fft(snaps, axis=0)
-        t_fft = time.perf_counter() - t0
-        print(
-            f"dim {n:5d}: covariance {t_cov * 1e3:8.2f} ms, "
-            f"solve {t_solve * 1e3:8.2f} ms, fft batch {t_fft * 1e3:8.2f} ms"
-        )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bsradar",
@@ -216,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--guard", type=int)
         p.add_argument("--statistic", choices=CFAR_STATISTICS)
         p.add_argument("--no-recenter", action="store_true", dest="no_recenter")
-        p.add_argument("--workers", type=int)
 
     p_sim = sub.add_parser("simulate", help="synthesize a scene into a binary cube")
     add_scene_args(p_sim)
@@ -251,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bp.add_argument("--step", type=float, default=1.0)
     p_bp.add_argument("--out", required=True, dest="pattern_out", help="CSV path")
     p_bp.set_defaults(func=_cmd_beampattern)
-
-    p_bench = sub.add_parser("bench", help="wall-clock kernel timings")
-    p_bench.add_argument("--sizes", type=lambda s: [int(v) for v in s.split(",")],
-                         default=[64, 128, 256])
-    p_bench.set_defaults(func=_cmd_bench)
 
     return parser
 

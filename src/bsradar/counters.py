@@ -82,21 +82,13 @@ def range_doppler_mults(n_fast: int, n_pulses: int) -> int:
 
 
 class OpCounter:
-    """Accumulates per-stage complex-multiplication tallies.
-
-    Counters from independent workers can be merged in any order; the
-    result is identical because merging is plain integer addition.
-    """
+    """Accumulates per-stage complex-multiplication tallies."""
 
     def __init__(self) -> None:
         self.counts: dict[str, int] = {}
 
     def add(self, stage: str, mults: int) -> None:
         self.counts[stage] = self.counts.get(stage, 0) + int(mults)
-
-    def merge(self, other: "OpCounter") -> None:
-        for stage, mults in other.counts.items():
-            self.add(stage, mults)
 
     def total(self, *stages: str) -> int:
         if not stages:

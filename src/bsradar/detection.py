@@ -34,6 +34,20 @@ from .simulate import ChirpParams
 
 CFAR_STATISTICS = ("median", "mean")
 
+# detections.csv columns; the sweep report adds a status column
+REPORT_COLUMNS = (
+    "scenario",
+    "target_id",
+    "method",
+    "w_z",
+    "w_x",
+    "m_z",
+    "m_x",
+    "detected",
+    "range_error_m",
+    "velocity_error_mps",
+)
+
 
 @dataclass
 class RangeDopplerMap:
@@ -250,21 +264,9 @@ def write_detection_report(
     rows: Sequence[dict],
 ) -> None:
     """Detection report CSV; one row per (scenario, target, configuration)."""
-    columns = [
-        "scenario",
-        "target_id",
-        "method",
-        "w_z",
-        "w_x",
-        "m_z",
-        "m_x",
-        "detected",
-        "range_error_m",
-        "velocity_error_mps",
-    ]
     with open(path, "w", newline="") as handle:
         handle.write("# bsradar detection report v1\n")
-        writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
+        writer = csv.DictWriter(handle, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -3,28 +3,40 @@
 One run takes a scene (preset name or explicit scenario), simulates the
 cube, channelizes it, trains and applies a beamformer per (target, subband)
 pair, resynthesizes the wideband per-target series, and scores CFAR
-detections against the simulator truth.  Three methods share the harness:
+detections against the simulator truth.
 
-* ``antenna-mvdr``      -- full N-dimensional MVDR per (target, subband);
-* ``beamspace-mvdr``    -- windowed beamspace MVDR (the reduced pipeline);
-* ``conventional``      -- non-adaptive distortionless weights a/||a||^2.
+All three methods run one beamforming routine.  A method only chooses the
+**basis** a subband's snapshots are expressed in (the antennas, or the
+zero-padded beamspace FFT), the **selector** of each target's rows of that
+basis (every row, or the bins of a fixed window centered on the target's
+beam) and the **rule** that turns a target's training rows and steering
+into weights (MVDR, or the non-adaptive distortionless a/||a||^2):
+
+==================  =========  ================  ============
+method              basis      selector          rule
+==================  =========  ================  ============
+``antenna-mvdr``    antennas   every row         MVDR
+``beamspace-mvdr``  beamspace  window w_z x w_x  MVDR
+``conventional``    antennas   every row         conventional
+==================  =========  ================  ============
+
+Training is per target: each target accumulates its own covariance over
+its selected rows.  Application is one matrix product per group of targets
+that share their rows (all targets for the antenna basis, coinciding
+windows in beamspace).
 
 Every numeric kernel adds its complex-multiply tally to a shared counter;
 the resulting report carries per-stage totals plus the derived per-pair
 training and per-snapshot application costs used for method comparisons.
 The channelizer and the beamspace transform run once per subband and are
 tallied once (shared front end); each target's adaptive training is tallied
-in full, including its own covariance accumulation.
-
-Work splits across a bounded thread pool by subband; workers write disjoint
-output slices and keep private counters that are merged at join, so results
-and tallies are identical for any worker count.
+in full, including its own covariance accumulation, and each target's
+application is tallied as its own W-by-snapshots product.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -37,8 +49,8 @@ from .beamspace import (
     BeamspacePlan,
     WindowSpec,
     beamspace_transform,
-    extract_window,
     window_for,
+    window_rows,
     windowed_steering,
 )
 from .channelizer import SubbandCube, bin_center_frequencies, channelize, synthesize
@@ -46,6 +58,7 @@ from .counters import OpCounter
 from .cubeio import save_map
 from .detection import (
     CFAR_STATISTICS,
+    REPORT_COLUMNS,
     Detection,
     DetectionScore,
     RangeDopplerMap,
@@ -57,12 +70,11 @@ from .detection import (
 from .geometry import ArrayGeometry, spatial_frequencies, steering_matrix
 from .mvdr import (
     ANTENNA_SPACE,
+    BEAMSPACE_WINDOWED,
     Correlator,
-    apply_correlator,
     conventional_correlator,
     estimate_covariance,
     mvdr_correlator,
-    reduced_mvdr,
 )
 from .simulate import (
     DEFAULT_GEOMETRY,
@@ -79,6 +91,7 @@ METHOD_ANTENNA = "antenna-mvdr"
 METHOD_BEAMSPACE = "beamspace-mvdr"
 METHOD_CONVENTIONAL = "conventional"
 METHODS = (METHOD_ANTENNA, METHOD_BEAMSPACE, METHOD_CONVENTIONAL)
+CENTER_BIN = 0  # subband l = 0, nearest the carrier from below
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,6 @@ class PipelineConfig:
     snr_db: float | None = None
     geometry: ArrayGeometry = DEFAULT_GEOMETRY
     chirp: ChirpParams = field(default_factory=ChirpParams)
-    workers: int = 1
     output_dir: str | None = None
     export_maps: bool = False
     export_patterns: bool = False
@@ -140,8 +152,6 @@ class PipelineConfig:
             raise ValueError(
                 f"cfar_statistic: {self.cfar_statistic!r} not one of {CFAR_STATISTICS}"
             )
-        if self.workers < 1:
-            raise ValueError("workers: must be >= 1")
         plan = self.beamspace_plan()
         w_z, w_x = self.window
         if not (1 <= w_z <= plan.m_z and 1 <= w_x <= plan.m_x):
@@ -267,69 +277,95 @@ def _subband_steering(
     )
 
 
-def _process_subband_range(
-    bins: Sequence[int],
+def _check_cube(cube: DataCube, cfg: PipelineConfig) -> None:
+    """Reject a cube the config does not describe.
+
+    The beam plan and ``validate`` read the config's geometry and chirp;
+    channelization, steering and detection read the cube's.
+    """
+    if cube.geometry != cfg.geometry:
+        raise ValueError(
+            f"geometry: cube {cube.geometry} does not match config {cfg.geometry}"
+        )
+    if cube.chirp != cfg.chirp:
+        raise ValueError(f"chirp: cube {cube.chirp} does not match config {cfg.chirp}")
+
+
+def _beamform(
     sub: SubbandCube,
     scenario: Scenario,
     cfg: PipelineConfig,
     plan: BeamspacePlan,
     freqs: np.ndarray,
     outputs: np.ndarray,
-    correlator_slots: list[list[Correlator | None]],
-    center_bin: int,
-) -> OpCounter:
-    """Worker body: handle a slice of subbands, return its private counter."""
-    ops = OpCounter()
-    geom, chirp = sub.geometry, sub.chirp
-    n_ant = geom.n
-    s_per_pulse = sub.snapshots_per_pulse
-    n_pulses = chirp.num_pulses
+    ops: OpCounter,
+) -> list[tuple[Correlator, WindowSpec | None]]:
+    """Train and apply every target's beamformer, one subband at a time.
+
+    Fills ``outputs`` (target, subband, snapshot, pulse) and returns each
+    target's correlator and window in the center subband.
+    """
+    geom = sub.geometry
+    s_per_pulse, n_pulses = sub.snapshots_per_pulse, sub.chirp.num_pulses
+    n_snap = s_per_pulse * n_pulses
     train_cols = _train_window_columns(s_per_pulse, n_pulses, cfg.train_pulses)
-    w_z, w_x = cfg.window
-    n_targets = len(scenario.targets)
+    targets = scenario.targets
 
-    for b in bins:
-        snap = sub.samples[:, b, :, :].reshape(n_ant, s_per_pulse * n_pulses)
+    # basis and selector: the rows a target beamforms on, with its steering there
+    if cfg.method == METHOD_BEAMSPACE:
+        space = BEAMSPACE_WINDOWED
+
+        def to_basis(snap):
+            return beamspace_transform(snap, plan, ops)
+
+        def select(k, b, steering):
+            freq = freqs[b] if cfg.recenter_per_subband else geom.design_freq
+            sf = spatial_frequencies(targets[k].direction, freq, geom)
+            win = window_for(sf, plan, *cfg.window)
+            return win, window_rows(win, plan), windowed_steering(steering, plan, win, ops)
+
+    else:
+        space = ANTENNA_SPACE
+
+        def to_basis(snap):
+            return snap
+
+        def select(k, b, steering):
+            return None, slice(None), steering
+
+    # rule
+    if cfg.method == METHOD_CONVENTIONAL:
+
+        def train(training, steering, k, b):
+            return conventional_correlator(steering, space, k, b)
+
+    else:
+
+        def train(training, steering, k, b):
+            cov = estimate_covariance(training, cfg.loading, ops)
+            return mvdr_correlator(cov, steering, ops, space, k, b)
+
+    center: list = [None] * len(targets)
+    for b in range(cfg.subbands):
+        basis = to_basis(sub.samples[:, b].reshape(geom.n, n_snap))
+        training = basis[:, train_cols]
         steer = _subband_steering(scenario, geom, freqs[b])
-
-        if cfg.method == METHOD_BEAMSPACE:
-            beams = beamspace_transform(snap, plan, ops)
-            for k in range(n_targets):
-                center_freq = freqs[b] if cfg.recenter_per_subband else geom.design_freq
-                sf = spatial_frequencies(
-                    scenario.targets[k].direction, center_freq, geom
-                )
-                win = window_for(sf, plan, w_z, w_x)
-                reduced = extract_window(beams, plan, win)
-                a_win = windowed_steering(steer[:, k], plan, win, ops)
-                cov = estimate_covariance(reduced[:, train_cols], cfg.loading, ops)
-                corr = reduced_mvdr(cov, a_win, ops, target_id=k, subband=b)
-                outputs[k, b] = apply_correlator(corr, reduced, ops).reshape(
-                    s_per_pulse, n_pulses
-                )
-                if b == center_bin:
-                    correlator_slots[k][0] = corr
-                    correlator_slots[k][1] = win
-        else:
-            train = snap[:, train_cols]
-            weights = np.empty((n_targets, n_ant), dtype=complex)
-            for k in range(n_targets):
-                if cfg.method == METHOD_ANTENNA:
-                    cov = estimate_covariance(train, cfg.loading, ops)
-                    corr = mvdr_correlator(cov, steer[:, k], ops, target_id=k, subband=b)
-                else:
-                    corr = conventional_correlator(steer[:, k], target_id=k, subband=b)
-                weights[k] = corr.weights
-                if b == center_bin:
-                    correlator_slots[k][0] = corr
-                    correlator_slots[k][1] = None
-            out = zgemm(1.0, np.conj(weights), snap)
-            ops.add(
-                "apply",
-                n_targets * counters.matvec_mults(n_ant, snap.shape[1]),
-            )
-            outputs[:, b] = out.reshape(n_targets, s_per_pulse, n_pulses)
-    return ops
+        groups: dict = {}  # selector -> (rows, target ids, weights)
+        for k in range(len(targets)):
+            win, rows, steering = select(k, b, steer[:, k])
+            corr = train(training[rows], steering, k, b)
+            ids, weights = groups.setdefault(win, (rows, [], []))[1:]
+            ids.append(k)
+            weights.append(corr.weights)
+            if b == CENTER_BIN:
+                center[k] = (corr, win)
+        # one product per group of targets that share their rows
+        for rows, ids, weights in groups.values():
+            out = zgemm(1.0, np.conj(weights), basis[rows])
+            outputs[ids, b] = out.reshape(len(ids), s_per_pulse, n_pulses)
+            dim = len(weights[0])
+            ops.add("apply", len(ids) * counters.matvec_mults(dim, n_snap))
+    return center
 
 
 def process_cube(
@@ -342,6 +378,7 @@ def process_cube(
 ) -> PipelineResult:
     """Run channelization, beamforming, synthesis, and detection on a cube."""
     cfg.validate()
+    _check_cube(cube, cfg)
     geom, chirp = cube.geometry, cube.chirp
     plan = cfg.beamspace_plan()
     ops = OpCounter()
@@ -355,31 +392,8 @@ def process_cube(
     outputs = np.empty(
         (n_targets, cfg.subbands, s_per_pulse, chirp.num_pulses), dtype=complex
     )
-    correlator_slots: list[list] = [[None, None] for _ in range(n_targets)]
-    center_bin = 0  # subband l = 0, nearest the carrier from below
-
     with _stage("beamform"):
-        all_bins = list(range(cfg.subbands))
-        if cfg.workers == 1:
-            ops.merge(
-                _process_subband_range(
-                    all_bins, sub, scenario, cfg, plan, freqs, outputs,
-                    correlator_slots, center_bin,
-                )
-            )
-        else:
-            chunks = [
-                list(all_bins[i :: cfg.workers]) for i in range(cfg.workers)
-            ]
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                for worker_ops in pool.map(
-                    lambda bins: _process_subband_range(
-                        bins, sub, scenario, cfg, plan, freqs, outputs,
-                        correlator_slots, center_bin,
-                    ),
-                    chunks,
-                ):
-                    ops.merge(worker_ops)
+        center = _beamform(sub, scenario, cfg, plan, freqs, outputs, ops)
 
     with _stage("synthesize"):
         wideband = synthesize(outputs, ops)
@@ -433,8 +447,8 @@ def process_cube(
         wideband_outputs=wideband if want_wideband else None,
         subband_outputs=outputs if want_subband_outputs else None,
         maps=maps if (want_maps or cfg.export_maps) else None,
-        center_correlators=[slots[0] for slots in correlator_slots],
-        center_windows=[slots[1] for slots in correlator_slots],
+        center_correlators=[corr for corr, _ in center],
+        center_windows=[win for _, win in center],
     )
     if cfg.output_dir is not None:
         _write_artifacts(result)
@@ -516,12 +530,8 @@ def _write_beam_patterns(result: PipelineResult, out_dir: Path) -> None:
         result.artifacts.append(str(path))
 
 
-def complexity_count(cfg: PipelineConfig) -> ComplexityReport:
-    """Run the instrumented pipeline and return its tally report."""
-    return run_pipeline(cfg).complexity
-
-
 SWEEP_AXES = ("window", "fft-size", "scenario")
+SWEEP_COLUMNS = REPORT_COLUMNS + ("status",)
 
 
 def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> list[dict]:
@@ -558,23 +568,11 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
                 row["status"] = "ok"
                 rows.append(row)
         except Exception as exc:  # record the failed cell, keep sweeping
-            rows.append(
-                {
-                    "scenario": (
-                        str(value) if axis == "scenario" else (cfg.preset or "custom")
-                    ),
-                    "target_id": "",
-                    "method": cfg.method,
-                    "w_z": "",
-                    "w_x": "",
-                    "m_z": "",
-                    "m_x": "",
-                    "detected": "",
-                    "range_error_m": "",
-                    "velocity_error_mps": "",
-                    "status": f"failed[{value!r}]: {exc}",
-                }
-            )
+            row = dict.fromkeys(SWEEP_COLUMNS, "")
+            row["scenario"] = str(value) if axis == "scenario" else (cfg.preset or "custom")
+            row["method"] = cfg.method
+            row["status"] = f"failed[{value!r}]: {exc}"
+            rows.append(row)
 
     if out_path is not None:
         _write_sweep_csv(out_path, rows)
@@ -584,22 +582,9 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
 def _write_sweep_csv(path, rows: list[dict]) -> None:
     import csv
 
-    columns = [
-        "scenario",
-        "target_id",
-        "method",
-        "w_z",
-        "w_x",
-        "m_z",
-        "m_x",
-        "detected",
-        "range_error_m",
-        "velocity_error_mps",
-        "status",
-    ]
     with open(path, "w", newline="") as handle:
         handle.write("# bsradar sweep report v1\n")
-        writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
+        writer = csv.DictWriter(handle, fieldnames=SWEEP_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -138,12 +138,6 @@ def test_beampattern_cli(tmp_path, config_file):
     assert len(lines) == 2 + 9 * 5
 
 
-def test_bench_runs(capsys):
-    rc = main(["bench", "--sizes", "8,16"])
-    assert rc == 0
-    assert "dim" in capsys.readouterr().out
-
-
 def test_errors_exit_nonzero(tmp_path, capsys):
     rc = main(["run", "--preset", "A1", "--subbands", "100"])
     assert rc == 2
@@ -152,12 +146,23 @@ def test_errors_exit_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flag,field",
-    [("--subbands", "subbands"), ("--train-pulses", "train_pulses"), ("--workers", "workers")],
+    [("--subbands", "subbands"), ("--train-pulses", "train_pulses")],
 )
 def test_zero_overrides_are_rejected_not_replaced(flag, field, capsys):
     rc = main(["run", "--preset", "A1", flag, "0"])
     assert rc == 2
     assert f"error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--preset", "A1", "--workers", "2"], ["bench", "--sizes", "8,16"]],
+)
+def test_removed_options_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_negative_guard_is_rejected(capsys):

@@ -1,24 +1,58 @@
 import numpy as np
 import pytest
+from scipy.linalg.blas import zgemm
 
 from bsradar import (
     ArrayGeometry,
     ChirpParams,
+    OpCounter,
     PipelineConfig,
     Scenario,
     TargetSpec,
+    apply_correlator,
+    beamspace_transform,
+    bin_center_frequencies,
+    channelize,
+    conventional_correlator,
+    estimate_covariance,
+    extract_window,
+    mvdr_correlator,
     process_cube,
+    reduced_mvdr,
     run_pipeline,
+    spatial_frequencies,
     sweep,
     synthesize_datacube,
+    window_center,
+    window_for,
+    windowed_steering,
 )
+from bsradar import counters
 from bsradar.counters import (
     beamspace_fft_mults,
     matvec_mults,
     mvdr_solve_mults,
     outer_product_mults,
 )
-from bsradar.pipeline import METHOD_ANTENNA, METHOD_BEAMSPACE, METHOD_CONVENTIONAL, StageError
+from bsradar.pipeline import (
+    METHOD_ANTENNA,
+    METHOD_BEAMSPACE,
+    METHOD_CONVENTIONAL,
+    StageError,
+    _subband_steering,
+    _train_window_columns,
+)
+
+REPORT_HEADER = (
+    b"# bsradar detection report v1\n"
+    b"scenario,target_id,method,w_z,w_x,m_z,m_x,detected,range_error_m,"
+    b"velocity_error_mps\r\n"
+)
+SWEEP_HEADER = (
+    b"# bsradar sweep report v1\n"
+    b"scenario,target_id,method,w_z,w_x,m_z,m_x,detected,range_error_m,"
+    b"velocity_error_mps,status\r\n"
+)
 
 
 def tiny_setup(n_targets=3, noise_power=1e-2, num_pulses=16, seed=5):
@@ -43,6 +77,84 @@ def tiny_setup(n_targets=3, noise_power=1e-2, num_pulses=16, seed=5):
         targets=tuple(targets), noise_power=noise_power, seed=seed, label="tiny"
     )
     return geom, chirp, scenario
+
+
+def oracle_setup():
+    """Four targets: one at boresight (its windows wrap at the grid origin)
+    and two along one direction (they share a window, hence one product)."""
+    geom = ArrayGeometry(2, 8, 10e9)
+    chirp = ChirpParams(pulse_samples=256, num_pulses=16, pri=2e-6, bandwidth=400e6)
+    shared = np.array([np.sin(0.35), np.cos(0.35), 0.08])
+    positions = [
+        (0.0, 25.0, 0.0),
+        tuple(30.0 * shared),
+        tuple(55.0 * shared),
+        (-20.0, 40.0, -3.0),
+    ]
+    targets = tuple(
+        TargetSpec(pos, vel, np.exp(1j * phase))
+        for pos, vel, phase in zip(positions, (-30.0, 10.0, 25.0, 40.0), (0.3, 1.1, 2.0, 4.0))
+    )
+    scenario = Scenario(targets=targets, noise_power=1.0, seed=11, label="oracle")
+    return geom, chirp, scenario
+
+
+def reference_beamform(
+    bins, sub, scenario, cfg, plan, freqs, outputs, correlator_slots, center_bin
+):
+    """The per-(target, subband) loop the pipeline ran before it had one path
+    for all methods: two method branches, one product per beamspace target."""
+    ops = OpCounter()
+    geom, chirp = sub.geometry, sub.chirp
+    n_ant = geom.n
+    s_per_pulse = sub.snapshots_per_pulse
+    n_pulses = chirp.num_pulses
+    train_cols = _train_window_columns(s_per_pulse, n_pulses, cfg.train_pulses)
+    w_z, w_x = cfg.window
+    n_targets = len(scenario.targets)
+
+    for b in bins:
+        snap = sub.samples[:, b, :, :].reshape(n_ant, s_per_pulse * n_pulses)
+        steer = _subband_steering(scenario, geom, freqs[b])
+
+        if cfg.method == METHOD_BEAMSPACE:
+            beams = beamspace_transform(snap, plan, ops)
+            for k in range(n_targets):
+                center_freq = freqs[b] if cfg.recenter_per_subband else geom.design_freq
+                sf = spatial_frequencies(
+                    scenario.targets[k].direction, center_freq, geom
+                )
+                win = window_for(sf, plan, w_z, w_x)
+                reduced = extract_window(beams, plan, win)
+                a_win = windowed_steering(steer[:, k], plan, win, ops)
+                cov = estimate_covariance(reduced[:, train_cols], cfg.loading, ops)
+                corr = reduced_mvdr(cov, a_win, ops, target_id=k, subband=b)
+                outputs[k, b] = apply_correlator(corr, reduced, ops).reshape(
+                    s_per_pulse, n_pulses
+                )
+                if b == center_bin:
+                    correlator_slots[k][0] = corr
+                    correlator_slots[k][1] = win
+        else:
+            train = snap[:, train_cols]
+            weights = np.empty((n_targets, n_ant), dtype=complex)
+            for k in range(n_targets):
+                if cfg.method == METHOD_ANTENNA:
+                    cov = estimate_covariance(train, cfg.loading, ops)
+                    corr = mvdr_correlator(cov, steer[:, k], ops, target_id=k, subband=b)
+                else:
+                    corr = conventional_correlator(steer[:, k], target_id=k, subband=b)
+                weights[k] = corr.weights
+                if b == center_bin:
+                    correlator_slots[k][0] = corr
+                    correlator_slots[k][1] = None
+            out = zgemm(1.0, np.conj(weights), snap)
+            ops.add(
+                "apply",
+                n_targets * counters.matvec_mults(n_ant, snap.shape[1]),
+            )
+            outputs[:, b] = out.reshape(n_targets, s_per_pulse, n_pulses)
+    return ops
 
 
 def tiny_config(geom, chirp, scenario, **kw):
@@ -107,6 +219,98 @@ class TestConfigValidation:
             PipelineConfig(preset="A1", fft_size=(2, 32)).validate()
 
 
+class TestCubeContract:
+    def test_cube_geometry_must_match_config(self):
+        _, chirp, scenario = tiny_setup(n_targets=1)
+        cube = synthesize_datacube(scenario, ArrayGeometry(4, 2, 10e9), chirp)
+        cfg = tiny_config(ArrayGeometry(2, 4, 10e9), chirp, scenario)
+        with pytest.raises(ValueError, match="^geometry: "):
+            process_cube(cube, scenario, cfg)
+
+    def test_cube_chirp_must_match_config(self):
+        geom, chirp, scenario = tiny_setup(n_targets=1)
+        cube = synthesize_datacube(scenario, geom, chirp)
+        longer = ChirpParams(pulse_samples=512, num_pulses=16, pri=2e-6, bandwidth=400e6)
+        cfg = tiny_config(geom, longer, scenario)
+        with pytest.raises(ValueError, match="^chirp: "):
+            process_cube(cube, scenario, cfg)
+
+
+class TestOneBeamformingPath:
+    """Every method's outputs, tallies and center correlators equal the old
+    two-branch loop bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def oracle_cube(self):
+        geom, chirp, scenario = oracle_setup()
+        return geom, chirp, scenario, synthesize_datacube(scenario, geom, chirp)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(method=METHOD_ANTENNA),
+            dict(method=METHOD_CONVENTIONAL),
+            dict(method=METHOD_BEAMSPACE),
+            dict(method=METHOD_BEAMSPACE, recenter_per_subband=False, fft_size=(4, 16)),
+            dict(method=METHOD_BEAMSPACE, fft_size=(4, 16), window=(3, 5)),
+            dict(method=METHOD_ANTENNA, loading=0.0, train_pulses=16),
+        ],
+        ids=["antenna", "conventional", "beamspace", "no-recenter", "padded", "unloaded"],
+    )
+    def test_matches_reference(self, oracle_cube, kw):
+        geom, chirp, scenario, cube = oracle_cube
+        cfg = tiny_config(geom, chirp, scenario, **kw)
+        result = process_cube(cube, scenario, cfg, want_subband_outputs=True)
+
+        ops = OpCounter()
+        sub = channelize(cube, cfg.subbands, ops)
+        freqs = bin_center_frequencies(cfg.subbands, chirp)
+        outputs = np.empty_like(result.subband_outputs)
+        slots = [[None, None] for _ in scenario.targets]
+        ops.counts.update(
+            reference_beamform(
+                range(cfg.subbands), sub, scenario, cfg, cfg.beamspace_plan(),
+                freqs, outputs, slots, 0,
+            ).counts
+        )
+
+        assert np.array_equal(result.subband_outputs, outputs)
+        mults = result.complexity.stage_mults
+        assert {stage: mults[stage] for stage in ops.counts} == ops.counts
+        assert set(mults) - set(ops.counts) == {"synthesize", "range_doppler"}
+        for k, (corr, win) in enumerate(slots):
+            got = result.center_correlators[k]
+            assert np.array_equal(got.weights, corr.weights)
+            assert (got.space, got.target_id, got.subband) == (
+                corr.space, corr.target_id, corr.subband
+            )
+            assert result.center_windows[k] == win
+
+    @pytest.mark.parametrize("kw", [{}, dict(fft_size=(4, 16), window=(3, 5))])
+    def test_oracle_scene_exercises_wrap_and_sharing(self, oracle_cube, kw):
+        geom, chirp, scenario, cube = oracle_cube
+        cfg = tiny_config(geom, chirp, scenario, **kw)
+        plan = cfg.beamspace_plan()
+        for b, freq in enumerate(bin_center_frequencies(cfg.subbands, chirp)):
+            wins = [
+                window_for(spatial_frequencies(t.direction, freq, geom), plan, *cfg.window)
+                for t in scenario.targets
+            ]
+            assert wins[1] == wins[2], b
+            assert len(set(wins)) == 3, b
+            assert wins[0].center_row - wins[0].w_z // 2 < 0, b
+
+    def test_recentering_moves_a_window_on_the_padded_grid(self, oracle_cube):
+        geom, chirp, scenario, _ = oracle_cube
+        plan = tiny_config(geom, chirp, scenario, fft_size=(4, 16)).beamspace_plan()
+        direction = scenario.targets[3].direction
+        centers = {
+            window_center(spatial_frequencies(direction, freq, geom), plan)
+            for freq in bin_center_frequencies(16, chirp)
+        }
+        assert len(centers) == 2
+
+
 class TestEndToEnd:
     @pytest.mark.parametrize(
         "method", [METHOD_ANTENNA, METHOD_BEAMSPACE, METHOD_CONVENTIONAL]
@@ -139,15 +343,14 @@ class TestEndToEnd:
             s.range_error_bins for s in res_b.scores
         ]
 
-    def test_workers_do_not_change_results(self):
-        geom, chirp, scenario = tiny_setup()
-        cube = synthesize_datacube(scenario, geom, chirp)
-        cfg1 = tiny_config(geom, chirp, scenario, workers=1)
-        cfg2 = tiny_config(geom, chirp, scenario, workers=3)
-        res1 = process_cube(cube, scenario, cfg1, want_wideband=True)
-        res2 = process_cube(cube, scenario, cfg2, want_wideband=True)
-        assert np.array_equal(res1.wideband_outputs, res2.wideband_outputs)
-        assert res1.complexity.stage_mults == res2.complexity.stage_mults
+    def test_report_headers_are_stored_bytes(self, tmp_path):
+        geom, chirp, scenario = tiny_setup(n_targets=1)
+        cfg = tiny_config(geom, chirp, scenario, output_dir=str(tmp_path))
+        run_pipeline(cfg)
+        report = (tmp_path / "detections.csv").read_bytes()
+        assert report.startswith(REPORT_HEADER)
+        sweep(cfg, "window", [], tmp_path / "sweep.csv")
+        assert (tmp_path / "sweep.csv").read_bytes() == SWEEP_HEADER
 
     def test_determinism_byte_identical_reports(self, tmp_path):
         geom, chirp, scenario = tiny_setup()

@@ -22,6 +22,7 @@ are quantized to float32 on write, so a load/save cycle is bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -65,9 +66,12 @@ def save_cube(path, cube: DataCube) -> None:
     """Write a data cube as float32 IQ pairs behind the fixed header."""
     geom = cube.geometry
     dims = (geom.n_z, geom.n_x, cube.chirp.pulse_samples, cube.chirp.num_pulses)
+    row_buf = np.empty(cube.samples.shape[1:], dtype="<c8")
     with open(path, "wb") as handle:
         _write_header(handle, FLAG_COMPLEX, dims, cube.chirp.sample_rate)
-        cube.samples.astype("<c8").tofile(handle)
+        for row in cube.samples:
+            row_buf[...] = row
+            handle.write(row_buf)
 
 
 def load_cube(
@@ -79,17 +83,23 @@ def load_cube(
 
     The header stores only dimensions and sample rate.  When geometry or
     chirp are omitted, placeholder parameters with the stored dimensions
-    and sample rate are used.
+    and sample rate are used.  The payload is read one antenna row at a
+    time into a reused float32 buffer.
     """
     with open(path, "rb") as handle:
         flags, (n_z, n_x, n_fast, n_pulses), fs = _read_header(handle)
-        raw = np.frombuffer(handle.read(), dtype="<f4")
-    if not flags & FLAG_COMPLEX:
-        raise ValueError("file holds a real payload, not an IQ cube")
-    expected = n_z * n_x * n_fast * n_pulses * 2
-    if raw.size != expected:
-        raise ValueError(f"payload holds {raw.size} floats, expected {expected}")
-    samples = raw.view("<c8").reshape(n_z * n_x, n_fast, n_pulses).astype(complex)
+        if not flags & FLAG_COMPLEX:
+            raise ValueError("file holds a real payload, not an IQ cube")
+        payload = os.fstat(handle.fileno()).st_size - _HEADER.size
+        expected = n_z * n_x * n_fast * n_pulses * 8
+        if payload != expected:
+            raise ValueError(f"payload holds {payload} bytes, expected {expected}")
+        samples = np.empty((n_z * n_x, n_fast, n_pulses), dtype=complex)
+        row_buf = np.empty((n_fast, n_pulses), dtype="<c8")
+        for row in samples:
+            if handle.readinto(row_buf) != row_buf.nbytes:
+                raise ValueError("payload ended before the last antenna row")
+            row[...] = row_buf
 
     if geometry is None:
         geometry = ArrayGeometry(n_z=n_z, n_x=n_x, design_freq=fs * 20.0)

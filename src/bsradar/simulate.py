@@ -6,17 +6,19 @@ are delayed by an integer number of fast-time samples so the cube doubles
 as an exact oracle for range-bin scoring; every frequency component of a
 wideband emitter is steered with its own frequency-scaled array response.
 
-All wideband-noise interferers are summed in the spectrum, one small
-per-frequency matrix product (antennas x emitters times emitters x
-pulses), and the cube is inverse-transformed once.  Targets, narrowband
+Every wideband source is summed in the spectrum: a wideband-noise
+interferer by its random spectrum, a target by its steering weighted with
+``amplitude * fft(delayed chirp)`` and its Doppler ramp across pulses.
+One small per-frequency matrix product (antennas x sources times sources
+x pulses) fills the cube, which is inverse-transformed once.  Narrowband
 tones and thermal noise are then accumulated in place in the time domain,
-an antenna row (or a segment of one) at a time, so no cube-sized
-temporary is ever allocated.
+an antenna row at a time, so no cube-sized temporary is ever allocated.
 
 Generation is reproducible: a scenario carries its own seed, and identical
 (scenario, geometry, chirp) inputs yield bit-identical cubes.  Target
 contributions draw nothing from the random stream (their complex gains are
-stored on the target specs), so cubes superpose exactly over target subsets.
+stored on the target specs), so cubes superpose over target subsets to
+roundoff: the sources share one product and one inverse transform.
 """
 
 from __future__ import annotations
@@ -202,24 +204,6 @@ def _doppler_phases(radial_velocity: float, chirp: ChirpParams) -> np.ndarray:
     return np.exp(1j * step * np.arange(chirp.num_pulses))
 
 
-def _target_block(
-    target: TargetSpec, geom: ArrayGeometry, chirp: ChirpParams, pulse: np.ndarray
-) -> np.ndarray:
-    """Antenna-by-fast-time contribution of one target for a single pulse."""
-    delay = target.delay_samples(chirp)
-    if delay >= chirp.pulse_samples:
-        raise ValueError(
-            f"target at range {target.range:.1f} m needs delay {delay} samples, "
-            f"beyond the {chirp.pulse_samples}-sample pulse window"
-        )
-    delayed = np.zeros(chirp.pulse_samples, dtype=complex)
-    delayed[delay:] = pulse[: chirp.pulse_samples - delay]
-    spectrum = np.fft.fft(delayed)
-    rf = chirp.carrier_freq + np.fft.fftfreq(chirp.pulse_samples, 1.0 / chirp.sample_rate)
-    steer = _steering_vs_frequency(target.direction, geom, rf)
-    return np.fft.ifft(steer * spectrum[None, :], axis=1)
-
-
 def _interferer_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, index)))
 
@@ -228,12 +212,8 @@ def _noise_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, 0)))
 
 
-#: Byte budget of one frequency chunk of the interferer spectrum product.
+#: Byte budget of one frequency chunk of the wideband spectrum product.
 _CHUNK_BYTES = 1 << 25
-#: Targets accumulated per pass over the cube, and the byte budget of the
-#: cache-sized fast-time segment of an antenna row that they are added to.
-_TARGET_GROUP = 8
-_SEGMENT_BYTES = 1 << 19
 
 
 def _noise_interferer_spectrum(
@@ -260,32 +240,59 @@ def _noise_interferer_spectrum(
     return spectrum
 
 
-def _render_noise_interferers(
+def _target_source(
+    target: TargetSpec, chirp: ChirpParams, pulse: np.ndarray
+) -> tuple[Direction, np.ndarray, np.ndarray]:
+    """A target as a wideband source for ``_render_wideband``.
+
+    ``amplitude * fft(delayed chirp)`` weighs its steering per frequency,
+    and its Doppler ramp is the pulse row at every frequency (a broadcast
+    view, not a per-target spectrum).
+    """
+    delay = target.delay_samples(chirp)
+    delayed = np.zeros(chirp.pulse_samples, dtype=complex)
+    delayed[delay:] = pulse[: chirp.pulse_samples - delay]
+    dopp = _doppler_phases(target.radial_velocity, chirp)
+    return (
+        target.direction,
+        target.amplitude * np.fft.fft(delayed),
+        np.broadcast_to(dopp, (chirp.pulse_samples, chirp.num_pulses)),
+    )
+
+
+def _render_wideband(
     out: np.ndarray,
-    emitters: Sequence[tuple[InterfererSpec, np.ndarray]],
+    sources: Sequence[tuple[Direction, np.ndarray | None, np.ndarray]],
     geom: ArrayGeometry,
     chirp: ChirpParams,
 ) -> None:
-    """Overwrite ``out`` with the summed time-domain field of noise emitters.
+    """Overwrite ``out`` with the summed time-domain field of wideband sources.
 
-    ``emitters`` pairs each spec with its (pulse_samples, num_pulses)
-    spectrum.  Per frequency the array field is ``steering (N, I) @
-    spectra (I, P)``; the products fill ``out`` in frequency chunks, then
-    each antenna's slab is inverse-transformed once along fast time.
+    A source is ``(direction, weight, spectrum)``: at frequency f its array
+    field is ``steering(f) * weight[f]`` (antennas) times ``spectrum[f]``
+    (pulses); noise emitters carry their waveform in the spectrum and have
+    no weight.  Per frequency the field is ``steering (N, S) @ spectra
+    (S, P)``; the products fill ``out`` in frequency chunks through one
+    reused buffer, then each antenna's slab is inverse-transformed once,
+    in place, along fast time.
     """
-    n_fast = chirp.pulse_samples
+    n_fast, n_pulses = chirp.pulse_samples, chirp.num_pulses
     rf = chirp.carrier_freq + np.fft.fftfreq(n_fast, 1.0 / chirp.sample_rate)
-    chunk = max(1, _CHUNK_BYTES // (out.itemsize * geom.n * chirp.num_pulses))
+    chunk = max(1, _CHUNK_BYTES // (out.itemsize * geom.n * n_pulses))
+    prod = np.empty((min(chunk, n_fast), geom.n, n_pulses), dtype=complex)
     for f0 in range(0, n_fast, chunk):
         f1 = min(n_fast, f0 + chunk)
-        steer = np.stack(
-            [_steering_vs_frequency(spec.direction, geom, rf[f0:f1]) for spec, _ in emitters],
-            axis=-1,
-        )
-        spectra = np.stack([spectrum[f0:f1] for _, spectrum in emitters], axis=1)
-        out[:, f0:f1, :] = np.matmul(steer.transpose(1, 0, 2), spectra).transpose(1, 0, 2)
+        columns = []
+        for direction, weight, _ in sources:
+            steer = _steering_vs_frequency(direction, geom, rf[f0:f1])
+            columns.append(steer if weight is None else steer * weight[f0:f1])
+        steer = np.stack(columns, axis=-1)
+        spectra = np.stack([spectrum[f0:f1] for _, _, spectrum in sources], axis=1)
+        part = prod[: f1 - f0]
+        np.matmul(steer.transpose(1, 0, 2), spectra, out=part)
+        out[:, f0:f1, :] = part.transpose(1, 0, 2)
     for slab in out:
-        slab[...] = np.fft.ifft(slab, axis=0)
+        np.fft.ifft(slab, axis=0, out=slab)
 
 
 def _tone_waveform(
@@ -310,38 +317,6 @@ def _tone_waveform(
         1j * (2.0 * np.pi * f_tone * (t_fast[:, None] + t_pulse[None, :]) + phase0)
     )
     return steer, tone
-
-
-def _add_targets(
-    out: np.ndarray,
-    targets: Sequence[TargetSpec],
-    geom: ArrayGeometry,
-    chirp: ChirpParams,
-) -> None:
-    """Add each target's ``amplitude * block[n, :, None] * doppler`` in place.
-
-    Every sample receives the targets in list order; a group of targets is
-    added to one cache-sized row segment before moving to the next.
-    """
-    pulse = generate_chirp(chirp)
-    seg = max(1, _SEGMENT_BYTES // (out.itemsize * chirp.num_pulses))
-    seg_buf = np.empty((seg, chirp.num_pulses), dtype=complex)
-    for first in range(0, len(targets), _TARGET_GROUP):
-        group = []
-        for target in targets[first : first + _TARGET_GROUP]:
-            # Keep the block named: numpy would scale an unnamed temporary
-            # in place, and its in-place complex loop rounds differently.
-            block = _target_block(target, geom, chirp, pulse)
-            group.append(
-                (target.amplitude * block, _doppler_phases(target.radial_velocity, chirp))
-            )
-        for n, row in enumerate(out):
-            for f0 in range(0, chirp.pulse_samples, seg):
-                part = row[f0 : f0 + seg]
-                buf = seg_buf[: len(part)]
-                for block, dopp in group:
-                    np.multiply(block[n, f0 : f0 + seg, None], dopp[None, :], out=buf)
-                    part += buf
 
 
 def _add_thermal_noise(out: np.ndarray, noise_power: float, rng: np.random.Generator) -> None:
@@ -372,25 +347,37 @@ def synthesize_datacube(
     target delays, and circular complex Gaussian noise of per-element
     variance ``noise_power``.
 
-    Wideband-noise interferers are summed in the spectrum and transformed
-    once; targets, tones and thermal noise are then accumulated in place,
-    one antenna row at a time, so no cube-sized temporary is allocated.
+    Targets and wideband-noise interferers are summed in the spectrum, one
+    per-frequency (antennas x sources) @ (sources x pulses) product, and
+    the cube is inverse-transformed once; tones and thermal noise are then
+    accumulated in place, one antenna row at a time, so no cube-sized
+    temporary is allocated.  A target whose delay falls outside the pulse
+    window is rejected before the cube is allocated.
     """
+    for target in scenario.targets:
+        delay = target.delay_samples(chirp)
+        if delay >= chirp.pulse_samples:
+            raise ValueError(
+                f"target at range {target.range:.1f} m needs delay {delay} samples, "
+                f"beyond the {chirp.pulse_samples}-sample pulse window"
+            )
     out = np.zeros((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
 
     ref_power = scenario.noise_power if scenario.noise_power > 0 else 1.0
-    emitters, tones = [], []
+    sources, tones = [], []
     for idx, spec in enumerate(scenario.interferers):
         rng = _interferer_rng(scenario.seed, idx)
         if spec.waveform_kind == "wideband-noise":
-            emitters.append((spec, _noise_interferer_spectrum(spec, chirp, ref_power, rng)))
+            spectrum = _noise_interferer_spectrum(spec, chirp, ref_power, rng)
+            sources.append((spec.direction, None, spectrum))
         else:
             tones.append(_tone_waveform(spec, geom, chirp, ref_power, rng))
-    if emitters:
-        _render_noise_interferers(out, emitters, geom, chirp)
-    del emitters  # the spectra are not needed past this point
+    pulse = generate_chirp(chirp)
+    sources += [_target_source(target, chirp, pulse) for target in scenario.targets]
+    if sources:
+        _render_wideband(out, sources, geom, chirp)
+    del sources  # the spectra are not needed past this point
 
-    _add_targets(out, scenario.targets, geom, chirp)
     row_buf = np.empty(out.shape[1:], dtype=complex)
     for steer, tone in tones:
         for n, row in enumerate(out):

@@ -47,6 +47,30 @@ class TestBinaryCube:
         with pytest.raises(ValueError):
             load_cube(path, wrong, cube.chirp)
 
+    def test_rows_match_whole_buffer_conversion(self, tmp_path, cube, rng):
+        # magnitudes 1e-40..1e38: float32 subnormals up to near its maximum
+        shape = cube.samples.shape
+        signs = rng.choice([-1.0, 1.0], (2, *shape))
+        parts = signs * 10.0 ** rng.uniform(-40, 38, (2, *shape))
+        wide = DataCube(parts[0] + 1j * parts[1], cube.geometry, cube.chirp)
+        path = tmp_path / "wide.bin"
+        save_cube(path, wide)
+        payload = path.read_bytes()[64:]
+        assert payload == wide.samples.astype("<c8").tobytes()
+        whole = np.frombuffer(payload, dtype="<f4").view("<c8").reshape(shape).astype(complex)
+        loaded = load_cube(path, cube.geometry, cube.chirp).samples
+        assert loaded.dtype == np.complex128
+        assert np.array_equal(loaded, whole)
+
+    @pytest.mark.parametrize("change", [-8, -1, 1, 8])
+    def test_payload_size_must_match_the_header(self, tmp_path, cube, change):
+        path = tmp_path / "cube.bin"
+        save_cube(path, cube)
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + b"\0" * change)
+        with pytest.raises(ValueError, match="payload holds"):
+            load_cube(path, cube.geometry, cube.chirp)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 128)

@@ -19,7 +19,6 @@ from bsradar.simulate import (
     _interferer_rng,
     _noise_rng,
     _steering_vs_frequency,
-    _target_block,
     with_targets,
 )
 
@@ -125,12 +124,13 @@ class TestSynthesizeDatacube:
         sc_union = Scenario(targets=(t1, t2), noise_power=0.0, seed=11)
         sc_1 = Scenario(targets=(t1,), noise_power=0.0, seed=11)
         sc_2 = Scenario(targets=(t2,), noise_power=0.0, seed=11)
-        union = synthesize_datacube(sc_union, geom, cp)
+        union = synthesize_datacube(sc_union, geom, cp).samples
         parts = (
             synthesize_datacube(sc_1, geom, cp).samples
             + synthesize_datacube(sc_2, geom, cp).samples
         )
-        assert np.array_equal(union.samples, parts)
+        # the targets share one spectral product and inverse transform
+        assert_within_roundoff(union, parts)
 
     def test_power_accounting_boresight(self):
         geom = ArrayGeometry(4, 8, 10e9)
@@ -150,6 +150,23 @@ class TestSynthesizeDatacube:
         geom = ArrayGeometry(1, 2, 10e9)
         cp = tiny_chirp(pulse_samples=256)
         sc = Scenario(targets=(TargetSpec(position=(0.0, 5e3, 0.0)),), seed=1)
+        with pytest.raises(ValueError, match="window"):
+            synthesize_datacube(sc, geom, cp)
+
+    def test_delay_beyond_window_rejected_before_rendering(self, monkeypatch):
+        import bsradar.simulate as simulate
+
+        def no_rendering(*args):
+            raise AssertionError("scene rendered before the target check")
+
+        monkeypatch.setattr(simulate, "_interferer_rng", no_rendering)
+        monkeypatch.setattr(simulate, "_render_wideband", no_rendering)
+        geom = ArrayGeometry(1, 2, 10e9)
+        cp = tiny_chirp(pulse_samples=256)
+        inside = TargetSpec(position=(0.0, 30.0, 0.0))
+        beyond = TargetSpec(position=(0.0, 5e3, 0.0))
+        spec = InterfererSpec(direction=Direction.from_degrees(10.0, -20.0))
+        sc = Scenario(targets=(inside, beyond), interferers=(spec,), seed=1)
         with pytest.raises(ValueError, match="window"):
             synthesize_datacube(sc, geom, cp)
 
@@ -234,12 +251,23 @@ def _reference_tone_interferer(out, spec, geom, chirp, ref_power, rng):
     out += steer[:, None, None] * tone[None, :, :]
 
 
+def _reference_target_block(target, geom, chirp, pulse):
+    """Antenna-by-fast-time contribution of one target for a single pulse."""
+    delay = target.delay_samples(chirp)
+    delayed = np.zeros(chirp.pulse_samples, dtype=complex)
+    delayed[delay:] = pulse[: chirp.pulse_samples - delay]
+    spectrum = np.fft.fft(delayed)
+    rf = chirp.carrier_freq + np.fft.fftfreq(chirp.pulse_samples, 1.0 / chirp.sample_rate)
+    steer = _steering_vs_frequency(target.direction, geom, rf)
+    return np.fft.ifft(steer * spectrum[None, :], axis=1)
+
+
 def reference_datacube(scenario, geom, chirp):
     """Cube rendered pulse by pulse in the time domain, one emitter at a time."""
     pulse = generate_chirp(chirp)
     out = np.zeros((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
     for target in scenario.targets:
-        block = _target_block(target, geom, chirp, pulse)
+        block = _reference_target_block(target, geom, chirp, pulse)
         dopp = _doppler_phases(target.radial_velocity, chirp)
         out += target.amplitude * block[:, :, None] * dopp[None, None, :]
     ref_power = scenario.noise_power if scenario.noise_power > 0 else 1.0
@@ -279,7 +307,21 @@ def _small_scene(kinds, noise_power=0.5, seed=21, n_targets=3):
     return Scenario(targets=targets, interferers=interferers, noise_power=noise_power, seed=seed)
 
 
+def _scaled(target, factor):
+    """``target`` moved ``factor`` times as far from the array."""
+    position = tuple(factor * v for v in target.position)
+    return TargetSpec(position, target.radial_velocity, target.amplitude)
+
+
 NOISE, TONE = "wideband-noise", "narrowband-tone"
+
+#: Bound on max|got - want| relative to max|want| for scenes whose wideband
+#: sources (targets, noise emitters) are rendered in the spectrum.
+ROUNDOFF = 1e-13
+
+
+def assert_within_roundoff(got, want):
+    assert np.max(np.abs(got - want)) <= ROUNDOFF * np.max(np.abs(want))
 
 
 class TestReferenceSynthesis:
@@ -295,11 +337,16 @@ class TestReferenceSynthesis:
         ],
     )
     def test_time_domain_scenes_bit_identical(self, kinds, noise_power, pulse_samples):
+        # tones and thermal noise are bit-identical; targets add roundoff
+        # (kinds=(), noise_power=0 is the targets-only, noise-free scene)
         geom = ArrayGeometry(2, 4, 10e9)
         cp = tiny_chirp(pulse_samples=pulse_samples, num_pulses=4)
         sc = _small_scene(kinds, noise_power)
+        no_targets = with_targets(sc, ())
+        got = synthesize_datacube(no_targets, geom, cp).samples
+        assert np.array_equal(got, reference_datacube(no_targets, geom, cp))
         got = synthesize_datacube(sc, geom, cp).samples
-        assert np.array_equal(got, reference_datacube(sc, geom, cp))
+        assert_within_roundoff(got, reference_datacube(sc, geom, cp))
 
     @pytest.mark.parametrize(
         "kinds,shape",
@@ -314,8 +361,7 @@ class TestReferenceSynthesis:
         cp = tiny_chirp(pulse_samples=512, num_pulses=8)
         sc = _small_scene(kinds)
         got = synthesize_datacube(sc, geom, cp).samples
-        want = reference_datacube(sc, geom, cp)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert_within_roundoff(got, reference_datacube(sc, geom, cp))
 
     def test_chunk_sizes_do_not_change_the_cube(self, monkeypatch):
         import bsradar.simulate as simulate
@@ -327,15 +373,44 @@ class TestReferenceSynthesis:
             _small_scene((TONE,), n_targets=5),
         ]
         whole = [synthesize_datacube(sc, geom, cp).samples for sc in scenes]
-        row_bytes = 16 * cp.num_pulses
-        # uneven chunks: 7 frequencies, 2 targets, 9 fast-time samples each
-        monkeypatch.setattr(simulate, "_CHUNK_BYTES", 7 * row_bytes * geom.n)
-        monkeypatch.setattr(simulate, "_TARGET_GROUP", 2)
-        monkeypatch.setattr(simulate, "_SEGMENT_BYTES", 9 * row_bytes)
+        # uneven chunks of 7 frequencies
+        monkeypatch.setattr(simulate, "_CHUNK_BYTES", 7 * 16 * cp.num_pulses * geom.n)
         chunked = [synthesize_datacube(sc, geom, cp).samples for sc in scenes]
         assert np.array_equal(chunked[0], whole[0])
         assert np.array_equal(chunked[1], whole[1])
-        assert np.array_equal(chunked[1], reference_datacube(scenes[1], geom, cp))
+        assert_within_roundoff(chunked[1], reference_datacube(scenes[1], geom, cp))
+
+    @pytest.mark.parametrize("chunk_frequencies", [0.5, 3])
+    def test_more_sources_than_chunk_frequencies(self, monkeypatch, chunk_frequencies):
+        import bsradar.simulate as simulate
+
+        geom = ArrayGeometry(2, 3, 10e9)
+        cp = tiny_chirp(pulse_samples=128, num_pulses=4)
+        # 9 targets and 3 noise emitters share chunks of 1 or 3 frequencies;
+        # a budget below one frequency still renders one at a time
+        sc = _small_scene((NOISE, TONE, NOISE, NOISE), n_targets=9)
+        sc = with_targets(sc, [_scaled(t, 0.2) for t in sc.targets])
+        whole = synthesize_datacube(sc, geom, cp).samples
+        budget = int(chunk_frequencies * 16 * cp.num_pulses * geom.n)
+        monkeypatch.setattr(simulate, "_CHUNK_BYTES", budget)
+        chunked = synthesize_datacube(sc, geom, cp).samples
+        assert np.array_equal(chunked, whole)
+        assert_within_roundoff(chunked, reference_datacube(sc, geom, cp))
+
+    @pytest.mark.parametrize("delay", [0, 1, 255])
+    def test_target_at_window_edges(self, delay):
+        geom = ArrayGeometry(2, 4, 10e9)
+        cp = tiny_chirp(pulse_samples=256, num_pulses=4)
+        reach = (delay + 0.2) * cp.range_resolution
+        target = TargetSpec(
+            position=(0.3 * reach, 0.9 * reach, -np.sqrt(0.1) * reach),
+            radial_velocity=17.0,
+            amplitude=0.4 - 0.9j,
+        )
+        assert target.delay_samples(cp) == delay
+        sc = Scenario(targets=(target,), noise_power=0.0, seed=3)
+        got = synthesize_datacube(sc, geom, cp).samples
+        assert_within_roundoff(got, reference_datacube(sc, geom, cp))
 
     def test_chunked_noise_draw_reproduces_one_draw(self):
         out = np.zeros((3, 5, 4), dtype=complex)

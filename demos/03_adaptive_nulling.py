@@ -20,12 +20,12 @@ from bsradar import (
     extract_window,
     lift_correlator,
     mvdr_correlator,
-    reduced_mvdr,
     spatial_frequencies,
     steering_vector,
     window_for,
     windowed_steering,
 )
+from bsradar.mvdr import BEAMSPACE_WINDOWED
 
 
 def main() -> None:
@@ -64,7 +64,9 @@ def main() -> None:
     win = window_for(sf_t, plan, 2, 4)
     reduced = extract_window(beamspace_transform(snaps, plan), plan, win)
     a_win = windowed_steering(a_t, plan, win)
-    small = reduced_mvdr(estimate_covariance(reduced, 1e-3), a_win)
+    small = mvdr_correlator(
+        estimate_covariance(reduced, 1e-3), a_win, space=BEAMSPACE_WINDOWED
+    )
     print(f"\nwindowed beamspace (W={win.w}): output power "
           f"{10 * np.log10(np.mean(np.abs(apply_correlator(small, reduced)) ** 2)):6.1f} dB")
 

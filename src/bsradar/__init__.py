@@ -6,6 +6,7 @@ adaptive (MVDR) and conventional beamforming, range-Doppler/CFAR detection,
 and an instrumented pipeline harness that tallies arithmetic cost.
 """
 
+from . import cubeio
 from .beamspace import (
     BeamspacePlan,
     WindowSpec,
@@ -53,7 +54,6 @@ from .mvdr import (
     estimate_covariance,
     lift_correlator,
     mvdr_correlator,
-    reduced_mvdr,
     write_beam_pattern_csv,
 )
 from .pipeline import (
@@ -66,6 +66,7 @@ from .pipeline import (
     process_cube,
     run_pipeline,
     sweep,
+    write_reports,
 )
 from .simulate import (
     DEFAULT_GEOMETRY,

@@ -12,14 +12,19 @@ import numpy as np
 
 from . import cubeio
 from .detection import CFAR_STATISTICS
-from .mvdr import beam_pattern, lift_correlator, write_beam_pattern_csv
+from .mvdr import ANTENNA_SPACE, beam_pattern, lift_correlator, write_beam_pattern_csv
 from .pipeline import (
     METHODS,
     PipelineConfig,
+    PipelineResult,
     run_pipeline,
     sweep,
+    write_reports,
 )
 from .simulate import PRESET_NAMES, ChirpParams, synthesize_datacube
+
+# `run --export-patterns` grid, degrees: (azimuth span, elevation span, step)
+RUN_PATTERN_GRID = ((-60.0, 60.0), (-45.0, 45.0), 2.0)
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -86,12 +91,6 @@ def _build_config(args) -> PipelineConfig:
         overrides["seed"] = args.seed
     if getattr(args, "snr_db", None) is not None:
         overrides["snr_db"] = args.snr_db
-    if getattr(args, "out", None):
-        overrides["output_dir"] = args.out
-    if getattr(args, "export_maps", False):
-        overrides["export_maps"] = True
-    if getattr(args, "export_patterns", False):
-        overrides["export_patterns"] = True
     return replace(cfg, **overrides)
 
 
@@ -107,7 +106,29 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _write_beam_pattern(
+    result: PipelineResult, target: int, path, grid
+) -> tuple[int, int]:
+    """Lift a target's center-subband correlator and write its pattern CSV.
+
+    ``grid`` is ((az_start, az_stop), (el_start, el_stop), step) in degrees,
+    both stops included; returns the pattern's (elevations, azimuths) shape.
+    """
+    (az_start, az_stop), (el_start, el_stop), step = grid
+    cfg = result.config
+    corr = result.center_correlators[target]
+    if corr.space != ANTENNA_SPACE:
+        corr = lift_correlator(corr, cfg.beamspace_plan(), result.center_windows[target])
+    azimuths = np.deg2rad(np.arange(az_start, az_stop + 1e-9, step))
+    elevations = np.deg2rad(np.arange(el_start, el_stop + 1e-9, step))
+    pattern = beam_pattern(corr, azimuths, elevations, cfg.geometry, cfg.chirp.carrier_freq)
+    write_beam_pattern_csv(path, pattern, azimuths, elevations)
+    return pattern.shape
+
+
 def _cmd_run(args) -> int:
+    if (args.export_maps or args.export_patterns) and not args.out:
+        raise ValueError("--export-maps and --export-patterns need --out DIR")
     cfg = _build_config(args)
     result = run_pipeline(cfg)
     detected = result.detection_count
@@ -127,8 +148,22 @@ def _cmd_run(args) -> int:
         f"training mults/pair: {report.training_mults_per_pair}, "
         f"application mults/snapshot: {report.application_mults_per_snapshot}"
     )
-    for artifact in result.artifacts:
-        print(f"wrote {artifact}")
+    if not args.out:
+        return 0
+    written = write_reports(result, args.out)
+    out_dir = Path(args.out)
+    if args.export_maps:
+        for k, rd in enumerate(result.maps):
+            path = out_dir / f"rdmap_target{k:02d}.bin"
+            cubeio.save_map(path, rd.power, cfg.chirp.sample_rate)
+            written.append(path)
+    if args.export_patterns:
+        for k in range(len(result.center_correlators)):
+            path = out_dir / f"beampattern_target{k:02d}.csv"
+            _write_beam_pattern(result, k, path, RUN_PATTERN_GRID)
+            written.append(path)
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 
@@ -147,20 +182,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_beampattern(args) -> int:
-    cfg = _build_config(args)
-    result = run_pipeline(cfg)
-    corr = result.center_correlators[args.target]
-    win = result.center_windows[args.target]
-    plan = cfg.beamspace_plan()
-    if corr.space != "antenna":
-        corr = lift_correlator(corr, plan, win)
-
-    azimuths = np.deg2rad(np.arange(args.az_start, args.az_stop + 1e-9, args.step))
-    elevations = np.deg2rad(np.arange(args.el_start, args.el_stop + 1e-9, args.step))
-    freq = cfg.chirp.carrier_freq
-    pattern = beam_pattern(corr, azimuths, elevations, cfg.geometry, freq)
-    write_beam_pattern_csv(args.pattern_out, pattern, azimuths, elevations)
-    print(f"wrote beam pattern ({pattern.shape[0]}x{pattern.shape[1]}) to {args.pattern_out}")
+    result = run_pipeline(_build_config(args))
+    grid = ((args.az_start, args.az_stop), (args.el_start, args.el_stop), args.step)
+    n_el, n_az = _write_beam_pattern(result, args.target, args.pattern_out, grid)
+    print(f"wrote beam pattern ({n_el}x{n_az}) to {args.pattern_out}")
     return 0
 
 

@@ -90,11 +90,6 @@ class OpCounter:
     def add(self, stage: str, mults: int) -> None:
         self.counts[stage] = self.counts.get(stage, 0) + int(mults)
 
-    def total(self, *stages: str) -> int:
-        if not stages:
-            return sum(self.counts.values())
-        return sum(self.counts.get(s, 0) for s in stages)
-
     def __repr__(self) -> str:  # pragma: no cover
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         return f"OpCounter({inner})"

@@ -74,22 +74,26 @@ def save_cube(path, cube: DataCube) -> None:
             handle.write(row_buf)
 
 
-def load_cube(
-    path,
-    geometry: ArrayGeometry | None = None,
-    chirp: ChirpParams | None = None,
-) -> DataCube:
+def load_cube(path, geometry: ArrayGeometry, chirp: ChirpParams) -> DataCube:
     """Read a cube file back; geometry/chirp supply the radio metadata.
 
-    The header stores only dimensions and sample rate.  When geometry or
-    chirp are omitted, placeholder parameters with the stored dimensions
-    and sample rate are used.  The payload is read one antenna row at a
+    The header stores only dimensions and sample rate, and both must match
+    the given geometry and chirp.  The payload is read one antenna row at a
     time into a reused float32 buffer.
     """
     with open(path, "rb") as handle:
         flags, (n_z, n_x, n_fast, n_pulses), fs = _read_header(handle)
         if not flags & FLAG_COMPLEX:
             raise ValueError("file holds a real payload, not an IQ cube")
+        if (geometry.n_z, geometry.n_x) != (n_z, n_x):
+            raise ValueError("geometry does not match the stored dimensions")
+        if (chirp.pulse_samples, chirp.num_pulses) != (n_fast, n_pulses):
+            raise ValueError("chirp does not match the stored dimensions")
+        if chirp.sample_rate != fs:
+            raise ValueError(
+                f"chirp sample rate {chirp.sample_rate} Hz does not match the "
+                f"stored {fs} Hz"
+            )
         payload = os.fstat(handle.fileno()).st_size - _HEADER.size
         expected = n_z * n_x * n_fast * n_pulses * 8
         if payload != expected:
@@ -100,22 +104,6 @@ def load_cube(
             if handle.readinto(row_buf) != row_buf.nbytes:
                 raise ValueError("payload ended before the last antenna row")
             row[...] = row_buf
-
-    if geometry is None:
-        geometry = ArrayGeometry(n_z=n_z, n_x=n_x, design_freq=fs * 20.0)
-    if chirp is None:
-        chirp = ChirpParams(
-            carrier_freq=geometry.design_freq,
-            sample_rate=fs,
-            bandwidth=0.0,
-            pulse_samples=n_fast,
-            num_pulses=n_pulses,
-            pri=2.0 * n_fast / fs,
-        )
-    if (geometry.n_z, geometry.n_x) != (n_z, n_x):
-        raise ValueError("geometry does not match the stored dimensions")
-    if (chirp.pulse_samples, chirp.num_pulses) != (n_fast, n_pulses):
-        raise ValueError("chirp does not match the stored dimensions")
     return DataCube(samples, geometry, chirp)
 
 

@@ -198,7 +198,6 @@ def cfar_detect(
     threshold_db: float = 10.0,
     guard_cells: int = 4,
     statistic: str = "median",
-    ops: OpCounter | None = None,
 ) -> list[Detection]:
     """Threshold against the per-column floor, then keep 3x3 local maxima.
 

@@ -118,19 +118,6 @@ def mvdr_correlator(
     return Correlator(x / denom, space, target_id, subband)
 
 
-def reduced_mvdr(
-    cov: CovarianceEstimate,
-    windowed_steering: np.ndarray,
-    ops: OpCounter | None = None,
-    target_id: int | None = None,
-    subband: int | None = None,
-) -> Correlator:
-    """MVDR in the W-dimensional windowed beamspace; same closed form."""
-    return mvdr_correlator(
-        cov, windowed_steering, ops, BEAMSPACE_WINDOWED, target_id, subband
-    )
-
-
 def conventional_correlator(
     steering: np.ndarray,
     space: str = ANTENNA_SPACE,

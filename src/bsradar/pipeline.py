@@ -5,6 +5,12 @@ cube, channelizes it, trains and applies a beamformer per (target, subband)
 pair, resynthesizes the wideband per-target series, and scores CFAR
 detections against the simulator truth.
 
+A run is pure: :func:`process_cube` and :func:`run_pipeline` return a
+:class:`PipelineResult` holding every output (subband and wideband series,
+range-Doppler maps, detections, scores, center-subband correlators and the
+complexity report) and write no file.  :func:`write_reports` writes
+``detections.csv`` and ``complexity.json`` from a result.
+
 All three methods run one beamforming routine.  A method only chooses the
 **basis** a subband's snapshots are expressed in (the antennas, or the
 zero-padded beamspace FFT), the **selector** of each target's rows of that
@@ -55,7 +61,6 @@ from .beamspace import (
 )
 from .channelizer import SubbandCube, bin_center_frequencies, channelize, synthesize
 from .counters import OpCounter
-from .cubeio import save_map
 from .detection import (
     CFAR_STATISTICS,
     REPORT_COLUMNS,
@@ -115,10 +120,6 @@ class PipelineConfig:
     snr_db: float | None = None
     geometry: ArrayGeometry = DEFAULT_GEOMETRY
     chirp: ChirpParams = field(default_factory=ChirpParams)
-    output_dir: str | None = None
-    export_maps: bool = False
-    export_patterns: bool = False
-    pattern_step_deg: float = 2.0
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -229,12 +230,11 @@ class PipelineResult:
     scores: list[DetectionScore]
     complexity: ComplexityReport
     detections: list[list[Detection]]
-    wideband_outputs: np.ndarray | None = None
-    subband_outputs: np.ndarray | None = None
-    maps: list[RangeDopplerMap] | None = None
-    center_correlators: list[Correlator] | None = None
-    center_windows: list[WindowSpec | None] | None = None
-    artifacts: list[str] = field(default_factory=list)
+    wideband_outputs: np.ndarray
+    subband_outputs: np.ndarray
+    maps: list[RangeDopplerMap]
+    center_correlators: list[Correlator]
+    center_windows: list[WindowSpec | None]
 
     @property
     def detection_count(self) -> int:
@@ -289,6 +289,19 @@ def _check_cube(cube: DataCube, cfg: PipelineConfig) -> None:
         )
     if cube.chirp != cfg.chirp:
         raise ValueError(f"chirp: cube {cube.chirp} does not match config {cfg.chirp}")
+
+
+def _check_scenario(scenario: Scenario, cfg: PipelineConfig) -> None:
+    """Reject a scenario other than the one ``cfg.scenario`` or ``cfg.preset`` names."""
+    if scenario is cfg.scenario:
+        return
+    named = cfg.resolve_scenario()
+    if scenario != named:
+        raise ValueError(
+            f"scenario: the given scenario ({scenario.label or 'custom'!r}, seed "
+            f"{scenario.seed}) is not the config's ({named.label or 'custom'!r}, "
+            f"seed {named.seed})"
+        )
 
 
 def _beamform(
@@ -368,17 +381,15 @@ def _beamform(
     return center
 
 
-def process_cube(
-    cube: DataCube,
-    scenario: Scenario,
-    cfg: PipelineConfig,
-    want_wideband: bool = False,
-    want_subband_outputs: bool = False,
-    want_maps: bool = False,
-) -> PipelineResult:
-    """Run channelization, beamforming, synthesis, and detection on a cube."""
+def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> PipelineResult:
+    """Run channelization, beamforming, synthesis, and detection on a cube.
+
+    Returns every output of the run and writes nothing; see
+    :func:`write_reports` for the report files.
+    """
     cfg.validate()
     _check_cube(cube, cfg)
+    _check_scenario(scenario, cfg)
     geom, chirp = cube.geometry, cube.chirp
     plan = cfg.beamspace_plan()
     ops = OpCounter()
@@ -422,8 +433,7 @@ def process_cube(
                 )
             )
             detections_per_target.append(dets)
-            if want_maps or cfg.export_maps:
-                maps.append(rd)
+            maps.append(rd)
 
     w_z, w_x = cfg.window
     report = ComplexityReport(
@@ -438,30 +448,27 @@ def process_cube(
         stage_mults=dict(ops.counts),
     )
 
-    result = PipelineResult(
+    return PipelineResult(
         config=cfg,
         scenario=scenario,
         scores=scores,
         complexity=report,
         detections=detections_per_target,
-        wideband_outputs=wideband if want_wideband else None,
-        subband_outputs=outputs if want_subband_outputs else None,
-        maps=maps if (want_maps or cfg.export_maps) else None,
+        wideband_outputs=wideband,
+        subband_outputs=outputs,
+        maps=maps,
         center_correlators=[corr for corr, _ in center],
         center_windows=[win for _, win in center],
     )
-    if cfg.output_dir is not None:
-        _write_artifacts(result)
-    return result
 
 
-def run_pipeline(cfg: PipelineConfig, **wants) -> PipelineResult:
+def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Simulate the configured scene and process it; see :func:`process_cube`."""
     cfg.validate()
     scenario = cfg.resolve_scenario()
     with _stage("simulate"):
         cube = synthesize_datacube(scenario, cfg.geometry, cfg.chirp)
-    return process_cube(cube, scenario, cfg, **wants)
+    return process_cube(cube, scenario, cfg)
 
 
 def _score_row(cfg: PipelineConfig, scenario: Scenario, score: DetectionScore) -> dict:
@@ -484,50 +491,23 @@ def _score_row(cfg: PipelineConfig, scenario: Scenario, score: DetectionScore) -
     }
 
 
-def _write_artifacts(result: PipelineResult) -> None:
-    out_dir = Path(result.config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_reports(result: PipelineResult, out_dir) -> list[Path]:
+    """Write ``detections.csv`` and ``complexity.json`` into ``out_dir``.
 
+    Creates the directory if needed and returns the written paths.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "detections.csv"
     rows = [
         _score_row(result.config, result.scenario, score) for score in result.scores
     ]
     write_detection_report(report_path, rows)
-    result.artifacts.append(str(report_path))
-
     complexity_path = out_dir / "complexity.json"
     complexity_path.write_text(
         json.dumps(result.complexity.as_dict(), indent=2, sort_keys=True) + "\n"
     )
-    result.artifacts.append(str(complexity_path))
-
-    if result.config.export_maps and result.maps:
-        for k, rd in enumerate(result.maps):
-            map_path = out_dir / f"rdmap_target{k:02d}.bin"
-            save_map(map_path, rd.power, result.config.chirp.sample_rate)
-            result.artifacts.append(str(map_path))
-
-    if result.config.export_patterns:
-        _write_beam_patterns(result, out_dir)
-
-
-def _write_beam_patterns(result: PipelineResult, out_dir: Path) -> None:
-    from .mvdr import beam_pattern, lift_correlator, write_beam_pattern_csv
-
-    cfg = result.config
-    plan = cfg.beamspace_plan()
-    step = cfg.pattern_step_deg
-    azimuths = np.deg2rad(np.arange(-60.0, 60.0 + step / 2, step))
-    elevations = np.deg2rad(np.arange(-45.0, 45.0 + step / 2, step))
-    for k, corr in enumerate(result.center_correlators):
-        if corr.space != ANTENNA_SPACE:
-            corr = lift_correlator(corr, plan, result.center_windows[k])
-        pattern = beam_pattern(
-            corr, azimuths, elevations, cfg.geometry, cfg.chirp.carrier_freq
-        )
-        path = out_dir / f"beampattern_target{k:02d}.csv"
-        write_beam_pattern_csv(path, pattern, azimuths, elevations)
-        result.artifacts.append(str(path))
+    return [report_path, complexity_path]
 
 
 SWEEP_AXES = ("window", "fft-size", "scenario")
@@ -554,11 +534,11 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
     for value in values:
         try:
             if axis == "window":
-                case = replace(cfg, window=tuple(value), output_dir=None)
+                case = replace(cfg, window=tuple(value))
             elif axis == "fft-size":
-                case = replace(cfg, fft_size=tuple(value), output_dir=None)
+                case = replace(cfg, fft_size=tuple(value))
             else:
-                case = replace(cfg, preset=str(value), scenario=None, output_dir=None)
+                case = replace(cfg, preset=str(value), scenario=None)
             if shared_cube is not None:
                 result = process_cube(shared_cube, shared_scenario, case)
             else:

@@ -73,8 +73,7 @@ def test_ac01_windowed_beamspace_equals_antenna_mvdr(a1_scene):
     t0 = time.perf_counter()
     base = dict(scenario=scenario, loading=0.0, train_pulses=8, subbands=128)
     res_a = process_cube(
-        cube, scenario, PipelineConfig(method=METHOD_ANTENNA, **base),
-        want_subband_outputs=True,
+        cube, scenario, PipelineConfig(method=METHOD_ANTENNA, **base)
     )
     res_b = process_cube(
         cube,
@@ -82,7 +81,6 @@ def test_ac01_windowed_beamspace_equals_antenna_mvdr(a1_scene):
         PipelineConfig(
             method=METHOD_BEAMSPACE, fft_size=(4, 32), window=(4, 32), **base
         ),
-        want_subband_outputs=True,
     )
     elapsed = time.perf_counter() - t0
 

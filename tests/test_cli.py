@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bsradar.cli import main
-from bsradar.cubeio import load_cube, load_scenario
+from bsradar.cubeio import chirp_from_dict, geometry_from_dict, load_cube, load_scenario
 
 
 @pytest.fixture
@@ -60,7 +60,9 @@ def test_simulate_writes_loadable_cube(tmp_path, config_file):
         ]
     )
     assert rc == 0
-    cube = load_cube(cube_path)
+    config = json.loads(config_file.read_text())
+    geometry = geometry_from_dict(config["geometry"])
+    cube = load_cube(cube_path, geometry, chirp_from_dict(config["chirp"]))
     assert cube.samples.shape == (16, 256, 16)
     assert len(load_scenario(scenario_path).targets) == 2
 
@@ -85,6 +87,36 @@ def test_run_detects_targets_and_writes_reports(tmp_path, config_file, capsys):
     assert (out_dir / "complexity.json").exists()
     report = json.loads((out_dir / "complexity.json").read_text())
     assert report["method"] == "beamspace-mvdr"
+
+
+def test_run_exports_maps_and_patterns(tmp_path, config_file, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["run", "--config", str(config_file), "--out", str(out_dir)]
+    assert main(argv + ["--export-maps", "--export-patterns"]) == 0
+    printed = capsys.readouterr().out
+    names = [
+        "detections.csv",
+        "complexity.json",
+        "rdmap_target00.bin",
+        "rdmap_target01.bin",
+        "beampattern_target00.csv",
+        "beampattern_target01.csv",
+    ]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(names)
+    assert [line for line in printed.splitlines() if line.startswith("wrote ")] == [
+        f"wrote {out_dir / name}" for name in names
+    ]
+    lines = (out_dir / "beampattern_target00.csv").read_text().splitlines()
+    assert len(lines) == 2 + 46 * 61  # +-45 deg elevation by +-60 deg azimuth, 2 deg
+
+
+@pytest.mark.parametrize("flags", [["--export-maps"], ["--export-patterns"]])
+def test_export_without_out_is_rejected(tmp_path, config_file, flags, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["run", "--config", str(config_file)] + flags)
+    assert rc == 2
+    assert "--out" in capsys.readouterr().err.splitlines()[-1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_sweep_cli(tmp_path, config_file):

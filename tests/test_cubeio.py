@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +25,15 @@ def cube(rng):
     geom = ArrayGeometry(2, 4, 10e9)
     cp = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
     return DataCube(random_complex(rng, (8, 64, 4)), geom, cp)
+
+
+def test_package_import_exposes_cubeio():
+    # the pipeline no longer imports cubeio; the package must still expose it
+    code = "import bsradar; print(bsradar.cubeio.load_cube.__name__)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "load_cube"
 
 
 class TestBinaryCube:
@@ -71,17 +84,24 @@ class TestBinaryCube:
         with pytest.raises(ValueError, match="payload holds"):
             load_cube(path, cube.geometry, cube.chirp)
 
-    def test_bad_magic_rejected(self, tmp_path):
+    def test_sample_rate_must_match_the_chirp(self, tmp_path, cube):
+        path = tmp_path / "cube.bin"
+        save_cube(path, cube)
+        faster = replace(cube.chirp, sample_rate=2 * cube.chirp.sample_rate)
+        with pytest.raises(ValueError, match="sample rate"):
+            load_cube(path, cube.geometry, faster)
+
+    def test_bad_magic_rejected(self, tmp_path, cube):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"\x00" * 128)
         with pytest.raises(ValueError, match="magic"):
-            load_cube(path)
+            load_cube(path, cube.geometry, cube.chirp)
 
-    def test_map_file_is_not_a_cube(self, tmp_path, rng):
+    def test_map_file_is_not_a_cube(self, tmp_path, rng, cube):
         path = tmp_path / "map.bin"
         save_map(path, rng.exponential(1.0, (16, 4)), 500e6)
         with pytest.raises(ValueError, match="real"):
-            load_cube(path)
+            load_cube(path, cube.geometry, cube.chirp)
 
 
 class TestBinaryMap:

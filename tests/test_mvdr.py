@@ -15,12 +15,13 @@ from bsradar import (
     extract_window,
     lift_correlator,
     mvdr_correlator,
-    reduced_mvdr,
     spatial_frequencies,
     steering_vector,
     window_for,
     windowed_steering,
 )
+
+from bsradar.mvdr import BEAMSPACE_WINDOWED
 
 from conftest import random_complex
 
@@ -147,7 +148,7 @@ class TestReducedMvdr:
     def test_scalar_window_is_trivially_distortionless(self, rng):
         a_win = np.array([0.3 - 0.8j])
         cov = estimate_covariance(random_complex(rng, (1, 30)), 1e-3)
-        corr = reduced_mvdr(cov, a_win)
+        corr = mvdr_correlator(cov, a_win, space=BEAMSPACE_WINDOWED)
         assert corr.weights[0] == pytest.approx(1.0 / np.conj(a_win[0]))
         assert np.vdot(corr.weights, a_win) == pytest.approx(1.0)
 
@@ -164,7 +165,9 @@ class TestReducedMvdr:
         beams = beamspace_transform(snaps, plan)
         reduced = extract_window(beams, plan, win)
         a_win = windowed_steering(a, plan, win)
-        c_red = reduced_mvdr(estimate_covariance(reduced, 0.0), a_win)
+        c_red = mvdr_correlator(
+            estimate_covariance(reduced, 0.0), a_win, space=BEAMSPACE_WINDOWED
+        )
         lifted = lift_correlator(c_red, plan, win)
 
         scale = np.max(np.abs(c_ant.weights))
@@ -190,7 +193,9 @@ class TestReducedMvdr:
         i_win = windowed_steering(a_i, plan, win)
         assert np.linalg.norm(i_win) > 1.0  # interference really is in-window
 
-        adaptive = reduced_mvdr(estimate_covariance(reduced, 0.0), a_win)
+        adaptive = mvdr_correlator(
+            estimate_covariance(reduced, 0.0), a_win, space=BEAMSPACE_WINDOWED
+        )
         fixed = conventional_correlator(a_win, space="windowed-beamspace")
         p_adaptive = abs(np.vdot(adaptive.weights, i_win)) ** 2
         p_fixed = abs(np.vdot(fixed.weights, i_win)) ** 2
@@ -221,8 +226,10 @@ class TestWindowGrowth:
         for w_z, w_x in [(1, 2), (2, 2), (2, 4), (4, 4), (4, 8), (4, 16), (4, 32)]:
             win = window_for(target_sf, plan, w_z, w_x)
             reduced = extract_window(beams, plan, win)
-            corr = reduced_mvdr(
-                estimate_covariance(reduced, 0.0), windowed_steering(a, plan, win)
+            corr = mvdr_correlator(
+                estimate_covariance(reduced, 0.0),
+                windowed_steering(a, plan, win),
+                space=BEAMSPACE_WINDOWED,
             )
             power = float(
                 np.mean(np.abs(apply_correlator(corr, reduced)) ** 2)

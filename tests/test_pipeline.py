@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg.blas import zgemm
@@ -18,8 +20,8 @@ from bsradar import (
     extract_window,
     mvdr_correlator,
     process_cube,
-    reduced_mvdr,
     run_pipeline,
+    scenario_preset,
     spatial_frequencies,
     sweep,
     synthesize_datacube,
@@ -28,6 +30,8 @@ from bsradar import (
     windowed_steering,
 )
 from bsradar import counters
+from bsradar.cli import _write_beam_pattern
+from bsradar.cubeio import load_map, save_map
 from bsradar.counters import (
     beamspace_fft_mults,
     matvec_mults,
@@ -41,7 +45,9 @@ from bsradar.pipeline import (
     StageError,
     _subband_steering,
     _train_window_columns,
+    write_reports,
 )
+from bsradar.mvdr import BEAMSPACE_WINDOWED
 
 REPORT_HEADER = (
     b"# bsradar detection report v1\n"
@@ -128,7 +134,7 @@ def reference_beamform(
                 reduced = extract_window(beams, plan, win)
                 a_win = windowed_steering(steer[:, k], plan, win, ops)
                 cov = estimate_covariance(reduced[:, train_cols], cfg.loading, ops)
-                corr = reduced_mvdr(cov, a_win, ops, target_id=k, subband=b)
+                corr = mvdr_correlator(cov, a_win, ops, BEAMSPACE_WINDOWED, k, b)
                 outputs[k, b] = apply_correlator(corr, reduced, ops).reshape(
                     s_per_pulse, n_pulses
                 )
@@ -236,6 +242,31 @@ class TestCubeContract:
             process_cube(cube, scenario, cfg)
 
 
+class TestScenarioContract:
+    def test_contradicting_scenario_rejected(self):
+        geom, chirp, scenario = tiny_setup(n_targets=2)
+        other = tiny_setup(n_targets=2, seed=6)[2]
+        cube = synthesize_datacube(other, geom, chirp)
+        cfg = tiny_config(geom, chirp, scenario)
+        with pytest.raises(ValueError, match="^scenario: "):
+            process_cube(cube, other, cfg)
+
+    def test_preset_must_name_the_scenario(self):
+        geom, chirp, _ = tiny_setup()
+        cfg = tiny_config(geom, chirp, None, preset="A1", seed=3)
+        cube = synthesize_datacube(Scenario(), geom, chirp)
+        with pytest.raises(ValueError, match="^scenario: .*seed 4.*seed 3"):
+            process_cube(cube, scenario_preset("A1", seed=4), cfg)
+
+    def test_equal_scenario_accepted(self):
+        geom, chirp, scenario = tiny_setup(n_targets=1)
+        cube = synthesize_datacube(scenario, geom, chirp)
+        copy = replace(scenario)
+        assert copy is not scenario
+        result = process_cube(cube, copy, tiny_config(geom, chirp, scenario))
+        assert result.detection_count == 1
+
+
 class TestOneBeamformingPath:
     """Every method's outputs, tallies and center correlators equal the old
     two-branch loop bit for bit."""
@@ -260,7 +291,7 @@ class TestOneBeamformingPath:
     def test_matches_reference(self, oracle_cube, kw):
         geom, chirp, scenario, cube = oracle_cube
         cfg = tiny_config(geom, chirp, scenario, **kw)
-        result = process_cube(cube, scenario, cfg, want_subband_outputs=True)
+        result = process_cube(cube, scenario, cfg)
 
         ops = OpCounter()
         sub = channelize(cube, cfg.subbands, ops)
@@ -333,8 +364,8 @@ class TestEndToEnd:
         cfg_b = tiny_config(
             geom, chirp, scenario, method=METHOD_BEAMSPACE, loading=0.0, window=(2, 8)
         )
-        res_a = process_cube(cube, scenario, cfg_a, want_wideband=True)
-        res_b = process_cube(cube, scenario, cfg_b, want_wideband=True)
+        res_a = process_cube(cube, scenario, cfg_a)
+        res_b = process_cube(cube, scenario, cfg_b)
         scale = np.max(np.abs(res_a.wideband_outputs))
         diff = np.max(np.abs(res_a.wideband_outputs - res_b.wideband_outputs))
         assert diff / scale < 1e-8
@@ -345,8 +376,9 @@ class TestEndToEnd:
 
     def test_report_headers_are_stored_bytes(self, tmp_path):
         geom, chirp, scenario = tiny_setup(n_targets=1)
-        cfg = tiny_config(geom, chirp, scenario, output_dir=str(tmp_path))
-        run_pipeline(cfg)
+        cfg = tiny_config(geom, chirp, scenario)
+        written = write_reports(run_pipeline(cfg), tmp_path)
+        assert written == [tmp_path / "detections.csv", tmp_path / "complexity.json"]
         report = (tmp_path / "detections.csv").read_bytes()
         assert report.startswith(REPORT_HEADER)
         sweep(cfg, "window", [], tmp_path / "sweep.csv")
@@ -356,8 +388,7 @@ class TestEndToEnd:
         geom, chirp, scenario = tiny_setup()
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
-            cfg = tiny_config(geom, chirp, scenario, output_dir=str(out))
-            run_pipeline(cfg)
+            write_reports(run_pipeline(tiny_config(geom, chirp, scenario)), out)
         assert (out_a / "detections.csv").read_bytes() == (
             out_b / "detections.csv"
         ).read_bytes()
@@ -373,29 +404,35 @@ class TestEndToEnd:
 
     def test_map_export(self, tmp_path):
         geom, chirp, scenario = tiny_setup(n_targets=2)
-        cfg = tiny_config(
-            geom, chirp, scenario, output_dir=str(tmp_path), export_maps=True
-        )
-        result = run_pipeline(cfg)
-        map_files = sorted(tmp_path.glob("rdmap_target*.bin"))
-        assert len(map_files) == 2
-        assert len(result.artifacts) == 2 + 2
+        result = run_pipeline(tiny_config(geom, chirp, scenario))
+        assert [rd.target_id for rd in result.maps] == [0, 1]
+        for rd in result.maps:
+            assert rd.power.shape == (chirp.pulse_samples, chirp.num_pulses)
+            path = tmp_path / f"rdmap_target{rd.target_id:02d}.bin"
+            save_map(path, rd.power, chirp.sample_rate)
+            assert np.array_equal(load_map(path), rd.power.astype(np.float32))
 
     def test_beam_pattern_export(self, tmp_path):
         geom, chirp, scenario = tiny_setup(n_targets=2)
-        cfg = tiny_config(
-            geom,
-            chirp,
-            scenario,
-            output_dir=str(tmp_path),
-            export_patterns=True,
-            pattern_step_deg=15.0,
-        )
-        run_pipeline(cfg)
-        pattern_files = sorted(tmp_path.glob("beampattern_target*.csv"))
-        assert len(pattern_files) == 2
-        header = pattern_files[0].read_text().splitlines()[1]
-        assert header == "azimuth_deg,elevation_deg,gain_linear,gain_db"
+        result = run_pipeline(tiny_config(geom, chirp, scenario))
+        grid = ((-60.0, 60.0), (-45.0, 45.0), 15.0)
+        for k in range(2):
+            path = tmp_path / f"beampattern_target{k:02d}.csv"
+            assert _write_beam_pattern(result, k, path, grid) == (7, 9)
+            lines = path.read_text().splitlines()
+            assert lines[1] == "azimuth_deg,elevation_deg,gain_linear,gain_db"
+            assert len(lines) == 2 + 7 * 9
+
+    def test_run_returns_every_output_and_writes_no_file(self, tmp_path, monkeypatch):
+        geom, chirp, scenario = tiny_setup(n_targets=2)
+        monkeypatch.chdir(tmp_path)
+        result = run_pipeline(tiny_config(geom, chirp, scenario))
+        assert list(tmp_path.iterdir()) == []
+        n_sub = 16
+        s = chirp.pulse_samples // n_sub
+        assert result.subband_outputs.shape == (2, n_sub, s, chirp.num_pulses)
+        assert result.wideband_outputs.shape == (2, chirp.pulse_samples, chirp.num_pulses)
+        assert len(result.maps) == len(result.center_correlators) == 2
 
     def test_stage_context_on_numerical_failure(self):
         geom, chirp, scenario = tiny_setup(noise_power=0.0)

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from .pipeline import (
     sweep,
     write_reports,
 )
-from .simulate import PRESET_NAMES, ChirpParams, synthesize_datacube
+from .simulate import PRESET_NAMES, synthesize_datacube
 
 # `run --export-patterns` grid, degrees: (azimuth span, elevation span, step)
 RUN_PATTERN_GRID = ((-60.0, 60.0), (-45.0, 45.0), 2.0)
@@ -36,62 +35,12 @@ def _pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _load_config_file(path: str) -> dict:
-    return json.loads(Path(path).read_text())
-
-
 def _build_config(args) -> PipelineConfig:
-    geometry = None
-    chirp = None
-    scenario = None
-    pipeline_overrides: dict = {}
-    if getattr(args, "config", None):
-        data = _load_config_file(args.config)
-        if "geometry" in data:
-            geometry = cubeio.geometry_from_dict(data["geometry"])
-        if "chirp" in data:
-            chirp = cubeio.chirp_from_dict(data["chirp"])
-        if "scenario" in data:
-            scenario = cubeio.scenario_from_dict(data["scenario"])
-        pipeline_overrides = data.get("pipeline", {})
-
-    cfg = PipelineConfig(
-        preset=getattr(args, "preset", None),
-        scenario=scenario,
-        geometry=geometry or PipelineConfig.geometry,
-        chirp=chirp or ChirpParams(),
-    )
-    for key, value in pipeline_overrides.items():
-        if key in ("window", "fft_size", "gate"):
-            value = tuple(value)
-        cfg = replace(cfg, **{key: value})
-
-    overrides: dict = {}
-    if getattr(args, "method", None):
-        overrides["method"] = args.method
-    if getattr(args, "subbands", None) is not None:
-        overrides["subbands"] = args.subbands
-    if getattr(args, "fft", None):
-        overrides["fft_size"] = args.fft
-    if getattr(args, "window", None):
-        overrides["window"] = args.window
-    if getattr(args, "loading", None) is not None:
-        overrides["loading"] = args.loading
-    if getattr(args, "train_pulses", None) is not None:
-        overrides["train_pulses"] = args.train_pulses
-    if getattr(args, "cfar_db", None) is not None:
-        overrides["cfar_threshold_db"] = args.cfar_db
-    if getattr(args, "guard", None) is not None:
-        overrides["cfar_guard_cells"] = args.guard
-    if getattr(args, "statistic", None):
-        overrides["cfar_statistic"] = args.statistic
-    if getattr(args, "no_recenter", False):
-        overrides["recenter_per_subband"] = False
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "snr_db", None) is not None:
-        overrides["snr_db"] = args.snr_db
-    return replace(cfg, **overrides)
+    """The config file's sections, overlaid by each flag given (its dest is the field)."""
+    fields = cubeio.load_config(args.config) if args.config else {}
+    names = {f.name for f in dataclasses.fields(PipelineConfig)}
+    fields.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
+    return PipelineConfig(**fields)
 
 
 def _cmd_simulate(args) -> int:
@@ -205,14 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     def add_pipeline_args(p):
         p.add_argument("--method", choices=METHODS)
         p.add_argument("--subbands", type=int)
-        p.add_argument("--fft", type=_pair, metavar="MZxMX")
+        p.add_argument("--fft", type=_pair, metavar="MZxMX", dest="fft_size")
         p.add_argument("--window", type=_pair, metavar="WZxWX")
         p.add_argument("--loading", type=float)
         p.add_argument("--train-pulses", type=int, dest="train_pulses")
-        p.add_argument("--cfar-db", type=float, dest="cfar_db")
-        p.add_argument("--guard", type=int)
-        p.add_argument("--statistic", choices=CFAR_STATISTICS)
-        p.add_argument("--no-recenter", action="store_true", dest="no_recenter")
+        p.add_argument("--cfar-db", type=float, metavar="CFAR_DB", dest="cfar_threshold_db")
+        p.add_argument("--guard", type=int, metavar="GUARD", dest="cfar_guard_cells")
+        p.add_argument("--statistic", choices=CFAR_STATISTICS, dest="cfar_statistic")
+        p.add_argument(
+            "--no-recenter", action="store_false", default=None, dest="recenter_per_subband"
+        )
 
     p_sim = sub.add_parser("simulate", help="synthesize a scene into a binary cube")
     add_scene_args(p_sim)

@@ -21,14 +21,17 @@ are quantized to float32 on write, so a load/save cycle is bit-exact.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import ArrayGeometry, Direction
+from .pipeline import PipelineConfig
 from .simulate import (
     ChirpParams,
     DataCube,
@@ -160,33 +163,79 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _read(section: str, data, keys: dict, required=()) -> dict:
+    """Convert a JSON object by ``keys``: file key -> (field name, conversion).
+
+    Absent keys are left out, so the dataclass default applies; an unknown
+    or missing key raises a ``ValueError`` naming the section and the key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{section}: expected a JSON object, got {type(data).__name__}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(
+                f"{section}: unknown key {key!r} (expected one of: {', '.join(keys)})"
+            )
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{section}: missing required key {key!r}")
+    return {keys[key][0]: keys[key][1](value) for key, value in data.items()}
+
+
+_COERCE = {int: int, float: float, float | None: lambda v: None if v is None else float(v)}
+
+
+def _numeric_dataclass(section: str, cls, data):
+    """A dataclass of int/float fields from an object keyed by field name."""
+    fields = dataclasses.fields(cls)
+    hints = typing.get_type_hints(cls)
+    keys = {f.name: (f.name, _COERCE[hints[f.name]]) for f in fields}
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    return cls(**_read(section, data, keys, required))
+
+
+def geometry_from_dict(data: dict) -> ArrayGeometry:
+    return _numeric_dataclass("geometry", ArrayGeometry, data)
+
+
+def chirp_from_dict(data: dict) -> ChirpParams:
+    return _numeric_dataclass("chirp", ChirpParams, data)
+
+
+def _same_names(**conversions) -> dict:
+    return {key: (key, convert) for key, convert in conversions.items()}
+
+
+_TARGET_KEYS = {
+    "position_m": ("position", lambda v: tuple(float(x) for x in v)),
+    "radial_velocity_mps": ("radial_velocity", float),
+    "amplitude": ("amplitude", lambda v: complex(*v)),
+}
+_INTERFERER_KEYS = _same_names(
+    azimuth_deg=float, elevation_deg=float, power=float, waveform_kind=str, bandwidth_fraction=float
+)
+_SCENARIO_KEYS = _same_names(label=str, seed=int, noise_power=float, targets=list, interferers=list)
+
+
+def _target_from_dict(section: str, data) -> TargetSpec:
+    return TargetSpec(**_read(section, data, _TARGET_KEYS, ["position_m"]))
+
+
+def _interferer_from_dict(section: str, data) -> InterfererSpec:
+    values = _read(section, data, _INTERFERER_KEYS, ["azimuth_deg", "elevation_deg"])
+    direction = Direction.from_degrees(values.pop("azimuth_deg"), values.pop("elevation_deg"))
+    return InterfererSpec(direction, **values)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
-    targets = tuple(
-        TargetSpec(
-            position=tuple(float(v) for v in t["position_m"]),
-            radial_velocity=float(t.get("radial_velocity_mps", 0.0)),
-            amplitude=complex(*t.get("amplitude", [1.0, 0.0])),
-        )
-        for t in data.get("targets", [])
-    )
-    interferers = tuple(
-        InterfererSpec(
-            direction=Direction.from_degrees(
-                float(i["azimuth_deg"]), float(i["elevation_deg"])
-            ),
-            power=float(i.get("power", 1.0)),
-            waveform_kind=i.get("waveform_kind", "wideband-noise"),
-            bandwidth_fraction=float(i.get("bandwidth_fraction", 0.8)),
-        )
-        for i in data.get("interferers", [])
-    )
-    return Scenario(
-        targets=targets,
-        interferers=interferers,
-        noise_power=float(data.get("noise_power", 1.0)),
-        seed=int(data.get("seed", 0)),
-        label=str(data.get("label", "")),
-    )
+    """A scenario from its JSON object; absent keys take the dataclass defaults."""
+    values = _read("scenario", data, _SCENARIO_KEYS)
+    for key, read in (("targets", _target_from_dict), ("interferers", _interferer_from_dict)):
+        if key in values:
+            values[key] = tuple(
+                read(f"scenario.{key}[{i}]", item) for i, item in enumerate(values[key])
+            )
+    return Scenario(**values)
 
 
 def save_scenario(path, scenario: Scenario) -> None:
@@ -197,22 +246,25 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(json.loads(Path(path).read_text()))
 
 
-def geometry_from_dict(data: dict) -> ArrayGeometry:
-    return ArrayGeometry(
-        n_z=int(data["n_z"]),
-        n_x=int(data["n_x"]),
-        design_freq=float(data["design_freq"]),
-        spacing=None if data.get("spacing") is None else float(data["spacing"]),
-    )
+# a config file's sections; ``pipeline`` takes every other PipelineConfig field
+_CONFIG_KEYS = {
+    "geometry": ("geometry", geometry_from_dict),
+    "chirp": ("chirp", chirp_from_dict),
+    "scenario": ("scenario", scenario_from_dict),
+    "pipeline": ("pipeline", lambda data: _read("pipeline", data, _PIPELINE_KEYS)),
+}
+_PIPELINE_KEYS = {
+    f.name: (f.name, lambda v: tuple(v) if isinstance(v, list) else v)
+    for f in dataclasses.fields(PipelineConfig)
+    if f.name not in _CONFIG_KEYS
+}
 
 
-def chirp_from_dict(data: dict) -> ChirpParams:
-    defaults = ChirpParams()
-    return ChirpParams(
-        carrier_freq=float(data.get("carrier_freq", defaults.carrier_freq)),
-        sample_rate=float(data.get("sample_rate", defaults.sample_rate)),
-        bandwidth=float(data.get("bandwidth", defaults.bandwidth)),
-        pulse_samples=int(data.get("pulse_samples", defaults.pulse_samples)),
-        num_pulses=int(data.get("num_pulses", defaults.num_pulses)),
-        pri=float(data.get("pri", defaults.pri)),
-    )
+def config_from_dict(data: dict) -> dict:
+    """``PipelineConfig`` keyword arguments from a config file's sections."""
+    sections = _read("config", data, _CONFIG_KEYS)
+    return {**sections.pop("pipeline", {}), **sections}
+
+
+def load_config(path) -> dict:
+    return config_from_dict(json.loads(Path(path).read_text()))

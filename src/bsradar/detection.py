@@ -261,11 +261,14 @@ def score_detections(
 def write_detection_report(
     path,
     rows: Sequence[dict],
+    columns: Sequence[str] = REPORT_COLUMNS,
+    kind: str = "detection",
 ) -> None:
-    """Detection report CSV; one row per (scenario, target, configuration)."""
+    """Report CSV under a ``# bsradar <kind> report v1`` line; one row per
+    (scenario, target, configuration), keys outside ``columns`` dropped."""
     with open(path, "w", newline="") as handle:
-        handle.write("# bsradar detection report v1\n")
-        writer = csv.DictWriter(handle, fieldnames=REPORT_COLUMNS, extrasaction="ignore")
+        handle.write(f"# bsradar {kind} report v1\n")
+        writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -146,23 +147,27 @@ def lift_correlator(
 
 
 def apply_correlator(
-    corr: Correlator, snapshots: np.ndarray, ops: OpCounter | None = None
+    corr: Correlator | Sequence[Correlator],
+    snapshots: np.ndarray,
+    ops: OpCounter | None = None,
 ) -> np.ndarray:
-    """Beamformer output series w^H y[n] for column snapshot(s)."""
+    """Beamformer output series w^H y[n] for column snapshot(s).
+
+    ``corr`` is one correlator, or a sequence of correlators of one
+    dimension applied in one matrix product, giving one output row each.
+    Each correlator is tallied as its own dim-by-snapshots product.
+    """
+    group = not isinstance(corr, Correlator)
+    weights = np.array([c.weights for c in corr] if group else [corr.weights])
+    n_corr, dim = weights.shape
     arr = np.asarray(snapshots)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[:, None]
-    if arr.shape[0] != corr.dim:
-        raise ValueError(f"snapshot length {arr.shape[0]} != correlator dim {corr.dim}")
-    out = zgemm(
-        1.0,
-        np.conj(corr.weights)[None, :],
-        np.ascontiguousarray(arr, dtype=np.complex128),
-    )[0]
+    if arr.shape[0] != dim:
+        raise ValueError(f"snapshot length {arr.shape[0]} != correlator dim {dim}")
+    out = zgemm(1.0, np.conj(weights), arr.reshape(dim, -1))
     if ops is not None:
-        ops.add("apply", counters.matvec_mults(corr.dim, arr.shape[1]))
-    return out[0] if single else out
+        ops.add("apply", n_corr * counters.matvec_mults(dim, arr[0].size))
+    out = out.reshape(n_corr, *arr.shape[1:])
+    return out if group else out[0]
 
 
 def beam_pattern(

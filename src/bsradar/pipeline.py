@@ -43,14 +43,12 @@ application is tallied as its own W-by-snapshots product.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import zgemm
 
-from . import counters
 from .beamspace import (
     BeamspacePlan,
     WindowSpec,
@@ -77,6 +75,7 @@ from .mvdr import (
     ANTENNA_SPACE,
     BEAMSPACE_WINDOWED,
     Correlator,
+    apply_correlator,
     conventional_correlator,
     estimate_covariance,
     mvdr_correlator,
@@ -124,8 +123,7 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method: {self.method!r} not one of {METHODS}")
-        if self.preset is None and self.scenario is None:
-            raise ValueError("preset/scenario: one of the two must be given")
+        self._check_scene()
         if self.subbands < 1:
             raise ValueError(f"subbands: {self.subbands} must be >= 1")
         if self.chirp.pulse_samples % self.subbands != 0:
@@ -165,7 +163,14 @@ class PipelineConfig:
         m_z, m_x = self.fft_size or (self.geometry.n_z, self.geometry.n_x)
         return BeamspacePlan(m_z, m_x, self.geometry.n_z, self.geometry.n_x)
 
+    def _check_scene(self) -> None:
+        if (self.preset is None) == (self.scenario is None):
+            raise ValueError("preset/scenario: exactly one of the two must be given")
+        if self.snr_db is not None and self.scenario is not None:
+            raise ValueError("snr_db: shapes preset targets only, not a given scenario")
+
     def resolve_scenario(self) -> Scenario:
+        self._check_scene()
         if self.scenario is not None:
             return self.scenario
         return scenario_preset(self.preset, seed=self.seed, snr_db=self.snr_db)
@@ -184,8 +189,8 @@ class ComplexityReport:
     n_train_snapshots: int
     n_apply_snapshots: int
     stage_mults: dict[str, int]
-    training_mults_per_pair: int = 0
-    application_mults_per_snapshot: int = 0
+    training_mults_per_pair: int = field(init=False)
+    application_mults_per_snapshot: int = field(init=False)
 
     def __post_init__(self) -> None:
         pairs = max(self.n_targets * self.n_subbands, 1)
@@ -207,20 +212,7 @@ class ComplexityReport:
         return sum(self.stage_mults.values())
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n_antennas": self.n_antennas,
-            "beam_points": self.beam_points,
-            "window_dim": self.window_dim,
-            "n_targets": self.n_targets,
-            "n_subbands": self.n_subbands,
-            "n_train_snapshots": self.n_train_snapshots,
-            "n_apply_snapshots": self.n_apply_snapshots,
-            "stage_mults": dict(sorted(self.stage_mults.items())),
-            "training_mults_per_pair": self.training_mults_per_pair,
-            "application_mults_per_snapshot": self.application_mults_per_snapshot,
-            "total_mults": self.total_mults,
-        }
+        return {**asdict(self), "total_mults": self.total_mults}
 
 
 @dataclass
@@ -363,21 +355,19 @@ def _beamform(
         basis = to_basis(sub.samples[:, b].reshape(geom.n, n_snap))
         training = basis[:, train_cols]
         steer = _subband_steering(scenario, geom, freqs[b])
-        groups: dict = {}  # selector -> (rows, target ids, weights)
+        groups: dict = {}  # selector -> (rows, target ids, correlators)
         for k in range(len(targets)):
             win, rows, steering = select(k, b, steer[:, k])
             corr = train(training[rows], steering, k, b)
-            ids, weights = groups.setdefault(win, (rows, [], []))[1:]
+            ids, corrs = groups.setdefault(win, (rows, [], []))[1:]
             ids.append(k)
-            weights.append(corr.weights)
+            corrs.append(corr)
             if b == CENTER_BIN:
                 center[k] = (corr, win)
         # one product per group of targets that share their rows
-        for rows, ids, weights in groups.values():
-            out = zgemm(1.0, np.conj(weights), basis[rows])
+        for rows, ids, corrs in groups.values():
+            out = apply_correlator(corrs, basis[rows], ops)
             outputs[ids, b] = out.reshape(len(ids), s_per_pulse, n_pulses)
-            dim = len(weights[0])
-            ops.add("apply", len(ids) * counters.matvec_mults(dim, n_snap))
     return center
 
 
@@ -555,16 +545,5 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
             rows.append(row)
 
     if out_path is not None:
-        _write_sweep_csv(out_path, rows)
+        write_detection_report(out_path, rows, SWEEP_COLUMNS, kind="sweep")
     return rows
-
-
-def _write_sweep_csv(path, rows: list[dict]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as handle:
-        handle.write("# bsradar sweep report v1\n")
-        writer = csv.DictWriter(handle, fieldnames=SWEEP_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)

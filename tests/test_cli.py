@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bsradar.cli import main
+from bsradar import PipelineConfig
+from bsradar.cli import _build_config, build_parser, main
 from bsradar.cubeio import chirp_from_dict, geometry_from_dict, load_cube, load_scenario
 
 
@@ -206,3 +208,88 @@ def test_negative_guard_is_rejected(capsys):
 def test_unknown_preset_rejected_by_parser(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--preset", "Z9", "--out", "x.bin"])
+
+
+@pytest.mark.parametrize(
+    "flags,field,value",
+    [
+        (["--preset", "E2"], "preset", "E2"),
+        (["--seed", "5"], "seed", 5),
+        (["--snr-db", "-3"], "snr_db", -3.0),
+        (["--method", "conventional"], "method", "conventional"),
+        (["--subbands", "64"], "subbands", 64),
+        (["--fft", "8x64"], "fft_size", (8, 64)),
+        (["--window", "4x8"], "window", (4, 8)),
+        (["--loading", "0.5"], "loading", 0.5),
+        (["--train-pulses", "4"], "train_pulses", 4),
+        (["--cfar-db", "12.5"], "cfar_threshold_db", 12.5),
+        (["--guard", "2"], "cfar_guard_cells", 2),
+        (["--statistic", "mean"], "cfar_statistic", "mean"),
+        (["--no-recenter"], "recenter_per_subband", False),
+    ],
+)
+def test_each_flag_sets_its_config_field(flags, field, value):
+    cfg = _build_config(build_parser().parse_args(["run", "--preset", "A1"] + flags))
+    assert getattr(cfg, field) == value
+    default = PipelineConfig(preset="A1")
+    assert replace(cfg, **{field: getattr(default, field)}) == default
+
+
+def test_flags_overlay_the_file(config_file):
+    argv = ["run", "--config", str(config_file), "--subbands", "8", "--guard", "0"]
+    cfg = _build_config(build_parser().parse_args(argv))
+    assert (cfg.subbands, cfg.cfar_guard_cells) == (8, 0)
+    assert (cfg.window, cfg.train_pulses) == ((2, 4), 8)  # from the file
+    assert cfg.scenario.label == "cli-tiny" and cfg.geometry.n == 16
+
+
+KEY_ERRORS = [
+    (lambda c: c.update(pipline={}), "config", "pipline"),
+    (lambda c: c["geometry"].update(spacing_m=0.01), "geometry", "spacing_m"),
+    (lambda c: c["geometry"].pop("n_x"), "geometry", "n_x"),
+    (lambda c: c["chirp"].update(pulse_sample=512), "chirp", "pulse_sample"),
+    (lambda c: c["scenario"].update(target=[]), "scenario", "target"),
+    (
+        lambda c: c["scenario"]["targets"][1].update(radial_velocity=5.0),
+        "scenario.targets[1]",
+        "radial_velocity",
+    ),
+    (
+        lambda c: c["scenario"]["targets"][0].pop("position_m"),
+        "scenario.targets[0]",
+        "position_m",
+    ),
+    (
+        lambda c: c["scenario"].update(
+            interferers=[{"azimuth_deg": 10.0, "elevation_deg": -5.0, "power_db": 30}]
+        ),
+        "scenario.interferers[0]",
+        "power_db",
+    ),
+    (lambda c: c["pipeline"].update(output_dir="out"), "pipeline", "output_dir"),
+    (lambda c: c["pipeline"].update(geometry={"n_z": 2}), "pipeline", "geometry"),
+    (lambda c: c["pipeline"].update(chirp={}), "pipeline", "chirp"),
+    (lambda c: c["pipeline"].update(scenario={}), "pipeline", "scenario"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit,section,key", KEY_ERRORS, ids=[f"{section}-{key}" for _, section, key in KEY_ERRORS]
+)
+def test_config_key_errors_name_section_and_key(config_file, capsys, edit, section, key):
+    config = json.loads(config_file.read_text())
+    edit(config)
+    config_file.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_file)]) == 2
+    message = capsys.readouterr().err.splitlines()[-1]
+    assert message.startswith(f"error: {section}: ")
+    assert repr(key) in message
+
+
+@pytest.mark.parametrize("command", [["run"], ["simulate", "--out", "cube.bin"]])
+def test_preset_and_config_scenario_rejected(tmp_path, config_file, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    rc = main(command + ["--config", str(config_file), "--preset", "A1"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: preset/scenario: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

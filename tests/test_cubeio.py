@@ -1,12 +1,17 @@
+import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bsradar import ArrayGeometry, ChirpParams, DataCube, scenario_preset
+from bsradar import ArrayGeometry, ChirpParams, DataCube, PipelineConfig, scenario_preset
 from bsradar.cubeio import (
+    chirp_from_dict,
+    config_from_dict,
+    geometry_from_dict,
     load_cube,
     load_map,
     load_scenario,
@@ -16,6 +21,7 @@ from bsradar.cubeio import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from bsradar.simulate import DEFAULT_SEED
 
 from conftest import random_complex
 
@@ -139,5 +145,34 @@ class TestScenarioJson:
         sc = scenario_from_dict({"targets": [{"position_m": [0, 50, 5]}]})
         assert sc.targets[0].amplitude == 1.0 + 0.0j
         assert sc.noise_power == 1.0
+        assert sc.seed == DEFAULT_SEED
         round_tripped = scenario_from_dict(scenario_to_dict(sc))
         assert round_tripped.targets[0].position == sc.targets[0].position
+
+
+class TestConfigJson:
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        chirp = chirp_from_dict({"num_pulses": 8.0, "pri": 1})
+        assert chirp == ChirpParams(num_pulses=8, pri=1.0)
+        assert type(chirp.num_pulses) is int and type(chirp.pri) is float
+        geom = geometry_from_dict({"n_z": 2.0, "n_x": 4, "design_freq": 1e10})
+        assert geom == ArrayGeometry(2, 4, 10e9)
+        assert type(geom.n_z) is int
+        assert geometry_from_dict({**vars(geom), "spacing": None}) == geom
+
+    def test_pipeline_section_fills_the_remaining_fields(self):
+        kwargs = config_from_dict(
+            {"pipeline": {"preset": "E2", "fft_size": [8, 64], "gate": [3, 2], "seed": 4}}
+        )
+        assert kwargs == {"preset": "E2", "fft_size": (8, 64), "gate": (3, 2), "seed": 4}
+        PipelineConfig(**kwargs).validate()
+
+    def test_readme_config_example_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config file", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = PipelineConfig(**config_from_dict(json.loads(block)))
+        cfg.validate()
+        assert cfg.scenario.label == "my-scene" and len(cfg.scenario.interferers) == 1
+        assert cfg.geometry == ArrayGeometry(4, 32, 10e9)
+        assert cfg.chirp == ChirpParams()

@@ -6,6 +6,7 @@ from bsradar import (
     BeamspacePlan,
     Correlator,
     Direction,
+    OpCounter,
     WindowSpec,
     apply_correlator,
     beam_pattern,
@@ -21,6 +22,7 @@ from bsradar import (
     windowed_steering,
 )
 
+from bsradar.counters import matvec_mults
 from bsradar.mvdr import BEAMSPACE_WINDOWED
 
 from conftest import random_complex
@@ -292,6 +294,19 @@ class TestApplyCorrelator:
         cov = estimate_covariance(random_complex(rng, (geom.n, 300)), 1e-3)
         corr = mvdr_correlator(cov, a)
         assert apply_correlator(corr, a) == pytest.approx(1.0, abs=1e-9)
+
+    def test_group_is_each_correlator_in_one_product(self, rng):
+        corrs = [Correlator(random_complex(rng, 6)) for _ in range(3)]
+        snaps = random_complex(rng, (6, 40))
+        ops, single_ops = OpCounter(), OpCounter()
+        out = apply_correlator(corrs, snaps, ops)
+        assert out.shape == (3, 40)
+        for row, corr in zip(out, corrs):
+            assert np.array_equal(row, apply_correlator(corr, snaps, single_ops))
+        assert ops.counts == single_ops.counts == {"apply": 3 * matvec_mults(6, 40)}
+        assert apply_correlator(corrs, snaps[:, 0]).shape == (3,)
+        with pytest.raises(ValueError, match="snapshot length"):
+            apply_correlator(corrs, snaps[:5])
 
     def test_linearity(self, rng):
         corr = Correlator(random_complex(rng, 6))

@@ -42,6 +42,7 @@ from bsradar.pipeline import (
     METHOD_ANTENNA,
     METHOD_BEAMSPACE,
     METHOD_CONVENTIONAL,
+    ComplexityReport,
     StageError,
     _subband_steering,
     _train_window_columns,
@@ -181,6 +182,21 @@ class TestConfigValidation:
     def test_requires_scene(self):
         with pytest.raises(ValueError, match="preset/scenario"):
             PipelineConfig(preset=None, scenario=None).validate()
+
+    def test_preset_and_scenario_together_rejected(self):
+        cfg = PipelineConfig(preset="A1", scenario=scenario_preset("E2"))
+        with pytest.raises(ValueError, match="^preset/scenario: exactly one"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="^preset/scenario: "):
+            cfg.resolve_scenario()
+
+    def test_snr_db_with_scenario_rejected(self):
+        cfg = PipelineConfig(scenario=scenario_preset("A1"), snr_db=-10.0)
+        with pytest.raises(ValueError, match="^snr_db: "):
+            cfg.validate()
+        with pytest.raises(ValueError, match="^snr_db: "):
+            cfg.resolve_scenario()
+        PipelineConfig(preset="A1", snr_db=-10.0).validate()
 
     def test_bad_method(self):
         with pytest.raises(ValueError, match="method"):
@@ -445,6 +461,27 @@ class TestEndToEnd:
 
 
 class TestComplexityReport:
+    @pytest.mark.parametrize(
+        "derived", ["training_mults_per_pair", "application_mults_per_snapshot"]
+    )
+    def test_derived_figures_are_not_parameters(self, derived):
+        args = dict(
+            method=METHOD_ANTENNA,
+            n_antennas=8,
+            beam_points=8,
+            window_dim=8,
+            n_targets=1,
+            n_subbands=2,
+            n_train_snapshots=4,
+            n_apply_snapshots=8,
+            stage_mults={"covariance": 10, "solve": 6, "apply": 32},
+        )
+        report = ComplexityReport(**args)
+        assert (report.training_mults_per_pair, report.application_mults_per_snapshot) == (8, 2)
+        assert report.as_dict()["total_mults"] == 48
+        with pytest.raises(TypeError, match=derived):
+            ComplexityReport(**args, **{derived: 0})
+
     def test_tallies_match_closed_forms(self):
         geom, chirp, scenario = tiny_setup()
         cfg = tiny_config(geom, chirp, scenario, method=METHOD_ANTENNA)

@@ -45,7 +45,8 @@ class BeamspacePlan:
     def for_geometry(
         cls, geom: ArrayGeometry, m_z: int | None = None, m_x: int | None = None
     ) -> "BeamspacePlan":
-        return cls(m_z or geom.n_z, m_x or geom.n_x, geom.n_z, geom.n_x)
+        m_z, m_x = geom.n_z if m_z is None else m_z, geom.n_x if m_x is None else m_x
+        return cls(m_z, m_x, geom.n_z, geom.n_x)
 
     @property
     def m(self) -> int:

@@ -20,7 +20,7 @@ from .pipeline import (
     sweep,
     write_reports,
 )
-from .simulate import PRESET_NAMES, synthesize_datacube
+from .simulate import DEFAULT_SEED, PRESET_NAMES, Scenario, scenario_preset, synthesize_datacube
 
 # `run --export-patterns` grid, degrees: (azimuth span, elevation span, step)
 RUN_PATTERN_GRID = ((-60.0, 60.0), (-45.0, 45.0), 2.0)
@@ -35,22 +35,36 @@ def _pair(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _build_config(args) -> PipelineConfig:
-    """The config file's sections, overlaid by each flag given (its dest is the field)."""
+def _preset(name: str, args) -> Scenario:
+    """The named preset at ``--seed`` and ``--snr-db``."""
+    return scenario_preset(name, DEFAULT_SEED if args.seed is None else args.seed, args.snr_db)
+
+
+def _build_config(args, needs_scene: bool = True) -> PipelineConfig:
+    """The config file's sections, overlaid by each flag given (its dest is the field);
+    the scene is ``--preset`` or the file's scenario with ``--seed`` applied."""
     fields = cubeio.load_config(args.config) if args.config else {}
     names = {f.name for f in dataclasses.fields(PipelineConfig)}
     fields.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
+    scenario = fields.get("scenario")
+    if (args.preset is None) == (scenario is None) and (needs_scene or scenario is not None):
+        raise ValueError("preset/scenario: exactly one of the two must be given")
+    if args.preset is not None:
+        fields["scenario"] = _preset(args.preset, args)
+    elif scenario is not None and args.snr_db is not None:
+        raise ValueError("snr_db: shapes preset targets only, not a file scenario")
+    elif scenario is not None and args.seed is not None:
+        fields["scenario"] = dataclasses.replace(scenario, seed=args.seed)
     return PipelineConfig(**fields)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _build_config(args)
-    scenario = cfg.resolve_scenario()
-    cube = synthesize_datacube(scenario, cfg.geometry, cfg.chirp)
+    cube = synthesize_datacube(cfg.scenario, cfg.geometry, cfg.chirp)
     cubeio.save_cube(args.cube_out, cube)
     print(f"wrote cube {cube.samples.shape} to {args.cube_out}")
     if args.scenario_out:
-        cubeio.save_scenario(args.scenario_out, scenario)
+        cubeio.save_scenario(args.scenario_out, cfg.scenario)
         print(f"wrote scenario to {args.scenario_out}")
     return 0
 
@@ -82,7 +96,7 @@ def _cmd_run(args) -> int:
     result = run_pipeline(cfg)
     detected = result.detection_count
     total = len(result.scores)
-    print(f"method={cfg.method} scenario={result.scenario.label or 'custom'}")
+    print(f"method={cfg.method} scenario={cfg.scenario.label or 'custom'}")
     print(f"detected {detected}/{total} targets")
     for score in result.scores:
         if score.detected:
@@ -117,16 +131,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
+    cfg = _build_config(args, needs_scene=args.axis != "scenario")
     if args.axis in ("window", "fft-size"):
         values = [_pair(v) for v in args.values.split(",")] if args.values else []
     else:
-        values = [v for v in args.values.split(",") if v] if args.values else []
-    out_path = args.sweep_out
-    rows = sweep(cfg, args.axis, values, out_path)
+        values = [_preset(v, args) for v in args.values.split(",") if v]
+    rows = sweep(cfg, args.axis, values, args.sweep_out)
     ok = sum(1 for r in rows if r.get("status") == "ok")
     print(f"sweep over {args.axis}: {len(values)} points, {ok} result rows ok")
-    print(f"wrote {out_path}")
+    print(f"wrote {args.sweep_out}")
     return 0
 
 

@@ -163,23 +163,36 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+class _SectionError(ValueError):
+    """A config file error whose message already names its section."""
+
+
 def _read(section: str, data, keys: dict, required=()) -> dict:
     """Convert a JSON object by ``keys``: file key -> (field name, conversion).
 
-    Absent keys are left out, so the dataclass default applies; an unknown
-    or missing key raises a ``ValueError`` naming the section and the key.
+    Absent keys are left out, so the dataclass default applies; an unknown or
+    missing key or a value its conversion rejects raises a ``ValueError``
+    naming the section and the key.
     """
     if not isinstance(data, dict):
-        raise ValueError(f"{section}: expected a JSON object, got {type(data).__name__}")
-    for key in data:
+        raise _SectionError(f"{section}: expected a JSON object, got {type(data).__name__}")
+    values = {}
+    for key, value in data.items():
         if key not in keys:
-            raise ValueError(
+            raise _SectionError(
                 f"{section}: unknown key {key!r} (expected one of: {', '.join(keys)})"
             )
+        name, convert = keys[key]
+        try:
+            values[name] = convert(value)
+        except _SectionError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise _SectionError(f"{section}: {key}: {exc}") from exc
     for key in required:
         if key not in data:
-            raise ValueError(f"{section}: missing required key {key!r}")
-    return {keys[key][0]: keys[key][1](value) for key, value in data.items()}
+            raise _SectionError(f"{section}: missing required key {key!r}")
+    return values
 
 
 _COERCE = {int: int, float: float, float | None: lambda v: None if v is None else float(v)}

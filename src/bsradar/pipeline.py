@@ -1,9 +1,9 @@
 """End-to-end processing harness for the per-target beamforming pipelines.
 
-One run takes a scene (preset name or explicit scenario), simulates the
-cube, channelizes it, trains and applies a beamformer per (target, subband)
-pair, resynthesizes the wideband per-target series, and scores CFAR
-detections against the simulator truth.
+One run takes the config's scene (one :class:`Scenario`, e.g. from
+``scenario_preset``), simulates the cube, channelizes it, trains and applies
+a beamformer per (target, subband) pair, resynthesizes the wideband
+per-target series, and scores CFAR detections against the simulator truth.
 
 A run is pure: :func:`process_cube` and :func:`run_pipeline` return a
 :class:`PipelineResult` holding every output (subband and wideband series,
@@ -82,12 +82,10 @@ from .mvdr import (
 )
 from .simulate import (
     DEFAULT_GEOMETRY,
-    DEFAULT_SEED,
     ChirpParams,
     DataCube,
     Scenario,
     generate_chirp,
-    scenario_preset,
     synthesize_datacube,
 )
 
@@ -102,7 +100,6 @@ CENTER_BIN = 0  # subband l = 0, nearest the carrier from below
 class PipelineConfig:
     """Validated bundle of every knob one processing run needs."""
 
-    preset: str | None = None
     scenario: Scenario | None = None
     method: str = METHOD_BEAMSPACE
     subbands: int = 128
@@ -115,15 +112,18 @@ class PipelineConfig:
     cfar_statistic: str = "median"
     gate: tuple[int, int] = (5, 3)
     recenter_per_subband: bool = True
-    seed: int = DEFAULT_SEED
-    snr_db: float | None = None
     geometry: ArrayGeometry = DEFAULT_GEOMETRY
     chirp: ChirpParams = field(default_factory=ChirpParams)
 
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method: {self.method!r} not one of {METHODS}")
-        self._check_scene()
+        _require_scenario(self.scenario)
+        for name in ("window", "fft_size", "gate"):
+            value = getattr(self, name)
+            ints = isinstance(value, tuple) and all(type(v) is int for v in value)
+            if not ((ints and len(value) == 2) or (name == "fft_size" and value is None)):
+                raise ValueError(f"{name}: {value!r} is not a pair of ints")
         if self.subbands < 1:
             raise ValueError(f"subbands: {self.subbands} must be >= 1")
         if self.chirp.pulse_samples % self.subbands != 0:
@@ -160,20 +160,12 @@ class PipelineConfig:
             )
 
     def beamspace_plan(self) -> BeamspacePlan:
-        m_z, m_x = self.fft_size or (self.geometry.n_z, self.geometry.n_x)
-        return BeamspacePlan(m_z, m_x, self.geometry.n_z, self.geometry.n_x)
+        return BeamspacePlan.for_geometry(self.geometry, *(self.fft_size or ()))
 
-    def _check_scene(self) -> None:
-        if (self.preset is None) == (self.scenario is None):
-            raise ValueError("preset/scenario: exactly one of the two must be given")
-        if self.snr_db is not None and self.scenario is not None:
-            raise ValueError("snr_db: shapes preset targets only, not a given scenario")
 
-    def resolve_scenario(self) -> Scenario:
-        self._check_scene()
-        if self.scenario is not None:
-            return self.scenario
-        return scenario_preset(self.preset, seed=self.seed, snr_db=self.snr_db)
+def _require_scenario(scenario) -> None:
+    if not isinstance(scenario, Scenario):
+        raise ValueError(f"scenario: expected a Scenario, got {type(scenario).__name__}")
 
 
 @dataclass
@@ -218,7 +210,6 @@ class ComplexityReport:
 @dataclass
 class PipelineResult:
     config: PipelineConfig
-    scenario: Scenario
     scores: list[DetectionScore]
     complexity: ComplexityReport
     detections: list[list[Detection]]
@@ -269,11 +260,12 @@ def _subband_steering(
     )
 
 
-def _check_cube(cube: DataCube, cfg: PipelineConfig) -> None:
-    """Reject a cube the config does not describe.
+def _check_inputs(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> None:
+    """Reject a cube or scenario the config does not describe.
 
     The beam plan and ``validate`` read the config's geometry and chirp;
-    channelization, steering and detection read the cube's.
+    channelization, steering and detection read the cube's.  The scenario
+    must be ``cfg.scenario`` or equal to it.
     """
     if cube.geometry != cfg.geometry:
         raise ValueError(
@@ -281,18 +273,11 @@ def _check_cube(cube: DataCube, cfg: PipelineConfig) -> None:
         )
     if cube.chirp != cfg.chirp:
         raise ValueError(f"chirp: cube {cube.chirp} does not match config {cfg.chirp}")
-
-
-def _check_scenario(scenario: Scenario, cfg: PipelineConfig) -> None:
-    """Reject a scenario other than the one ``cfg.scenario`` or ``cfg.preset`` names."""
-    if scenario is cfg.scenario:
-        return
-    named = cfg.resolve_scenario()
-    if scenario != named:
+    if scenario is not cfg.scenario and scenario != cfg.scenario:
+        given, own = scenario, cfg.scenario
         raise ValueError(
-            f"scenario: the given scenario ({scenario.label or 'custom'!r}, seed "
-            f"{scenario.seed}) is not the config's ({named.label or 'custom'!r}, "
-            f"seed {named.seed})"
+            f"scenario: the given scenario ({given.label or 'custom'!r}, seed {given.seed}) "
+            f"is not the config's ({own.label or 'custom'!r}, seed {own.seed})"
         )
 
 
@@ -378,8 +363,7 @@ def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> Pip
     :func:`write_reports` for the report files.
     """
     cfg.validate()
-    _check_cube(cube, cfg)
-    _check_scenario(scenario, cfg)
+    _check_inputs(cube, scenario, cfg)
     geom, chirp = cube.geometry, cube.chirp
     plan = cfg.beamspace_plan()
     ops = OpCounter()
@@ -440,7 +424,6 @@ def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> Pip
 
     return PipelineResult(
         config=cfg,
-        scenario=scenario,
         scores=scores,
         complexity=report,
         detections=detections_per_target,
@@ -455,18 +438,17 @@ def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> Pip
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Simulate the configured scene and process it; see :func:`process_cube`."""
     cfg.validate()
-    scenario = cfg.resolve_scenario()
     with _stage("simulate"):
-        cube = synthesize_datacube(scenario, cfg.geometry, cfg.chirp)
-    return process_cube(cube, scenario, cfg)
+        cube = synthesize_datacube(cfg.scenario, cfg.geometry, cfg.chirp)
+    return process_cube(cube, cfg.scenario, cfg)
 
 
-def _score_row(cfg: PipelineConfig, scenario: Scenario, score: DetectionScore) -> dict:
+def _score_row(cfg: PipelineConfig, score: DetectionScore) -> dict:
     w_z, w_x = cfg.window
     plan = cfg.beamspace_plan()
     beamspace = cfg.method == METHOD_BEAMSPACE
     return {
-        "scenario": scenario.label or (cfg.preset or "custom"),
+        "scenario": cfg.scenario.label or "custom",
         "target_id": score.target_id,
         "method": cfg.method,
         "w_z": w_z if beamspace else "",
@@ -489,9 +471,7 @@ def write_reports(result: PipelineResult, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "detections.csv"
-    rows = [
-        _score_row(result.config, result.scenario, score) for score in result.scores
-    ]
+    rows = [_score_row(result.config, score) for score in result.scores]
     write_detection_report(report_path, rows)
     complexity_path = out_dir / "complexity.json"
     complexity_path.write_text(
@@ -500,49 +480,40 @@ def write_reports(result: PipelineResult, out_dir) -> list[Path]:
     return [report_path, complexity_path]
 
 
-SWEEP_AXES = ("window", "fft-size", "scenario")
+SWEEP_AXES = {"window": "window", "fft-size": "fft_size", "scenario": "scenario"}
 SWEEP_COLUMNS = REPORT_COLUMNS + ("status",)
 
 
 def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> list[dict]:
     """Run the pipeline across one axis and aggregate per-target rows.
 
-    ``axis`` is one of window / fft-size / scenario; window and fft-size
-    values are (v, h) pairs, scenario values are preset names.  A failed
-    grid point is recorded with a status message and the sweep continues.
+    ``axis`` names the config field each point replaces: window / fft-size
+    take (v, h) int pairs and share one simulated cube, scenario takes
+    :class:`Scenario` values.  A failed point is recorded and the sweep goes on.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis {axis!r} not one of {SWEEP_AXES}")
+        raise ValueError(f"axis {axis!r} not one of {tuple(SWEEP_AXES)}")
+    field_name = SWEEP_AXES[axis]
+    for scenario in values if field_name == "scenario" else [cfg.scenario]:
+        _require_scenario(scenario)
+    shared_cube = None
+    if field_name != "scenario":
+        shared_cube = synthesize_datacube(cfg.scenario, cfg.geometry, cfg.chirp)
 
     rows: list[dict] = []
-    shared_cube: DataCube | None = None
-    shared_scenario: Scenario | None = None
-    if axis in ("window", "fft-size"):
-        shared_scenario = cfg.resolve_scenario()
-        shared_cube = synthesize_datacube(shared_scenario, cfg.geometry, cfg.chirp)
-
     for value in values:
+        case = replace(cfg, **{field_name: value})
         try:
-            if axis == "window":
-                case = replace(cfg, window=tuple(value))
-            elif axis == "fft-size":
-                case = replace(cfg, fft_size=tuple(value))
-            else:
-                case = replace(cfg, preset=str(value), scenario=None)
-            if shared_cube is not None:
-                result = process_cube(shared_cube, shared_scenario, case)
-            else:
+            if shared_cube is None:
                 result = run_pipeline(case)
-            for score in result.scores:
-                row = _score_row(case, result.scenario, score)
-                row["status"] = "ok"
-                rows.append(row)
+            else:
+                result = process_cube(shared_cube, case.scenario, case)
+            rows += [{**_score_row(case, score), "status": "ok"} for score in result.scores]
         except Exception as exc:  # record the failed cell, keep sweeping
-            row = dict.fromkeys(SWEEP_COLUMNS, "")
-            row["scenario"] = str(value) if axis == "scenario" else (cfg.preset or "custom")
-            row["method"] = cfg.method
-            row["status"] = f"failed[{value!r}]: {exc}"
-            rows.append(row)
+            label = case.scenario.label or "custom"
+            point = label if field_name == "scenario" else value
+            row = dict(scenario=label, method=case.method, status=f"failed[{point!r}]: {exc}")
+            rows.append({**dict.fromkeys(SWEEP_COLUMNS, ""), **row})
 
     if out_path is not None:
         write_detection_report(out_path, rows, SWEEP_COLUMNS, kind="sweep")

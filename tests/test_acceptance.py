@@ -49,7 +49,7 @@ def announce(line: str) -> None:
 
 @pytest.fixture(scope="module")
 def default_config():
-    return PipelineConfig(preset="A1")
+    return PipelineConfig(scenario=scenario_preset("A1"))
 
 
 @pytest.fixture(scope="module")

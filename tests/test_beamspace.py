@@ -92,6 +92,12 @@ class TestTransform:
         with pytest.raises(ValueError):
             BeamspacePlan(2, 32, geom.n_z, geom.n_x)
 
+    def test_for_geometry_defaults_only_a_missing_size(self, geom):
+        assert BeamspacePlan.for_geometry(geom, None, 64) == BeamspacePlan(4, 64, 4, 32)
+        for sizes in ((0, 32), (0, 0)):
+            with pytest.raises(ValueError, match="must cover the array"):
+                BeamspacePlan.for_geometry(geom, *sizes)
+
 
 class TestWindowCenter:
     def test_zero_maps_to_origin(self, geom):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bsradar import PipelineConfig
+from bsradar import PipelineConfig, scenario_preset
 from bsradar.cli import _build_config, build_parser, main
 from bsradar.cubeio import chirp_from_dict, geometry_from_dict, load_cube, load_scenario
 
@@ -213,9 +213,15 @@ def test_unknown_preset_rejected_by_parser(capsys):
 @pytest.mark.parametrize(
     "flags,field,value",
     [
-        (["--preset", "E2"], "preset", "E2"),
-        (["--seed", "5"], "seed", 5),
-        (["--snr-db", "-3"], "snr_db", -3.0),
+        # the scene flags build the one scenario field
+        pytest.param(["--preset", "E2"], "scenario", scenario_preset("E2"), id="flags0-preset-E2"),
+        pytest.param(["--seed", "5"], "scenario", scenario_preset("A1", 5), id="flags1-seed-5"),
+        pytest.param(
+            ["--snr-db", "-3"],
+            "scenario",
+            scenario_preset("A1", snr_db=-3.0),
+            id="flags2-snr_db--3.0",
+        ),
         (["--method", "conventional"], "method", "conventional"),
         (["--subbands", "64"], "subbands", 64),
         (["--fft", "8x64"], "fft_size", (8, 64)),
@@ -231,7 +237,7 @@ def test_unknown_preset_rejected_by_parser(capsys):
 def test_each_flag_sets_its_config_field(flags, field, value):
     cfg = _build_config(build_parser().parse_args(["run", "--preset", "A1"] + flags))
     assert getattr(cfg, field) == value
-    default = PipelineConfig(preset="A1")
+    default = PipelineConfig(scenario=scenario_preset("A1"))
     assert replace(cfg, **{field: getattr(default, field)}) == default
 
 
@@ -270,6 +276,9 @@ KEY_ERRORS = [
     (lambda c: c["pipeline"].update(geometry={"n_z": 2}), "pipeline", "geometry"),
     (lambda c: c["pipeline"].update(chirp={}), "pipeline", "chirp"),
     (lambda c: c["pipeline"].update(scenario={}), "pipeline", "scenario"),
+    (lambda c: c["pipeline"].update(preset="A1"), "pipeline", "preset"),
+    (lambda c: c["pipeline"].update(seed=5), "pipeline", "seed"),
+    (lambda c: c["pipeline"].update(snr_db=-3.0), "pipeline", "snr_db"),
 ]
 
 
@@ -293,3 +302,46 @@ def test_preset_and_config_scenario_rejected(tmp_path, config_file, capsys, monk
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: preset/scenario: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+VALUE_ERRORS = [
+    (
+        lambda c: c["scenario"]["targets"][0].update(amplitude=2.0),
+        "scenario.targets[0]: amplitude: ",
+    ),
+    (lambda c: c["chirp"].update(pulse_samples="many"), "chirp: pulse_samples: "),
+    (lambda c: c["pipeline"].update(window=5), "window: "),
+]
+
+
+@pytest.mark.parametrize("edit,prefix", VALUE_ERRORS, ids=["amplitude", "pulse_samples", "window"])
+def test_config_value_errors_name_section_and_key(config_file, capsys, edit, prefix):
+    config = json.loads(config_file.read_text())
+    edit(config)
+    config_file.write_text(json.dumps(config))
+    assert main(["run", "--config", str(config_file)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {prefix}")
+
+
+def test_snr_db_with_config_scenario_rejected(config_file, capsys):
+    assert main(["run", "--config", str(config_file), "--snr-db", "-10"]) == 2
+    assert capsys.readouterr().err.startswith("error: snr_db: ")
+
+
+def test_seed_replaces_the_config_scenario_seed(tmp_path, config_file):
+    argv = ["--config", str(config_file), "--seed", "5"]
+    cfg = _build_config(build_parser().parse_args(["run"] + argv))
+    file_cfg = _build_config(build_parser().parse_args(["run", "--config", str(config_file)]))
+    assert cfg.scenario == replace(file_cfg.scenario, seed=5)
+    scenario_path = tmp_path / "scene.json"
+    out = ["--out", str(tmp_path / "cube.bin"), "--scenario-out", str(scenario_path)]
+    assert main(["simulate"] + argv + out) == 0
+    assert load_scenario(scenario_path).seed == 5
+
+
+def test_scenario_sweep_rejects_an_unknown_preset(tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--axis", "scenario", "--values", "A1,Z9", "--out", str(csv_path)]
+    assert main(argv) == 2
+    assert "'Z9'" in capsys.readouterr().err
+    assert not csv_path.exists()

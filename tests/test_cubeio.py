@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from bsradar import ArrayGeometry, ChirpParams, DataCube, PipelineConfig, scenario_preset
+from bsradar.cli import build_parser
 from bsradar.cubeio import (
     chirp_from_dict,
     config_from_dict,
@@ -162,10 +163,10 @@ class TestConfigJson:
 
     def test_pipeline_section_fills_the_remaining_fields(self):
         kwargs = config_from_dict(
-            {"pipeline": {"preset": "E2", "fft_size": [8, 64], "gate": [3, 2], "seed": 4}}
+            {"pipeline": {"method": "conventional", "fft_size": [8, 64], "gate": [3, 2]}}
         )
-        assert kwargs == {"preset": "E2", "fft_size": (8, 64), "gate": (3, 2), "seed": 4}
-        PipelineConfig(**kwargs).validate()
+        assert kwargs == {"method": "conventional", "fft_size": (8, 64), "gate": (3, 2)}
+        PipelineConfig(scenario=scenario_preset("E2"), **kwargs).validate()
 
     def test_readme_config_example_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -176,3 +177,12 @@ class TestConfigJson:
         assert cfg.scenario.label == "my-scene" and len(cfg.scenario.interferers) == 1
         assert cfg.geometry == ArrayGeometry(4, 32, 10e9)
         assert cfg.chirp == ChirpParams()
+
+    def test_readme_cli_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## CLI", 1)[1]
+        block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line.split() for line in block.splitlines() if line.startswith("bsradar ")]
+        assert len(lines) >= 6
+        for argv in lines:
+            assert build_parser().parse_args(argv[1:]).command == argv[1]

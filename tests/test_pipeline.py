@@ -178,67 +178,64 @@ def tiny_config(geom, chirp, scenario, **kw):
     return PipelineConfig(**defaults)
 
 
+A1 = scenario_preset("A1")
+
+
 class TestConfigValidation:
     def test_requires_scene(self):
-        with pytest.raises(ValueError, match="preset/scenario"):
-            PipelineConfig(preset=None, scenario=None).validate()
+        for scenario in (None, "A1"):
+            with pytest.raises(ValueError, match="^scenario: expected a Scenario"):
+                PipelineConfig(scenario=scenario).validate()
 
-    def test_preset_and_scenario_together_rejected(self):
-        cfg = PipelineConfig(preset="A1", scenario=scenario_preset("E2"))
-        with pytest.raises(ValueError, match="^preset/scenario: exactly one"):
-            cfg.validate()
-        with pytest.raises(ValueError, match="^preset/scenario: "):
-            cfg.resolve_scenario()
-
-    def test_snr_db_with_scenario_rejected(self):
-        cfg = PipelineConfig(scenario=scenario_preset("A1"), snr_db=-10.0)
-        with pytest.raises(ValueError, match="^snr_db: "):
-            cfg.validate()
-        with pytest.raises(ValueError, match="^snr_db: "):
-            cfg.resolve_scenario()
-        PipelineConfig(preset="A1", snr_db=-10.0).validate()
+    @pytest.mark.parametrize(
+        "field,value",
+        [("window", 5), ("window", (2.0, 4)), ("fft_size", (4,)), ("gate", [5, 3])],
+    )
+    def test_pairs_must_be_int_pairs(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: .* is not a pair of ints"):
+            PipelineConfig(scenario=A1, **{field: value}).validate()
 
     def test_bad_method(self):
         with pytest.raises(ValueError, match="method"):
-            PipelineConfig(preset="A1", method="magic").validate()
+            PipelineConfig(scenario=A1, method="magic").validate()
 
     def test_subbands_must_divide(self):
         with pytest.raises(ValueError, match="subbands"):
-            PipelineConfig(preset="A1", subbands=100).validate()
+            PipelineConfig(scenario=A1, subbands=100).validate()
 
     @pytest.mark.parametrize("subbands", [0, -2])
     def test_subbands_must_be_positive(self, subbands):
         with pytest.raises(ValueError, match="subbands: .* must be >= 1"):
-            PipelineConfig(preset="A1", subbands=subbands).validate()
+            PipelineConfig(scenario=A1, subbands=subbands).validate()
 
     @pytest.mark.parametrize("guard", [-1, -4])
     def test_negative_cfar_guard_rejected(self, guard):
         with pytest.raises(ValueError, match="cfar_guard_cells: .* must be >= 0"):
-            PipelineConfig(preset="A1", cfar_guard_cells=guard).validate()
+            PipelineConfig(scenario=A1, cfar_guard_cells=guard).validate()
 
     def test_cfar_guard_band_must_fit_pulse(self):
         chirp = ChirpParams(pulse_samples=64, num_pulses=16, pri=1e-6)
         with pytest.raises(ValueError, match="cfar_guard_cells: .* pulse_samples 64"):
             PipelineConfig(
-                preset="A1", chirp=chirp, subbands=8, cfar_guard_cells=32
+                scenario=A1, chirp=chirp, subbands=8, cfar_guard_cells=32
             ).validate()
-        PipelineConfig(preset="A1", chirp=chirp, subbands=8, cfar_guard_cells=31).validate()
+        PipelineConfig(scenario=A1, chirp=chirp, subbands=8, cfar_guard_cells=31).validate()
 
     def test_unknown_cfar_statistic_rejected(self):
         with pytest.raises(ValueError, match="cfar_statistic: 'mode'"):
-            PipelineConfig(preset="A1", cfar_statistic="mode").validate()
+            PipelineConfig(scenario=A1, cfar_statistic="mode").validate()
 
     def test_window_must_fit_grid(self):
         with pytest.raises(ValueError, match="window"):
-            PipelineConfig(preset="A1", window=(8, 4)).validate()
+            PipelineConfig(scenario=A1, window=(8, 4)).validate()
 
     def test_train_pulses_bounds(self):
         with pytest.raises(ValueError, match="train_pulses"):
-            PipelineConfig(preset="A1", train_pulses=1000).validate()
+            PipelineConfig(scenario=A1, train_pulses=1000).validate()
 
     def test_fft_must_cover_array(self):
         with pytest.raises(ValueError):
-            PipelineConfig(preset="A1", fft_size=(2, 32)).validate()
+            PipelineConfig(scenario=A1, fft_size=(2, 32)).validate()
 
 
 class TestCubeContract:
@@ -269,7 +266,7 @@ class TestScenarioContract:
 
     def test_preset_must_name_the_scenario(self):
         geom, chirp, _ = tiny_setup()
-        cfg = tiny_config(geom, chirp, None, preset="A1", seed=3)
+        cfg = tiny_config(geom, chirp, scenario_preset("A1", seed=3))
         cube = synthesize_datacube(Scenario(), geom, chirp)
         with pytest.raises(ValueError, match="^scenario: .*seed 4.*seed 3"):
             process_cube(cube, scenario_preset("A1", seed=4), cfg)
@@ -559,6 +556,22 @@ class TestSweep:
         ok = [r for r in rows if r["status"] == "ok"]
         assert len(failed) == 1 and "window" in failed[0]["status"]
         assert len(ok) == 2
+        assert [r["scenario"] for r in rows] == ["tiny"] * 3
+
+    def test_scenario_axis_rows_are_each_scenes_report(self, tmp_path):
+        geom, chirp, first = tiny_setup(n_targets=2)
+        second = replace(tiny_setup(n_targets=1, seed=6)[2], label="")
+        cfg = tiny_config(geom, chirp, None)
+        sweep(cfg, "scenario", [first, second], tmp_path / "s.csv")
+        swept = (tmp_path / "s.csv").read_text().splitlines()[2:]
+        expected = []
+        for k, scenario in enumerate((first, second)):
+            write_reports(run_pipeline(replace(cfg, scenario=scenario)), tmp_path / str(k))
+            expected += (tmp_path / str(k) / "detections.csv").read_text().splitlines()[2:]
+        assert swept == [line + ",ok" for line in expected]
+        assert [line.split(",")[0] for line in swept] == ["tiny", "tiny", "custom"]
+        with pytest.raises(ValueError, match="^scenario: expected a Scenario"):
+            sweep(cfg, "scenario", ["A1"])
 
     def test_unknown_axis(self):
         geom, chirp, scenario = tiny_setup()

@@ -195,7 +195,14 @@ def _read(section: str, data, keys: dict, required=()) -> dict:
     return values
 
 
-_COERCE = {int: int, float: float, float | None: lambda v: None if v is None else float(v)}
+def _int(value) -> int:
+    """A JSON integer as is; a float, a bool or any other value is rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+_COERCE = {int: _int, float: float, float | None: lambda v: None if v is None else float(v)}
 
 
 def _numeric_dataclass(section: str, cls, data):
@@ -227,7 +234,9 @@ _TARGET_KEYS = {
 _INTERFERER_KEYS = _same_names(
     azimuth_deg=float, elevation_deg=float, power=float, waveform_kind=str, bandwidth_fraction=float
 )
-_SCENARIO_KEYS = _same_names(label=str, seed=int, noise_power=float, targets=list, interferers=list)
+_SCENARIO_KEYS = _same_names(
+    label=str, seed=_int, noise_power=float, targets=list, interferers=list
+)
 
 
 def _target_from_dict(section: str, data) -> TargetSpec:

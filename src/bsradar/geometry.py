@@ -1,5 +1,8 @@
 """Uniform planar array geometry, spatial frequencies, and steering vectors.
 
+This module is the one array manifold: every other module turns a
+direction and a frequency into element phases through it.
+
 Conventions (fixed across the whole package):
 
 * the array broadside points along +y; azimuth is measured from the y-axis
@@ -78,22 +81,15 @@ class Direction:
             raise ValueError("position coincides with the array origin")
         return cls(float(np.arctan2(x, y)), float(np.arcsin(z / rng)))
 
-    @property
-    def cosines(self) -> tuple[float, float, float]:
-        """Unit direction cosines (u_x, u_y, u_z)."""
-        ce = np.cos(self.elevation)
-        return (
-            float(ce * np.sin(self.azimuth)),
-            float(ce * np.cos(self.azimuth)),
-            float(np.sin(self.elevation)),
-        )
-
 
 class SpatialFrequencies(NamedTuple):
-    """Per-element phase advances (radians/element) along each array axis."""
+    """Per-element phase advances (radians/element) along each array axis.
 
-    omega_x: float
-    omega_z: float
+    Floats for one frequency, or arrays for an array of frequencies.
+    """
+
+    omega_x: float | np.ndarray
+    omega_z: float | np.ndarray
 
 
 def subband_center_freq(l, L: int, f_c: float, f_s: float):
@@ -112,18 +108,32 @@ def subband_center_freq(l, L: int, f_c: float, f_s: float):
 
 
 def spatial_frequencies(
-    direction: Direction, eval_freq: float, geom: ArrayGeometry
+    direction: Direction, eval_freq: float | np.ndarray, geom: ArrayGeometry
 ) -> SpatialFrequencies:
     """Spatial frequencies of a far-field arrival at ``eval_freq`` Hz.
 
     At the design frequency with half-wavelength spacing these are
     pi*cos(el)*sin(az) and pi*sin(el); other evaluation frequencies scale
-    both linearly by eval_freq/design_freq.
+    both linearly by eval_freq/design_freq.  ``eval_freq`` may be a scalar
+    or an array, which gives arrays of the same shape.
     """
-    if eval_freq <= 0:
+    return angle_frequencies(direction.azimuth, direction.elevation, eval_freq, geom)
+
+
+def angle_frequencies(
+    azimuth, elevation, eval_freq: float | np.ndarray, geom: ArrayGeometry
+) -> SpatialFrequencies:
+    """:func:`spatial_frequencies` of raw angles in radians.
+
+    Angles and frequencies may be scalars or arrays that broadcast
+    together; the front-hemisphere check of :class:`Direction` is not made,
+    so an angle grid may reach endfire.
+    """
+    if np.any(np.asarray(eval_freq) <= 0):
         raise ValueError("eval_freq must be positive")
     scale = (eval_freq / geom.design_freq) * (geom.spacing / (geom.wavelength / 2.0))
-    u_x, _, u_z = direction.cosines
+    u_x = np.cos(elevation) * np.sin(azimuth)
+    u_z = np.sin(elevation)
     return SpatialFrequencies(np.pi * u_x * scale, np.pi * u_z * scale)
 
 
@@ -131,11 +141,10 @@ def steering_vector(sf: SpatialFrequencies, geom: ArrayGeometry) -> np.ndarray:
     """Length-N array response a_x(omega_x) kron a_z(omega_z).
 
     Entries have unit magnitude and the first entry is 1; the vertical
-    element index varies fastest in the flattened output.
+    element index varies fastest in the flattened output.  This is the one
+    column of :func:`steering_matrix` for scalar ``sf``.
     """
-    a_z = np.exp(1j * sf.omega_z * np.arange(geom.n_z))
-    a_x = np.exp(1j * sf.omega_x * np.arange(geom.n_x))
-    return (a_x[:, None] * a_z[None, :]).ravel()
+    return steering_matrix(sf.omega_x, sf.omega_z, geom)[:, 0]
 
 
 def steering_matrix(

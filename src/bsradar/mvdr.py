@@ -19,7 +19,7 @@ from scipy.linalg.blas import zgemm
 from . import counters
 from .beamspace import BeamspacePlan, WindowSpec, adjoint_transform, scatter_window
 from .counters import OpCounter
-from .geometry import ArrayGeometry, steering_matrix
+from .geometry import ArrayGeometry, angle_frequencies, steering_matrix
 
 ANTENNA_SPACE = "antenna"
 BEAMSPACE_WINDOWED = "windowed-beamspace"
@@ -190,10 +190,8 @@ def beam_pattern(
         raise ValueError("zero-norm correlator has no beam pattern")
 
     az_grid, el_grid = np.meshgrid(azimuths, elevations)
-    scale = (eval_freq / geom.design_freq) * (geom.spacing / (geom.wavelength / 2.0))
-    omega_x = np.pi * np.cos(el_grid.ravel()) * np.sin(az_grid.ravel()) * scale
-    omega_z = np.pi * np.sin(el_grid.ravel()) * scale
-    responses = steering_matrix(omega_x, omega_z, geom)
+    sf = angle_frequencies(az_grid.ravel(), el_grid.ravel(), eval_freq, geom)
+    responses = steering_matrix(*sf, geom)
     inner = np.abs(corr.weights.conj() @ responses)
     norms = np.linalg.norm(responses, axis=0)
     return (inner / (w_norm * norms)).reshape(el_grid.shape)

@@ -70,7 +70,7 @@ from .detection import (
     score_detections,
     write_detection_report,
 )
-from .geometry import ArrayGeometry, spatial_frequencies, steering_matrix
+from .geometry import ArrayGeometry, SpatialFrequencies, spatial_frequencies, steering_matrix
 from .mvdr import (
     ANTENNA_SPACE,
     BEAMSPACE_WINDOWED,
@@ -124,6 +124,9 @@ class PipelineConfig:
             ints = isinstance(value, tuple) and all(type(v) is int for v in value)
             if not ((ints and len(value) == 2) or (name == "fft_size" and value is None)):
                 raise ValueError(f"{name}: {value!r} is not a pair of ints")
+        for name in ("subbands", "train_pulses", "cfar_guard_cells"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name}: {getattr(self, name)!r} is not an int")
         if self.subbands < 1:
             raise ValueError(f"subbands: {self.subbands} must be >= 1")
         if self.chirp.pulse_samples % self.subbands != 0:
@@ -247,19 +250,6 @@ def _train_window_columns(snapshots_per_pulse: int, n_pulses: int, train_pulses:
     return (s_idx + np.arange(train_pulses)[None, :]).ravel()
 
 
-def _subband_steering(
-    scenario: Scenario, geom: ArrayGeometry, freq: float
-) -> np.ndarray:
-    omegas = [
-        spatial_frequencies(t.direction, freq, geom) for t in scenario.targets
-    ]
-    return steering_matrix(
-        np.array([o.omega_x for o in omegas]),
-        np.array([o.omega_z for o in omegas]),
-        geom,
-    )
-
-
 def _check_inputs(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> None:
     """Reject a cube or scenario the config does not describe.
 
@@ -300,18 +290,24 @@ def _beamform(
     n_snap = s_per_pulse * n_pulses
     train_cols = _train_window_columns(s_per_pulse, n_pulses, cfg.train_pulses)
     targets = scenario.targets
+    # (target, axis, subband): each target's spatial frequencies at every subband center
+    omegas = np.array([spatial_frequencies(t.direction, freqs, geom) for t in targets])
+    omegas = omegas.reshape(len(targets), 2, len(freqs))
 
     # basis and selector: the rows a target beamforms on, with its steering there
     if cfg.method == METHOD_BEAMSPACE:
         space = BEAMSPACE_WINDOWED
+        if cfg.recenter_per_subband:
+            centers = omegas
+        else:
+            design = [spatial_frequencies(t.direction, geom.design_freq, geom) for t in targets]
+            centers = np.reshape(design, (len(targets), 2, 1)).repeat(len(freqs), axis=2)
 
         def to_basis(snap):
             return beamspace_transform(snap, plan, ops)
 
         def select(k, b, steering):
-            freq = freqs[b] if cfg.recenter_per_subband else geom.design_freq
-            sf = spatial_frequencies(targets[k].direction, freq, geom)
-            win = window_for(sf, plan, *cfg.window)
+            win = window_for(SpatialFrequencies(*centers[k, :, b]), plan, *cfg.window)
             return win, window_rows(win, plan), windowed_steering(steering, plan, win, ops)
 
     else:
@@ -339,7 +335,7 @@ def _beamform(
     for b in range(cfg.subbands):
         basis = to_basis(sub.samples[:, b].reshape(geom.n, n_snap))
         training = basis[:, train_cols]
-        steer = _subband_steering(scenario, geom, freqs[b])
+        steer = steering_matrix(*omegas[:, :, b].T, geom)
         groups: dict = {}  # selector -> (rows, target ids, correlators)
         for k in range(len(targets)):
             win, rows, steering = select(k, b, steer[:, k])

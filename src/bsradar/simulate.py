@@ -23,7 +23,7 @@ roundoff: the sources share one product and one inverse transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +32,9 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     Direction,
+    spatial_frequencies,
+    steering_matrix,
+    steering_vector,
 )
 
 DEFAULT_SEED = 20260808
@@ -180,23 +183,6 @@ def generate_chirp(chirp: ChirpParams) -> np.ndarray:
     return np.exp(1j * phase)
 
 
-def _steering_vs_frequency(
-    direction: Direction, geom: ArrayGeometry, rf_freqs: np.ndarray
-) -> np.ndarray:
-    """Array response per RF frequency, shape (N, len(rf_freqs)).
-
-    Each frequency gets its own spatial scaling, so wideband emitters are
-    steered exactly rather than at a single nominal frequency.
-    """
-    u_x, _, u_z = direction.cosines
-    scale = np.pi * (rf_freqs / geom.design_freq) * (
-        geom.spacing / (geom.wavelength / 2.0)
-    )
-    a_x = np.exp(1j * np.outer(np.arange(geom.n_x), scale * u_x))
-    a_z = np.exp(1j * np.outer(np.arange(geom.n_z), scale * u_z))
-    return (a_x[:, None, :] * a_z[None, :, :]).reshape(geom.n, -1)
-
-
 def _doppler_phases(radial_velocity: float, chirp: ChirpParams) -> np.ndarray:
     """Pulse-to-pulse phase ramp: +4*pi*v*pri/lambda per pulse (closing positive)."""
     wavelength = SPEED_OF_LIGHT / chirp.carrier_freq
@@ -284,7 +270,7 @@ def _render_wideband(
         f1 = min(n_fast, f0 + chunk)
         columns = []
         for direction, weight, _ in sources:
-            steer = _steering_vs_frequency(direction, geom, rf[f0:f1])
+            steer = steering_matrix(*spatial_frequencies(direction, rf[f0:f1], geom), geom)
             columns.append(steer if weight is None else steer * weight[f0:f1])
         steer = np.stack(columns, axis=-1)
         spectra = np.stack([spectrum[f0:f1] for _, _, spectrum in sources], axis=1)
@@ -307,9 +293,9 @@ def _tone_waveform(
     f_tone = rng.uniform(-half_band, half_band)
     phase0 = rng.uniform(0.0, 2.0 * np.pi)
     amp = np.sqrt(spec.power * ref_power)
-    steer = _steering_vs_frequency(
-        spec.direction, geom, np.array([chirp.carrier_freq + f_tone])
-    )[:, 0]
+    steer = steering_vector(
+        spatial_frequencies(spec.direction, chirp.carrier_freq + f_tone, geom), geom
+    )
     # Tone phase stays continuous across the unsampled gaps between pulses.
     t_fast = np.arange(chirp.pulse_samples) / chirp.sample_rate
     t_pulse = np.arange(chirp.num_pulses) * chirp.pri
@@ -532,8 +518,3 @@ def scenario_preset(
         seed=seed,
         label=name,
     )
-
-
-def with_targets(scenario: Scenario, targets: Sequence[TargetSpec]) -> Scenario:
-    """Copy of ``scenario`` with a different target list (same seed/noise)."""
-    return replace(scenario, targets=tuple(targets))

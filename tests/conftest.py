@@ -1,7 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bsradar import ArrayGeometry, ChirpParams
+
+# Every run draws the same examples and writes no example database; the
+# storage directory is a device no directory can be made in, so hypothesis
+# also leaves no cache of the source constants it draws from.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.devnull)
+settings.register_profile("bsradar", derandomize=True, deadline=None, database=None)
+settings.load_profile("bsradar")
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bsradar import (
     BeamspacePlan,
@@ -14,6 +15,7 @@ from bsradar import (
     window_for,
     windowed_steering,
 )
+from bsradar.beamspace import window_rows
 
 from conftest import random_complex
 
@@ -249,3 +251,37 @@ class TestScatterAdjoint:
         lhs = np.vdot(values, extract_window(beam, plan, win))
         rhs = np.vdot(scatter_window(values, plan, win), beam)
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+@st.composite
+def plans(draw):
+    """An array of up to 6x6 elements on a beam grid at least as large."""
+    n_z, n_x = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return BeamspacePlan(n_z + draw(st.integers(0, 6)), n_x + draw(st.integers(0, 10)), n_z, n_x)
+
+
+class TestProperties:
+    @given(plan=plans(), seed=st.integers(0, 2**32 - 1))
+    def test_transform_is_an_isometry(self, plan, seed):
+        y = random_complex(np.random.default_rng(seed), (plan.n, 3))
+        beams = beamspace_transform(y, plan)
+        norms = np.linalg.norm(y, axis=0)
+        assert np.allclose(np.linalg.norm(beams, axis=0), norms, rtol=1e-12, atol=0)
+        assert np.max(np.abs(adjoint_transform(beams, plan) - y)) <= 1e-12 * norms.max()
+
+    @given(plan=plans(), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_transform_is_the_adjoint(self, plan, seed):
+        rng = np.random.default_rng(seed)
+        y, x = random_complex(rng, plan.n), random_complex(rng, plan.m)
+        lhs = np.vdot(beamspace_transform(y, plan), x)
+        rhs = np.vdot(y, adjoint_transform(x, plan))
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(y) * np.linalg.norm(x)
+
+    @given(plan=plans(), data=st.data())
+    def test_window_rows_are_distinct_in_range_bins(self, plan, data):
+        w_z, w_x = data.draw(st.integers(1, plan.m_z)), data.draw(st.integers(1, plan.m_x))
+        row, col = data.draw(st.integers(0, plan.m_z - 1)), data.draw(st.integers(0, plan.m_x - 1))
+        rows = window_rows(WindowSpec(w_z, w_x, row, col), plan)
+        assert len(set(rows.tolist())) == len(rows) == w_z * w_x
+        assert 0 <= rows.min() and rows.max() < plan.m
+        assert col * plan.m_z + row in rows

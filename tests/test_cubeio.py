@@ -153,13 +153,32 @@ class TestScenarioJson:
 
 class TestConfigJson:
     def test_absent_keys_take_the_dataclass_defaults(self):
-        chirp = chirp_from_dict({"num_pulses": 8.0, "pri": 1})
+        chirp = chirp_from_dict({"num_pulses": 8, "pri": 1})
         assert chirp == ChirpParams(num_pulses=8, pri=1.0)
         assert type(chirp.num_pulses) is int and type(chirp.pri) is float
-        geom = geometry_from_dict({"n_z": 2.0, "n_x": 4, "design_freq": 1e10})
+        geom = geometry_from_dict({"n_z": 2, "n_x": 4, "design_freq": 1e10})
         assert geom == ArrayGeometry(2, 4, 10e9)
         assert type(geom.n_z) is int
         assert geometry_from_dict({**vars(geom), "spacing": None}) == geom
+
+    @pytest.mark.parametrize(
+        "read,data,prefix",
+        [
+            (chirp_from_dict, {"pulse_samples": 256.7}, "chirp: pulse_samples: "),
+            (chirp_from_dict, {"pulse_samples": True}, "chirp: pulse_samples: "),
+            (geometry_from_dict, {"n_z": 2.5, "n_x": 4, "design_freq": 1e10}, "geometry: n_z: "),
+            (scenario_from_dict, {"seed": 3.7}, "scenario: seed: "),
+        ],
+        ids=["chirp-float", "chirp-bool", "geometry-float", "scenario-seed-float"],
+    )
+    def test_int_fields_take_only_json_integers(self, read, data, prefix):
+        with pytest.raises(ValueError, match=f"^{prefix}.* is not an integer"):
+            read(data)
+
+    def test_pipeline_int_fields_are_checked_by_validate(self):
+        kwargs = config_from_dict({"pipeline": {"subbands": 16.0}})
+        with pytest.raises(ValueError, match="^subbands: 16.0 is not an int"):
+            PipelineConfig(scenario=scenario_preset("E2"), **kwargs).validate()
 
     def test_pipeline_section_fills_the_remaining_fields(self):
         kwargs = config_from_dict(

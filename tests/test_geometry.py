@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bsradar import (
+    SPEED_OF_LIGHT,
     ArrayGeometry,
+    ChirpParams,
     Direction,
+    Scenario,
     SpatialFrequencies,
+    TargetSpec,
+    beam_pattern,
+    conventional_correlator,
     spatial_frequencies,
     steering_matrix,
     steering_vector,
     subband_center_freq,
+    synthesize_datacube,
 )
+
+# 0.6-wavelength spacing, evaluated off the design frequency: a consumer
+# that drops the spacing ratio or the frequency scaling steers elsewhere
+WIDE = ArrayGeometry(n_z=3, n_x=8, design_freq=10e9, spacing=0.6 * SPEED_OF_LIGHT / 10e9)
+OFF_DESIGN = 10.3e9
 
 
 class TestSubbandCenterFreq:
@@ -118,6 +131,21 @@ class TestSteeringVector:
         expected = np.exp(1j * (sf.omega_x * i_x + sf.omega_z * i_z))
         assert a[i_x * geom.n_z + i_z] == pytest.approx(expected, rel=1e-12)
 
+    @given(
+        n_z=st.integers(1, 6),
+        n_x=st.integers(1, 6),
+        omegas=st.lists(
+            st.tuples(st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)), min_size=1, max_size=5
+        ),
+    )
+    def test_steering_matrix_columns_are_steering_vectors(self, n_z, n_x, omegas):
+        g = ArrayGeometry(n_z, n_x, 10e9)
+        wx, wz = np.array(omegas).T
+        mat = steering_matrix(wx, wz, g)
+        assert mat.shape == (g.n, len(omegas))
+        for k, (ox, oz) in enumerate(omegas):
+            assert np.array_equal(mat[:, k], steering_vector(SpatialFrequencies(ox, oz), g))
+
     def test_steering_matrix_stacks_vectors(self, geom, rng):
         wx = rng.uniform(-np.pi, np.pi, 5)
         wz = rng.uniform(-np.pi, np.pi, 5)
@@ -153,3 +181,45 @@ class TestDomainTypes:
         assert d.elevation == pytest.approx(np.pi / 4)
         with pytest.raises(ValueError):
             Direction.from_position(0.0, -10.0, 0.0)  # behind the array
+
+
+class TestOneManifold:
+    """The simulator, the beamformer and beam patterns all steer by geometry."""
+
+    arrival = Direction.from_degrees(20.0, -12.0)
+
+    def test_frequency_array_matches_scalar_calls_bit_for_bit(self):
+        freqs = np.linspace(9.6e9, 10.4e9, 33)
+        sf = spatial_frequencies(self.arrival, freqs, WIDE)
+        for i, f in enumerate(freqs):
+            one = spatial_frequencies(self.arrival, f, WIDE)
+            assert (sf.omega_x[i], sf.omega_z[i]) == (one.omega_x, one.omega_z)
+
+    def test_any_nonpositive_frequency_rejected(self):
+        with pytest.raises(ValueError, match="eval_freq"):
+            spatial_frequencies(self.arrival, np.array([10e9, 0.0, 9e9]), WIDE)
+
+    def test_matched_weights_have_unit_gain_at_the_arrival(self):
+        a = steering_vector(spatial_frequencies(self.arrival, OFF_DESIGN, WIDE), WIDE)
+        az, el = np.array([self.arrival.azimuth]), np.array([self.arrival.elevation])
+        gain = beam_pattern(conventional_correlator(a), az, el, WIDE, OFF_DESIGN)
+        assert abs(gain[0, 0] - 1.0) <= 1e-12
+
+    def test_one_target_cube_spectrum_is_the_steering_vector(self):
+        chirp = ChirpParams(
+            carrier_freq=OFF_DESIGN,
+            sample_rate=500e6,
+            bandwidth=400e6,
+            pulse_samples=256,
+            num_pulses=2,
+            pri=1e-6,
+        )
+        target = TargetSpec(position=(12.0, 26.0, -6.0), radial_velocity=20.0)
+        cube = synthesize_datacube(Scenario(targets=(target,), noise_power=0.0), WIDE, chirp)
+        spectrum = np.fft.fft(cube.samples[:, :, 1], axis=1)
+        rf = chirp.carrier_freq + np.fft.fftfreq(chirp.pulse_samples, 1.0 / chirp.sample_rate)
+        for b in (3, 60, 128 + 70):
+            a = steering_matrix(*spatial_frequencies(target.direction, rf[b], WIDE), WIDE)[:, 0]
+            x = spectrum[:, b]
+            cosine = abs(np.vdot(a, x)) / (np.linalg.norm(a) * np.linalg.norm(x))
+            assert cosine >= 1.0 - 1e-12, b

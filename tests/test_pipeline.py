@@ -23,6 +23,7 @@ from bsradar import (
     run_pipeline,
     scenario_preset,
     spatial_frequencies,
+    steering_matrix,
     sweep,
     synthesize_datacube,
     window_center,
@@ -44,7 +45,6 @@ from bsradar.pipeline import (
     METHOD_CONVENTIONAL,
     ComplexityReport,
     StageError,
-    _subband_steering,
     _train_window_columns,
     write_reports,
 )
@@ -122,7 +122,8 @@ def reference_beamform(
 
     for b in bins:
         snap = sub.samples[:, b, :, :].reshape(n_ant, s_per_pulse * n_pulses)
-        steer = _subband_steering(scenario, geom, freqs[b])
+        omegas = [spatial_frequencies(t.direction, freqs[b], geom) for t in scenario.targets]
+        steer = steering_matrix(*np.transpose(omegas), geom)
 
         if cfg.method == METHOD_BEAMSPACE:
             beams = beamspace_transform(snap, plan, ops)
@@ -193,6 +194,13 @@ class TestConfigValidation:
     )
     def test_pairs_must_be_int_pairs(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: .* is not a pair of ints"):
+            PipelineConfig(scenario=A1, **{field: value}).validate()
+
+    @pytest.mark.parametrize(
+        "field,value", [("subbands", 16.0), ("train_pulses", True), ("cfar_guard_cells", 4.0)]
+    )
+    def test_counts_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field}: .* is not an int"):
             PipelineConfig(scenario=A1, **{field: value}).validate()
 
     def test_bad_method(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from bsradar import (
     TargetSpec,
     generate_chirp,
     scenario_preset,
+    spatial_frequencies,
+    steering_matrix,
     synthesize_datacube,
 )
 from bsradar.simulate import (
@@ -18,8 +22,6 @@ from bsradar.simulate import (
     _ground_elevation,
     _interferer_rng,
     _noise_rng,
-    _steering_vs_frequency,
-    with_targets,
 )
 
 
@@ -101,7 +103,7 @@ class TestSynthesizeDatacube:
         geom = ArrayGeometry(2, 4, 10e9)
         cp = tiny_chirp()
         sc = scenario_preset("A1", seed=3)
-        sc = with_targets(sc, sc.targets[:3])
+        sc = replace(sc, targets=sc.targets[:3])
         # shrink ranges into the short test window
         small = [
             TargetSpec(
@@ -111,7 +113,7 @@ class TestSynthesizeDatacube:
             )
             for t in sc.targets
         ]
-        sc = with_targets(sc, small)
+        sc = replace(sc, targets=tuple(small))
         a = synthesize_datacube(sc, geom, cp)
         b = synthesize_datacube(sc, geom, cp)
         assert np.array_equal(a.samples, b.samples)
@@ -226,7 +228,8 @@ def _reference_noise_interferer(out, spec, geom, chirp, ref_power, rng):
     base_freqs = np.fft.fftfreq(n_fast, 1.0 / chirp.sample_rate)
     mask = np.abs(base_freqs) <= spec.bandwidth_fraction * chirp.sample_rate / 2.0
     n_bins = int(mask.sum())
-    steer = _steering_vs_frequency(spec.direction, geom, chirp.carrier_freq + base_freqs)
+    rf = chirp.carrier_freq + base_freqs
+    steer = steering_matrix(*spatial_frequencies(spec.direction, rf, geom), geom)
     sigma_f = np.sqrt(spec.power * ref_power * n_fast**2 / n_bins / 2.0)
     for m in range(chirp.num_pulses):
         spectrum = np.zeros(n_fast, dtype=complex)
@@ -240,9 +243,8 @@ def _reference_tone_interferer(out, spec, geom, chirp, ref_power, rng):
     f_tone = rng.uniform(-half_band, half_band)
     phase0 = rng.uniform(0.0, 2.0 * np.pi)
     amp = np.sqrt(spec.power * ref_power)
-    steer = _steering_vs_frequency(
-        spec.direction, geom, np.array([chirp.carrier_freq + f_tone])
-    )[:, 0]
+    rf = np.array([chirp.carrier_freq + f_tone])
+    steer = steering_matrix(*spatial_frequencies(spec.direction, rf, geom), geom)[:, 0]
     t_fast = np.arange(chirp.pulse_samples) / chirp.sample_rate
     t_pulse = np.arange(chirp.num_pulses) * chirp.pri
     tone = amp * np.exp(
@@ -258,7 +260,7 @@ def _reference_target_block(target, geom, chirp, pulse):
     delayed[delay:] = pulse[: chirp.pulse_samples - delay]
     spectrum = np.fft.fft(delayed)
     rf = chirp.carrier_freq + np.fft.fftfreq(chirp.pulse_samples, 1.0 / chirp.sample_rate)
-    steer = _steering_vs_frequency(target.direction, geom, rf)
+    steer = steering_matrix(*spatial_frequencies(target.direction, rf, geom), geom)
     return np.fft.ifft(steer * spectrum[None, :], axis=1)
 
 
@@ -342,7 +344,7 @@ class TestReferenceSynthesis:
         geom = ArrayGeometry(2, 4, 10e9)
         cp = tiny_chirp(pulse_samples=pulse_samples, num_pulses=4)
         sc = _small_scene(kinds, noise_power)
-        no_targets = with_targets(sc, ())
+        no_targets = replace(sc, targets=())
         got = synthesize_datacube(no_targets, geom, cp).samples
         assert np.array_equal(got, reference_datacube(no_targets, geom, cp))
         got = synthesize_datacube(sc, geom, cp).samples
@@ -389,7 +391,7 @@ class TestReferenceSynthesis:
         # 9 targets and 3 noise emitters share chunks of 1 or 3 frequencies;
         # a budget below one frequency still renders one at a time
         sc = _small_scene((NOISE, TONE, NOISE, NOISE), n_targets=9)
-        sc = with_targets(sc, [_scaled(t, 0.2) for t in sc.targets])
+        sc = replace(sc, targets=tuple(_scaled(t, 0.2) for t in sc.targets))
         whole = synthesize_datacube(sc, geom, cp).samples
         budget = int(chunk_frequencies * 16 * cp.num_pulses * geom.n)
         monkeypatch.setattr(simulate, "_CHUNK_BYTES", budget)

@@ -23,7 +23,15 @@ from .simulate import ChirpParams, DataCube
 
 @dataclass
 class SubbandCube:
-    """Channelized cube, shape (antennas, subbands, snapshots per pulse, pulses)."""
+    """Channelized cube, shape (antennas, subbands, snapshots per pulse, pulses).
+
+    ``samples`` is a strided view: its buffer is laid out (antennas,
+    snapshots per pulse, subbands, pulses), the order the per-block DFT
+    writes it in, so ``samples.transpose(0, 2, 1, 3)`` is C-contiguous.
+    :func:`channelize` decides whose buffer that is: a fresh array, or the
+    input cube's own samples when the caller gave the cube up (and, with a
+    single subband, always the cube's, read only).
+    """
 
     samples: np.ndarray
     subbands: int
@@ -54,11 +62,21 @@ def _half_bin_ramp(L: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(L) / L)
 
 
-def channelize(cube: DataCube, L: int, ops: OpCounter | None = None) -> SubbandCube:
+def channelize(
+    cube: DataCube, L: int, ops: OpCounter | None = None, *, _overwrite: bool = False
+) -> SubbandCube:
     """Split the cube's fast-time axis into L critically sampled subbands.
 
     L must divide the pulse length and be even; L == 1 passes the cube
     through as a single band.
+
+    The result's ``samples`` is a strided view of an (antennas, snapshots,
+    subbands, pulses) buffer; see :class:`SubbandCube`.  By default that
+    buffer is fresh, so the cube is left as it was and the caller holds two
+    cube-sized arrays.  ``_overwrite`` is for a caller that owns a
+    complex128 cube and will not read it again: the subbands are then
+    written over the cube's own samples, so no second cube-sized array is
+    made.
     """
     n_fast = cube.chirp.pulse_samples
     if n_fast % L != 0:
@@ -72,16 +90,18 @@ def channelize(cube: DataCube, L: int, ops: OpCounter | None = None) -> SubbandC
     n_snap = n_fast // L
     blocks = cube.samples.reshape(n_ant, n_snap, L, n_pulses)
     ramp = _half_bin_ramp(L)[None, :, None]
-    # one antenna at a time, so no cube-sized temporary exists beside the output
-    samples = np.empty((n_ant, L, n_snap, n_pulses), dtype=complex)
+    # (antenna, snapshot, subband, pulse): each block's DFT lands where it was read
+    dst = blocks if _overwrite else np.empty(blocks.shape, dtype=complex)
+    # one antenna at a time, so no cube-sized temporary exists beside dst
     for ant in range(n_ant):
-        samples[ant] = np.fft.fft(blocks[ant] * ramp, axis=1).transpose(1, 0, 2)
+        np.multiply(blocks[ant], ramp, out=dst[ant])
+        np.fft.fft(dst[ant], axis=1, out=dst[ant])
     if ops is not None:
         ops.add(
             "channelize",
             counters.channelize_mults(n_ant, n_snap * n_pulses, L),
         )
-    return SubbandCube(samples, L, cube.geometry, cube.chirp)
+    return SubbandCube(dst.transpose(0, 2, 1, 3), L, cube.geometry, cube.chirp)
 
 
 def synthesize(subband_outputs: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:

@@ -9,7 +9,18 @@ A run is pure: :func:`process_cube` and :func:`run_pipeline` return a
 :class:`PipelineResult` holding every output (subband and wideband series,
 range-Doppler maps, detections, scores, center-subband correlators and the
 complexity report) and write no file.  :func:`write_reports` writes
-``detections.csv`` and ``complexity.json`` from a result.
+``detections.csv`` and ``complexity.json`` from a result.  Each result also
+carries ``timings``: per stage (simulate, channelize, beamform, synthesize,
+range_doppler, cfar, score) its wall seconds and the process's peak RSS in
+MB at the stage's end.
+
+A run holds about one cube plus its outputs.  The channelizer writes the
+subbands over the samples of a cube the pipeline made itself (in
+:func:`run_pipeline`, and the one cube a window or FFT-size :func:`sweep`
+shares, channelized once for all its points), so the subband cube is a
+strided view of that buffer.  A caller's cube given to :func:`process_cube`
+is never written: it is channelized into a fresh buffer, so that call holds
+two cubes.
 
 All three methods run one beamforming routine.  A method only chooses the
 **basis** a subband's snapshots are expressed in (the antennas, or the
@@ -43,6 +54,9 @@ application is tallied as its own W-by-snapshots product.
 from __future__ import annotations
 
 import json
+import resource
+import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -221,6 +235,7 @@ class PipelineResult:
     maps: list[RangeDopplerMap]
     center_correlators: list[Correlator]
     center_windows: list[WindowSpec | None]
+    timings: dict[str, dict[str, float]] = field(default_factory=dict)
 
     @property
     def detection_count(self) -> int:
@@ -231,17 +246,22 @@ class StageError(RuntimeError):
     """Wraps a failure with the pipeline stage where it happened."""
 
 
-def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(f"stage '{name}': {exc}") from exc
-            return False
-
-    return _Ctx()
+@contextmanager
+def _stage(name: str, timings: dict):
+    """Run one stage: name it in any failure, and record into ``timings`` its
+    wall seconds and the peak RSS of this process so far (``ru_maxrss``, KiB
+    on Linux) in MB."""
+    start = time.perf_counter()
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(f"stage '{name}': {exc}") from exc
+    timings[name] = {
+        "wall_s": time.perf_counter() - start,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }
 
 
 def _train_window_columns(snapshots_per_pulse: int, n_pulses: int, train_pulses: int) -> np.ndarray:
@@ -352,46 +372,61 @@ def _beamform(
     return center
 
 
-def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> PipelineResult:
-    """Run channelization, beamforming, synthesis, and detection on a cube.
-
-    Returns every output of the run and writes nothing; see
-    :func:`write_reports` for the report files.
-    """
+def _front_end(
+    cube: DataCube, scenario: Scenario, cfg: PipelineConfig, timings: dict, overwrite: bool
+) -> tuple[SubbandCube, np.ndarray, dict[str, int]]:
+    """Check the inputs, then channelize: the subbands, their center
+    frequencies and the channelizer's tallies.  ``overwrite`` gives the
+    cube's samples up to the channelizer as the subband buffer."""
     cfg.validate()
     _check_inputs(cube, scenario, cfg)
-    geom, chirp = cube.geometry, cube.chirp
+    ops = OpCounter()
+    with _stage("channelize", timings):
+        sub = channelize(cube, cfg.subbands, ops, _overwrite=overwrite)
+        freqs = bin_center_frequencies(cfg.subbands, cube.chirp)
+    return sub, freqs, ops.counts
+
+
+def _process_subbands(
+    sub: SubbandCube,
+    freqs: np.ndarray,
+    front_mults: dict[str, int],
+    scenario: Scenario,
+    cfg: PipelineConfig,
+    timings: dict,
+) -> PipelineResult:
+    """Beamform, synthesize and detect on a channelized cube; ``front_mults``
+    are the front end's tallies, carried into the complexity report."""
+    geom, chirp = sub.geometry, sub.chirp
     plan = cfg.beamspace_plan()
     ops = OpCounter()
+    ops.counts.update(front_mults)
     n_targets = len(scenario.targets)
-
-    with _stage("channelize"):
-        sub = channelize(cube, cfg.subbands, ops)
-        freqs = bin_center_frequencies(cfg.subbands, chirp)
 
     s_per_pulse = sub.snapshots_per_pulse
     outputs = np.empty(
         (n_targets, cfg.subbands, s_per_pulse, chirp.num_pulses), dtype=complex
     )
-    with _stage("beamform"):
+    with _stage("beamform", timings):
         center = _beamform(sub, scenario, cfg, plan, freqs, outputs, ops)
 
-    with _stage("synthesize"):
+    with _stage("synthesize", timings):
         wideband = synthesize(outputs, ops)
 
     replica = generate_chirp(chirp)
+    with _stage("range_doppler", timings):
+        maps = [
+            range_doppler_map(wideband[k], replica, chirp, target_id=k, ops=ops)
+            for k in range(n_targets)
+        ]
+    with _stage("cfar", timings):
+        detections_per_target = [
+            cfar_detect(rd, cfg.cfar_threshold_db, cfg.cfar_guard_cells, cfg.cfar_statistic)
+            for rd in maps
+        ]
     scores: list[DetectionScore] = []
-    detections_per_target: list[list[Detection]] = []
-    maps: list[RangeDopplerMap] = []
-    with _stage("detect"):
+    with _stage("score", timings):
         for k, target in enumerate(scenario.targets):
-            rd = range_doppler_map(wideband[k], replica, chirp, target_id=k, ops=ops)
-            dets = cfar_detect(
-                rd,
-                cfg.cfar_threshold_db,
-                cfg.cfar_guard_cells,
-                cfg.cfar_statistic,
-            )
             truth_r = target.delay_samples(chirp)
             truth_v = (
                 int(round(target.radial_velocity / chirp.velocity_resolution))
@@ -399,11 +434,10 @@ def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> Pip
             ) % chirp.num_pulses
             scores.append(
                 score_detections(
-                    dets, truth_r, truth_v, rd, k, cfg.gate[0], cfg.gate[1]
+                    detections_per_target[k], truth_r, truth_v, maps[k], k,
+                    cfg.gate[0], cfg.gate[1],
                 )
             )
-            detections_per_target.append(dets)
-            maps.append(rd)
 
     w_z, w_x = cfg.window
     report = ComplexityReport(
@@ -428,15 +462,33 @@ def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> Pip
         maps=maps,
         center_correlators=[corr for corr, _ in center],
         center_windows=[win for _, win in center],
+        timings=timings,
     )
 
 
+def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> PipelineResult:
+    """Run channelization, beamforming, synthesis, and detection on a cube.
+
+    Returns every output of the run and writes nothing; see
+    :func:`write_reports` for the report files.  The cube is left as it was:
+    it is channelized into a fresh buffer.
+    """
+    timings: dict = {}
+    sub, freqs, mults = _front_end(cube, scenario, cfg, timings, overwrite=False)
+    return _process_subbands(sub, freqs, mults, scenario, cfg, timings)
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
-    """Simulate the configured scene and process it; see :func:`process_cube`."""
+    """Simulate the configured scene and process it; see :func:`process_cube`.
+
+    The simulated cube is the run's own, so it is channelized in place.
+    """
     cfg.validate()
-    with _stage("simulate"):
+    timings: dict = {}
+    with _stage("simulate", timings):
         cube = synthesize_datacube(cfg.scenario, cfg.geometry, cfg.chirp)
-    return process_cube(cube, cfg.scenario, cfg)
+    sub, freqs, mults = _front_end(cube, cfg.scenario, cfg, timings, overwrite=True)
+    return _process_subbands(sub, freqs, mults, cfg.scenario, cfg, timings)
 
 
 def _score_row(cfg: PipelineConfig, score: DetectionScore) -> dict:
@@ -484,15 +536,16 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
     """Run the pipeline across one axis and aggregate per-target rows.
 
     ``axis`` names the config field each point replaces: window / fft-size
-    take (v, h) int pairs and share one simulated cube, scenario takes
-    :class:`Scenario` values.  A failed point is recorded and the sweep goes on.
+    take (v, h) int pairs and share one simulated cube, channelized once (in
+    place) for every point; scenario takes :class:`Scenario` values.  A
+    failed point is recorded and the sweep goes on.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis {axis!r} not one of {tuple(SWEEP_AXES)}")
     field_name = SWEEP_AXES[axis]
     for scenario in values if field_name == "scenario" else [cfg.scenario]:
         _require_scenario(scenario)
-    shared_cube = None
+    shared_cube = front = None
     if field_name != "scenario":
         shared_cube = synthesize_datacube(cfg.scenario, cfg.geometry, cfg.chirp)
 
@@ -503,7 +556,12 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
             if shared_cube is None:
                 result = run_pipeline(case)
             else:
-                result = process_cube(shared_cube, case.scenario, case)
+                case.validate()
+                # the axis never changes the subbands, so the first valid point's
+                # channelization serves every point
+                if front is None:
+                    front = _front_end(shared_cube, case.scenario, case, {}, overwrite=True)
+                result = _process_subbands(*front, case.scenario, case, {})
             rows += [{**_score_row(case, score), "status": "ok"} for score in result.scores]
         except Exception as exc:  # record the failed cell, keep sweeping
             label = case.scenario.label or "custom"

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bsradar import (
     ArrayGeometry,
@@ -53,13 +56,23 @@ class TestRoundTrip:
         assert rel_err(back, cube.samples) < 1e-12
 
     @pytest.mark.parametrize(
-        "shape,L", [((6, 512, 5), 128), ((1, 64, 2), 2), ((4, 4096, 8), 128)]
+        "shape,L,overwrite",
+        [
+            pytest.param(shape, L, overwrite, id=f"shape{i}-{L}" + "-owned" * overwrite)
+            for overwrite in (False, True)
+            for i, (shape, L) in enumerate(
+                [((6, 512, 5), 128), ((1, 64, 2), 2), ((4, 4096, 8), 128)]
+            )
+        ],
     )
-    def test_matches_whole_cube_formula_bit_for_bit(self, rng, shape, L):
+    def test_matches_whole_cube_formula_bit_for_bit(self, rng, shape, L, overwrite):
         cube = make_cube(random_complex(rng, shape))
-        sub = channelize(cube, L)
-        assert sub.samples.flags.c_contiguous
-        assert np.array_equal(sub.samples, reference_channelize(cube.samples, L))
+        expected = reference_channelize(cube.samples, L)
+        sub = channelize(cube, L, _overwrite=overwrite)
+        # the buffer is laid out (antenna, snapshot, subband, pulse)
+        assert sub.samples.transpose(0, 2, 1, 3).flags.c_contiguous
+        assert np.shares_memory(sub.samples, cube.samples) == overwrite
+        assert np.array_equal(sub.samples, expected)
 
     def test_passthrough_single_band(self, rng):
         cube = make_cube(random_complex(rng, (2, 64, 2)))
@@ -89,6 +102,47 @@ class TestRoundTrip:
     def test_synthesize_shape_validation(self):
         with pytest.raises(ValueError):
             synthesize(np.zeros((8, 4)))
+
+
+class TestOwnership:
+    """The caller that gives its cube up gets the subbands in the cube's own
+    buffer; every other caller's cube is left as it was."""
+
+    @given(
+        n_ant=st.sampled_from([1, 2, 4, 6]),
+        half_L=st.integers(1, 16),
+        n_snap=st.integers(1, 8),
+        n_pulses=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_owned_equals_copying_and_round_trips(self, n_ant, half_L, n_snap, n_pulses, seed):
+        L = 2 * half_L
+        x = random_complex(np.random.default_rng(seed), (n_ant, L * n_snap, n_pulses))
+        copying = channelize(make_cube(x), L)
+        owned = channelize(make_cube(x.copy()), L, _overwrite=True)
+        assert np.array_equal(owned.samples, copying.samples)
+        assert rel_err(synthesize(owned.samples), x) < 1e-12
+
+    @staticmethod
+    def _peak_bytes(cube, L, overwrite):
+        tracemalloc.start()
+        try:
+            channelize(cube, L, _overwrite=overwrite)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_owned_path_allocates_no_second_cube(self, rng):
+        cube = make_cube(random_complex(rng, (8, 512, 64)))
+        antenna_bytes = cube.samples[0].nbytes
+        assert self._peak_bytes(cube, 32, overwrite=True) < 2 * antenna_bytes
+
+    def test_copying_path_allocates_one_cube(self, rng):
+        cube = make_cube(random_complex(rng, (8, 512, 64)))
+        before = cube.samples.copy()
+        peak = self._peak_bytes(cube, 32, overwrite=False)
+        assert cube.samples.nbytes <= peak < cube.samples.nbytes + 2 * cube.samples[0].nbytes
+        assert np.array_equal(cube.samples, before)
 
 
 class TestLinearity:

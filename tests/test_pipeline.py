@@ -30,7 +30,7 @@ from bsradar import (
     window_for,
     windowed_steering,
 )
-from bsradar import counters
+from bsradar import counters, pipeline
 from bsradar.cli import _write_beam_pattern
 from bsradar.cubeio import load_map, save_map
 from bsradar.counters import (
@@ -43,6 +43,8 @@ from bsradar.pipeline import (
     METHOD_ANTENNA,
     METHOD_BEAMSPACE,
     METHOD_CONVENTIONAL,
+    METHODS,
+    SWEEP_AXES,
     ComplexityReport,
     StageError,
     _train_window_columns,
@@ -463,6 +465,77 @@ class TestEndToEnd:
         )
         with pytest.raises(StageError, match="beamform"):
             run_pipeline(cfg)
+
+
+class TestCubeOwnership:
+    """``run_pipeline`` channelizes its own cube in place; a caller's cube is
+    only read."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_process_cube_leaves_the_callers_cube_untouched(self, method):
+        geom, chirp, scenario = tiny_setup()
+        cube = synthesize_datacube(scenario, geom, chirp)
+        before = cube.samples.copy()
+        process_cube(cube, scenario, tiny_config(geom, chirp, scenario, method=method))
+        assert np.array_equal(cube.samples, before)
+
+    def test_run_pipeline_equals_process_cube_bit_for_bit(self):
+        geom, chirp, scenario = tiny_setup()
+        cfg = tiny_config(geom, chirp, scenario)
+        owned = run_pipeline(cfg)
+        given = process_cube(synthesize_datacube(scenario, geom, chirp), scenario, cfg)
+        assert np.array_equal(owned.subband_outputs, given.subband_outputs)
+        assert np.array_equal(owned.wideband_outputs, given.wideband_outputs)
+        for a, b in zip(owned.maps, given.maps, strict=True):
+            assert np.array_equal(a.power, b.power)
+        assert owned.complexity.stage_mults == given.complexity.stage_mults
+        assert owned.scores == given.scores
+
+    def test_stage_timings_recorded(self):
+        geom, chirp, scenario = tiny_setup(n_targets=1)
+        cfg = tiny_config(geom, chirp, scenario)
+        stages = ["channelize", "beamform", "synthesize", "range_doppler", "cfar", "score"]
+        timings = run_pipeline(cfg).timings
+        assert list(timings) == ["simulate"] + stages
+        cube = synthesize_datacube(scenario, geom, chirp)
+        assert list(process_cube(cube, scenario, cfg).timings) == stages
+        for record in timings.values():
+            assert set(record) == {"wall_s", "peak_rss_mb"}
+            assert record["wall_s"] >= 0 and record["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize(
+        "axis,values",
+        [("window", [(1, 2), (9, 9), (2, 4), (2, 8)]), ("fft-size", [(2, 8), (4, 16)])],
+    )
+    def test_sweep_channelizes_its_cube_once(self, tmp_path, monkeypatch, axis, values):
+        geom, chirp, scenario = tiny_setup(n_targets=2)
+        cfg = tiny_config(geom, chirp, scenario)
+        calls = []
+
+        def counting(*args, real=pipeline.channelize, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "channelize", counting)
+        sweep(cfg, axis, values, tmp_path / "s.csv")
+        assert calls == [cfg.subbands]
+        # every valid point's rows are that point's own report
+        monkeypatch.undo()
+        swept = (tmp_path / "s.csv").read_text().splitlines()[2:]
+        cube = synthesize_datacube(scenario, geom, chirp)
+        expected = []
+        for k, value in enumerate(values):
+            case = replace(cfg, **{SWEEP_AXES[axis]: value})
+            if value == (9, 9):
+                expected.append(
+                    f'tiny,,{case.method},,,,,,,,"failed[{value!r}]: '
+                    'window: (9, 9) must fit the beam grid (2, 8)"'
+                )
+                continue
+            write_reports(process_cube(cube, scenario, case), tmp_path / str(k))
+            lines = (tmp_path / str(k) / "detections.csv").read_text().splitlines()[2:]
+            expected += [line + ",ok" for line in lines]
+        assert swept == expected
 
 
 class TestComplexityReport:

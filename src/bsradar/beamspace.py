@@ -6,15 +6,25 @@ the steering vectors.  With the 1/sqrt(m_z m_x) scaling the transform is an
 isometry for any m >= n: columns of the implied matrix are orthonormal, so
 snapshot energy is preserved exactly (not merely up to a ratio).
 
+Both directions run as per-axis ``scipy.fft`` transforms on a reshaped view
+of their input, so a subband's strided (antennas, snapshots, pulses) view
+of the channelizer's buffer is read in place, never gathered first.  The
+second stage overwrites the first stage's result, and the scaling is done
+in place, so a call allocates its result plus, when the x axis is padded,
+the first stage.  (``channelizer`` and ``simulate`` keep ``np.fft``: they
+write into preallocated buffers with ``out=``, which ``scipy.fft`` lacks.)
+
 Windows wrap circularly (the spatial DFT is periodic); an even-width window
 spans floor(w/2) bins below its center and the remainder above.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from . import counters
 from .counters import OpCounter
@@ -87,46 +97,45 @@ def beamspace_transform(
 ) -> np.ndarray:
     """Project antenna snapshot(s) onto the beam grid.
 
-    ``y`` is a length-N vector or an (N, T) batch; the result has length
-    m_z*m_x per snapshot, x-major / z-fastest.  Implemented as a zero-padded
-    two-stage FFT; identical to the dense transform matrix product to
-    floating-point roundoff.
+    ``y`` is a length-N vector or an (N, ...) batch of snapshots, such as a
+    subband's (antennas, snapshots, pulses) view; the result has length
+    m_z*m_x per snapshot, x-major / z-fastest, over the same trailing axes.
+    Implemented as a zero-padded two-stage FFT that reads ``y`` in place
+    (any strides) and allocates little beyond its result; identical to the
+    dense transform matrix product to floating-point roundoff.
     """
     arr = np.asarray(y)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[:, None]
     if arr.shape[0] != plan.n:
         raise ValueError(f"snapshot length {arr.shape[0]} != array size {plan.n}")
-    t = arr.shape[1]
+    snaps = arr.shape[1:]
 
-    grid = arr.reshape(plan.n_x, plan.n_z, t)
-    stage_z = np.fft.fft(grid, n=plan.m_z, axis=1)
-    stage_x = np.fft.fft(stage_z, n=plan.m_x, axis=0)
-    out = stage_x.reshape(plan.m, t) / np.sqrt(plan.m)
+    grid = arr.reshape(plan.n_x, plan.n_z, *snaps)
+    stage_z = scipy.fft.fft(grid, n=plan.m_z, axis=1)
+    out = scipy.fft.fft(stage_z, n=plan.m_x, axis=0, overwrite_x=True)
+    out /= np.sqrt(plan.m)
     if ops is not None:
         ops.add(
             "beamspace_fft",
-            t * counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x),
+            math.prod(snaps) * counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x),
         )
-    return out[:, 0] if single else out
+    return out.reshape(plan.m, *snaps)
 
 
 def adjoint_transform(x: np.ndarray, plan: BeamspacePlan) -> np.ndarray:
     """Apply the conjugate-transposed beamspace transform to beam vector(s)."""
     arr = np.asarray(x)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[:, None]
     if arr.shape[0] != plan.m:
         raise ValueError(f"beam vector length {arr.shape[0]} != grid size {plan.m}")
-    t = arr.shape[1]
+    snaps = arr.shape[1:]
 
-    grid = arr.reshape(plan.m_x, plan.m_z, t)
-    stage_x = np.fft.ifft(grid, axis=0)[: plan.n_x] * plan.m_x
-    stage_z = np.fft.ifft(stage_x, axis=1)[:, : plan.n_z] * plan.m_z
-    out = stage_z.reshape(plan.n, t) / np.sqrt(plan.m)
-    return out[:, 0] if single else out
+    grid = arr.reshape(plan.m_x, plan.m_z, *snaps)
+    stage_x = scipy.fft.ifft(grid, axis=0)[: plan.n_x]
+    stage_x *= plan.m_x
+    stage_z = scipy.fft.ifft(stage_x, axis=1, overwrite_x=True)[:, : plan.n_z]
+    stage_z *= plan.m_z
+    out = stage_z.reshape(plan.n, *snaps)
+    out /= np.sqrt(plan.m)
+    return out
 
 
 def window_center(sf: SpatialFrequencies, plan: BeamspacePlan) -> tuple[int, int]:

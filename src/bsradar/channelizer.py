@@ -30,7 +30,12 @@ class SubbandCube:
     writes it in, so ``samples.transpose(0, 2, 1, 3)`` is C-contiguous.
     :func:`channelize` decides whose buffer that is: a fresh array, or the
     input cube's own samples when the caller gave the cube up (and, with a
-    single subband, always the cube's, read only).
+    single subband, always the cube's, read only).  A subband
+    ``samples[:, b]`` is a strided (antennas, snapshots, pulses) view that
+    the beamspace transform reads in place.  The pipeline's beamforming is
+    a subband cube's last reader: ``run_pipeline`` and ``process_cube``
+    free the buffer when it returns, and only a ``sweep`` keeps its one
+    shared buffer across its points.
     """
 
     samples: np.ndarray
@@ -119,7 +124,11 @@ def synthesize(subband_outputs: np.ndarray, ops: OpCounter | None = None) -> np.
         return arr.reshape(*arr.shape[:-3], n_snap, n_pulses)
 
     blocks = np.moveaxis(arr, -3, -2)  # (..., snapshots, L, pulses)
-    time_blocks = np.fft.ifft(blocks, axis=-2) * _half_bin_ramp(L).conj()[:, None]
+    # the inverse DFT lands in the output's own layout and is ramped there, so
+    # the wideband series is the only array this allocates
+    time_blocks = np.empty(blocks.shape, dtype=complex)
+    np.fft.ifft(blocks, axis=-2, out=time_blocks)
+    time_blocks *= _half_bin_ramp(L).conj()[:, None]
     if ops is not None:
         lead = int(np.prod(arr.shape[:-3], dtype=int))
         ops.add("synthesize", lead * counters.synthesize_mults(n_snap * n_pulses, L))

@@ -14,13 +14,18 @@ carries ``timings``: per stage (simulate, channelize, beamform, synthesize,
 range_doppler, cfar, score) its wall seconds and the process's peak RSS in
 MB at the stage's end.
 
-A run holds about one cube plus its outputs.  The channelizer writes the
-subbands over the samples of a cube the pipeline made itself (in
-:func:`run_pipeline`, and the one cube a window or FFT-size :func:`sweep`
-shares, channelized once for all its points), so the subband cube is a
-strided view of that buffer.  A caller's cube given to :func:`process_cube`
-is never written: it is channelized into a fresh buffer, so that call holds
-two cubes.
+A run makes at most one cube-sized buffer and holds it only until
+beamforming returns.  The channelizer writes the subbands over the samples
+of a cube the pipeline made itself (in :func:`run_pipeline`, and the one
+cube a window or FFT-size :func:`sweep` shares, channelized once for all
+its points), so the subband cube is a strided view of that buffer.  A
+caller's cube given to :func:`process_cube` is never written: it is
+channelized into a fresh buffer.  Beamforming is the subband cube's last
+reader: the beamspace transform reads each subband's strided view in place,
+and neither :func:`run_pipeline` nor :func:`process_cube` keeps a name for
+the subband cube or the simulated cube, so the buffer is freed the moment
+beamforming returns and synthesis and detection run beside the outputs
+alone.  Only a :func:`sweep` keeps its shared buffer, across all its points.
 
 All three methods run one beamforming routine.  A method only chooses the
 **basis** a subband's snapshots are expressed in (the antennas, or the
@@ -291,85 +296,10 @@ def _check_inputs(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> No
         )
 
 
-def _beamform(
-    sub: SubbandCube,
-    scenario: Scenario,
-    cfg: PipelineConfig,
-    plan: BeamspacePlan,
-    freqs: np.ndarray,
-    outputs: np.ndarray,
-    ops: OpCounter,
-) -> list[tuple[Correlator, WindowSpec | None]]:
-    """Train and apply every target's beamformer, one subband at a time.
-
-    Fills ``outputs`` (target, subband, snapshot, pulse) and returns each
-    target's correlator and window in the center subband.
-    """
-    geom = sub.geometry
-    s_per_pulse, n_pulses = sub.snapshots_per_pulse, sub.chirp.num_pulses
-    n_snap = s_per_pulse * n_pulses
-    train_cols = _train_window_columns(s_per_pulse, n_pulses, cfg.train_pulses)
-    targets = scenario.targets
-    # (target, axis, subband): each target's spatial frequencies at every subband center
-    omegas = np.array([spatial_frequencies(t.direction, freqs, geom) for t in targets])
-    omegas = omegas.reshape(len(targets), 2, len(freqs))
-
-    # basis and selector: the rows a target beamforms on, with its steering there
-    if cfg.method == METHOD_BEAMSPACE:
-        space = BEAMSPACE_WINDOWED
-        if cfg.recenter_per_subband:
-            centers = omegas
-        else:
-            design = [spatial_frequencies(t.direction, geom.design_freq, geom) for t in targets]
-            centers = np.reshape(design, (len(targets), 2, 1)).repeat(len(freqs), axis=2)
-
-        def to_basis(snap):
-            return beamspace_transform(snap, plan, ops)
-
-        def select(k, b, steering):
-            win = window_for(SpatialFrequencies(*centers[k, :, b]), plan, *cfg.window)
-            return win, window_rows(win, plan), windowed_steering(steering, plan, win, ops)
-
-    else:
-        space = ANTENNA_SPACE
-
-        def to_basis(snap):
-            return snap
-
-        def select(k, b, steering):
-            return None, slice(None), steering
-
-    # rule
-    if cfg.method == METHOD_CONVENTIONAL:
-
-        def train(training, steering, k, b):
-            return conventional_correlator(steering, space, k, b)
-
-    else:
-
-        def train(training, steering, k, b):
-            cov = estimate_covariance(training, cfg.loading, ops)
-            return mvdr_correlator(cov, steering, ops, space, k, b)
-
-    center: list = [None] * len(targets)
-    for b in range(cfg.subbands):
-        basis = to_basis(sub.samples[:, b].reshape(geom.n, n_snap))
-        training = basis[:, train_cols]
-        steer = steering_matrix(*omegas[:, :, b].T, geom)
-        groups: dict = {}  # selector -> (rows, target ids, correlators)
-        for k in range(len(targets)):
-            win, rows, steering = select(k, b, steer[:, k])
-            corr = train(training[rows], steering, k, b)
-            ids, corrs = groups.setdefault(win, (rows, [], []))[1:]
-            ids.append(k)
-            corrs.append(corr)
-            if b == CENTER_BIN:
-                center[k] = (corr, win)
-        # one product per group of targets that share their rows
-        for rows, ids, corrs in groups.values():
-            out = apply_correlator(corrs, basis[rows], ops)
-            outputs[ids, b] = out.reshape(len(ids), s_per_pulse, n_pulses)
-    return center
+def _simulate(cfg: PipelineConfig, timings: dict) -> DataCube:
+    """The configured scene's cube, timed as the simulate stage."""
+    with _stage("simulate", timings):
+        return synthesize_datacube(cfg.scenario, cfg.geometry, cfg.chirp)
 
 
 def _front_end(
@@ -387,28 +317,107 @@ def _front_end(
     return sub, freqs, ops.counts
 
 
-def _process_subbands(
-    sub: SubbandCube,
-    freqs: np.ndarray,
-    front_mults: dict[str, int],
+def _beamform(
+    front: tuple[SubbandCube, np.ndarray, dict[str, int]],
+    scenario: Scenario,
+    cfg: PipelineConfig,
+    timings: dict,
+) -> tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], OpCounter]:
+    """Train and apply every target's beamformer, one subband at a time.
+
+    ``front`` is what :func:`_front_end` returned.  Returns the outputs
+    (target, subband, snapshot, pulse), each target's correlator and window
+    in the center subband, and the run's tally counter.  This is the subband
+    cube's last reader and keeps no reference to it, so a caller that passes
+    ``front`` without naming it frees the subband buffer when this returns.
+    """
+    sub, freqs, front_mults = front
+    geom = sub.geometry
+    plan = cfg.beamspace_plan()
+    ops = OpCounter()
+    ops.counts.update(front_mults)
+    s_per_pulse, n_pulses = sub.snapshots_per_pulse, sub.chirp.num_pulses
+    n_snap = s_per_pulse * n_pulses
+    train_cols = _train_window_columns(s_per_pulse, n_pulses, cfg.train_pulses)
+    targets = scenario.targets
+    outputs = np.empty((len(targets), cfg.subbands, s_per_pulse, n_pulses), dtype=complex)
+    with _stage("beamform", timings):
+        # (target, axis, subband): each target's spatial frequencies at every subband center
+        omegas = np.array([spatial_frequencies(t.direction, freqs, geom) for t in targets])
+        omegas = omegas.reshape(len(targets), 2, len(freqs))
+
+        # basis and selector: the rows a target beamforms on, with its steering there
+        if cfg.method == METHOD_BEAMSPACE:
+            space = BEAMSPACE_WINDOWED
+            if cfg.recenter_per_subband:
+                centers = omegas
+            else:
+                design = [spatial_frequencies(t.direction, geom.design_freq, geom) for t in targets]
+                centers = np.reshape(design, (len(targets), 2, 1)).repeat(len(freqs), axis=2)
+
+            def to_basis(snap):
+                # reads the strided subband view in place
+                return beamspace_transform(snap, plan, ops).reshape(plan.m, n_snap)
+
+            def select(k, b, steering):
+                win = window_for(SpatialFrequencies(*centers[k, :, b]), plan, *cfg.window)
+                return win, window_rows(win, plan), windowed_steering(steering, plan, win, ops)
+
+        else:
+            space = ANTENNA_SPACE
+
+            def to_basis(snap):
+                # a copy: the strided view has no (antennas, snapshots) view for zgemm
+                return snap.reshape(geom.n, n_snap)
+
+            def select(k, b, steering):
+                return None, slice(None), steering
+
+        # rule
+        if cfg.method == METHOD_CONVENTIONAL:
+
+            def train(training, steering, k, b):
+                return conventional_correlator(steering, space, k, b)
+
+        else:
+
+            def train(training, steering, k, b):
+                cov = estimate_covariance(training, cfg.loading, ops)
+                return mvdr_correlator(cov, steering, ops, space, k, b)
+
+        center: list = [None] * len(targets)
+        for b in range(cfg.subbands):
+            basis = to_basis(sub.samples[:, b])
+            training = basis[:, train_cols]
+            steer = steering_matrix(*omegas[:, :, b].T, geom)
+            groups: dict = {}  # selector -> (rows, target ids, correlators)
+            for k in range(len(targets)):
+                win, rows, steering = select(k, b, steer[:, k])
+                corr = train(training[rows], steering, k, b)
+                ids, corrs = groups.setdefault(win, (rows, [], []))[1:]
+                ids.append(k)
+                corrs.append(corr)
+                if b == CENTER_BIN:
+                    center[k] = (corr, win)
+            # one product per group of targets that share their rows
+            for rows, ids, corrs in groups.values():
+                out = apply_correlator(corrs, basis[rows], ops)
+                outputs[ids, b] = out.reshape(len(ids), s_per_pulse, n_pulses)
+    return outputs, center, ops
+
+
+def _back_end(
+    beams: tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], OpCounter],
     scenario: Scenario,
     cfg: PipelineConfig,
     timings: dict,
 ) -> PipelineResult:
-    """Beamform, synthesize and detect on a channelized cube; ``front_mults``
-    are the front end's tallies, carried into the complexity report."""
-    geom, chirp = sub.geometry, sub.chirp
+    """Synthesize, detect and score what :func:`_beamform` returned."""
+    outputs, center, ops = beams
+    geom, chirp = cfg.geometry, cfg.chirp
     plan = cfg.beamspace_plan()
-    ops = OpCounter()
-    ops.counts.update(front_mults)
     n_targets = len(scenario.targets)
-
-    s_per_pulse = sub.snapshots_per_pulse
-    outputs = np.empty(
-        (n_targets, cfg.subbands, s_per_pulse, chirp.num_pulses), dtype=complex
-    )
-    with _stage("beamform", timings):
-        center = _beamform(sub, scenario, cfg, plan, freqs, outputs, ops)
+    s_per_pulse = outputs.shape[2]
 
     with _stage("synthesize", timings):
         wideband = synthesize(outputs, ops)
@@ -471,24 +480,31 @@ def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> Pip
 
     Returns every output of the run and writes nothing; see
     :func:`write_reports` for the report files.  The cube is left as it was:
-    it is channelized into a fresh buffer.
+    it is channelized into a fresh buffer, which is freed once beamforming
+    returns.
     """
     timings: dict = {}
-    sub, freqs, mults = _front_end(cube, scenario, cfg, timings, overwrite=False)
-    return _process_subbands(sub, freqs, mults, scenario, cfg, timings)
+    # the subbands are never named here, so _beamform's return frees them
+    beams = _beamform(
+        _front_end(cube, scenario, cfg, timings, overwrite=False), scenario, cfg, timings
+    )
+    return _back_end(beams, scenario, cfg, timings)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Simulate the configured scene and process it; see :func:`process_cube`.
 
-    The simulated cube is the run's own, so it is channelized in place.
+    The simulated cube is the run's own, so it is channelized in place, and
+    neither the cube nor its subbands outlive beamforming.
     """
     cfg.validate()
     timings: dict = {}
-    with _stage("simulate", timings):
-        cube = synthesize_datacube(cfg.scenario, cfg.geometry, cfg.chirp)
-    sub, freqs, mults = _front_end(cube, cfg.scenario, cfg, timings, overwrite=True)
-    return _process_subbands(sub, freqs, mults, cfg.scenario, cfg, timings)
+    # neither the cube nor its subbands is named here, so _beamform's return frees them
+    beams = _beamform(
+        _front_end(_simulate(cfg, timings), cfg.scenario, cfg, timings, overwrite=True),
+        cfg.scenario, cfg, timings,
+    )
+    return _back_end(beams, cfg.scenario, cfg, timings)
 
 
 def _score_row(cfg: PipelineConfig, score: DetectionScore) -> dict:
@@ -561,7 +577,9 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
                 # channelization serves every point
                 if front is None:
                     front = _front_end(shared_cube, case.scenario, case, {}, overwrite=True)
-                result = _process_subbands(*front, case.scenario, case, {})
+                timings: dict = {}
+                beams = _beamform(front, case.scenario, case, timings)
+                result = _back_end(beams, case.scenario, case, timings)
             rows += [{**_score_row(case, score), "status": "ok"} for score in result.scores]
         except Exception as exc:  # record the failed cell, keep sweeping
             label = case.scenario.label or "custom"

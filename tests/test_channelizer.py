@@ -145,6 +145,25 @@ class TestOwnership:
         assert np.array_equal(cube.samples, before)
 
 
+class TestSynthesizeInPlace:
+    def test_equals_the_ramped_inverse_formula_bit_for_bit(self, rng):
+        x = random_complex(rng, (3, 16, 4, 5))
+        ramp = np.exp(1j * np.pi * np.arange(16) / 16).conj()[:, None]
+        expected = np.fft.ifft(np.moveaxis(x, -3, -2), axis=-2) * ramp
+        assert np.array_equal(synthesize(x), expected.reshape(3, 64, 5))
+
+    def test_allocates_only_the_wideband_series(self, rng):
+        x = random_complex(rng, (4, 32, 32, 64))
+        tracemalloc.start()
+        try:
+            synthesize(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # slack: numpy's 8192-element ufunc buffer for the strided FFT axis
+        assert x.nbytes <= peak < x.nbytes + 256 * 1024
+
+
 class TestLinearity:
     def test_channelize_is_linear(self, rng):
         x = random_complex(rng, (2, 256, 2))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import LinAlgError
 
 from bsradar import (
+    ArrayGeometry,
     BeamspacePlan,
     Correlator,
     Direction,
@@ -16,6 +18,7 @@ from bsradar import (
     extract_window,
     lift_correlator,
     mvdr_correlator,
+    SpatialFrequencies,
     spatial_frequencies,
     steering_vector,
     window_for,
@@ -359,3 +362,41 @@ class TestBeamPattern:
                 geom,
                 geom.design_freq,
             )
+
+
+class TestDistortionlessProperty:
+    """MVDR keeps w^H a = 1 for any training data, direction, window and
+    loading, in either basis; lifted beamspace weights keep it on the antenna
+    steering."""
+
+    @given(
+        n_z=st.integers(1, 4),
+        n_x=st.integers(1, 6),
+        pad=st.tuples(st.integers(0, 4), st.integers(0, 6)),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_w_h_a_is_one(self, n_z, n_x, pad, data, seed):
+        rng = np.random.default_rng(seed)
+        geom = ArrayGeometry(n_z, n_x, 10e9)
+        plan = BeamspacePlan(n_z + pad[0], n_x + pad[1], n_z, n_x)
+        sf = SpatialFrequencies(*rng.uniform(-np.pi, np.pi, 2))
+        a = steering_vector(sf, geom)
+        # colored snapshots give a random covariance; loading keeps it invertible
+        n_t = data.draw(st.integers(1, 2 * geom.n))
+        snaps = random_complex(rng, (geom.n, geom.n)) @ random_complex(rng, (geom.n, n_t))
+        loading = data.draw(st.sampled_from([1e-3, 1e-1, 1.0]))
+
+        w = mvdr_correlator(estimate_covariance(snaps, loading), a).weights
+        assert abs(np.vdot(w, a) - 1) < 1e-9
+
+        w_z, w_x = data.draw(st.integers(1, plan.m_z)), data.draw(st.integers(1, plan.m_x))
+        win = window_for(sf, plan, w_z, w_x)
+        a_w = windowed_steering(a, plan, win)
+        training = extract_window(beamspace_transform(snaps, plan), plan, win)
+        corr = mvdr_correlator(
+            estimate_covariance(training, loading), a_w, space=BEAMSPACE_WINDOWED
+        )
+        assert abs(np.vdot(corr.weights, a_w) - 1) < 1e-9
+        lifted = lift_correlator(corr, plan, win).weights
+        assert abs(np.vdot(lifted, a) - 1) < 1e-9

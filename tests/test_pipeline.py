@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -536,6 +537,57 @@ class TestCubeOwnership:
             lines = (tmp_path / str(k) / "detections.csv").read_text().splitlines()[2:]
             expected += [line + ",ok" for line in lines]
         assert swept == expected
+
+
+class TestBufferLifetime:
+    """Beamforming is the subband buffer's last reader: by the time synthesis
+    runs, no frame holds the subband cube, its buffer or, in ``run_pipeline``,
+    the simulated cube whose samples became that buffer."""
+
+    @staticmethod
+    def watch(monkeypatch) -> list[list[bool]]:
+        """At each synthesize call, which simulated cubes, subband cubes and
+        subband buffers made so far are still alive, in order of creation."""
+        refs, alive = [], []
+
+        def simulating(*args, real=pipeline.synthesize_datacube, **kwargs):
+            cube = real(*args, **kwargs)
+            refs.append(weakref.ref(cube))
+            return cube
+
+        def channelizing(*args, real=pipeline.channelize, **kwargs):
+            sub = real(*args, **kwargs)
+            buffer = sub.samples
+            while isinstance(buffer.base, np.ndarray):
+                buffer = buffer.base
+            refs.extend([weakref.ref(sub), weakref.ref(buffer)])
+            return sub
+
+        def synthesizing(*args, real=pipeline.synthesize, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "synthesize_datacube", simulating)
+        monkeypatch.setattr(pipeline, "channelize", channelizing)
+        monkeypatch.setattr(pipeline, "synthesize", synthesizing)
+        return alive
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_pipeline_frees_the_cube_before_synthesis(self, monkeypatch, method):
+        geom, chirp, scenario = tiny_setup()
+        alive = self.watch(monkeypatch)
+        run_pipeline(tiny_config(geom, chirp, scenario, method=method))
+        assert alive == [[False, False, False]]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_process_cube_frees_its_buffer_before_synthesis(self, monkeypatch, method):
+        # the caller's cube stays (TestCubeOwnership checks its bytes), and a
+        # sweep keeps its one shared buffer (test_sweep_channelizes_its_cube_once)
+        geom, chirp, scenario = tiny_setup()
+        cube = synthesize_datacube(scenario, geom, chirp)
+        alive = self.watch(monkeypatch)
+        process_cube(cube, scenario, tiny_config(geom, chirp, scenario, method=method))
+        assert alive == [[False, False]]
 
 
 class TestComplexityReport:

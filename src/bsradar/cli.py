@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 
 from . import cubeio
-from .detection import CFAR_STATISTICS
 from .mvdr import ANTENNA_SPACE, beam_pattern, lift_correlator, write_beam_pattern_csv
 from .pipeline import (
     METHODS,
@@ -173,10 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--train-pulses", type=int, dest="train_pulses")
         p.add_argument("--cfar-db", type=float, metavar="CFAR_DB", dest="cfar_threshold_db")
         p.add_argument("--guard", type=int, metavar="GUARD", dest="cfar_guard_cells")
-        p.add_argument("--statistic", choices=CFAR_STATISTICS, dest="cfar_statistic")
-        p.add_argument(
-            "--no-recenter", action="store_false", default=None, dest="recenter_per_subband"
-        )
 
     p_sim = sub.add_parser("simulate", help="synthesize a scene into a binary cube")
     add_scene_args(p_sim)

@@ -6,17 +6,18 @@ range bin d exactly.  The slow-time DFT is FFT-shifted so zero velocity
 sits in the center column and closing targets land above it.
 
 The CFAR runs down each velocity column: the noise floor for a cell is the
-median (or mean) of that column excluding the cell itself and ``guard``
-cells on each side, and a cell fires when its power reaches the floor plus
-the threshold in dB.  Firing cells are then thinned to 3x3 local maxima so
-one physical target yields one detection.
+median of that column excluding the cell itself and ``guard`` cells on each
+side, and a cell fires when its power reaches the floor plus the threshold
+in dB.  Firing cells are then thinned to 3x3 local maxima so one physical
+target yields one detection.
 
 The exact median floor of a whole map comes from one sort per column and
 no per-column Python loop: with each cell's guard-band ranks known, the
 k-th remaining order statistic is the sorted position j that solves
 ``j = k + #{excluded ranks <= j}``, a fixed point reached for all cells
 together in at most 2*guard + 2 vectorized passes (two or three in
-practice).  The mean floor is one cumulative sum down the map.
+practice).  The median, an order statistic, keeps the floor robust when
+targets or interference share a column with the cell under test.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from scipy.ndimage import maximum_filter
 from . import counters
 from .counters import OpCounter
 from .simulate import ChirpParams
-
-CFAR_STATISTICS = ("median", "mean")
 
 # detections.csv columns; the sweep report adds a status column
 REPORT_COLUMNS = (
@@ -56,7 +55,6 @@ class RangeDopplerMap:
     power: np.ndarray
     range_resolution: float
     velocity_resolution: float
-    target_id: int | None = None
 
     @property
     def zero_velocity_bin(self) -> int:
@@ -85,7 +83,6 @@ def range_doppler_map(
     output: np.ndarray,
     chirp_replica: np.ndarray,
     chirp: ChirpParams,
-    target_id: int | None = None,
     ops: OpCounter | None = None,
 ) -> RangeDopplerMap:
     """Matched-filter each pulse, then DFT across pulses per range bin."""
@@ -104,10 +101,7 @@ def range_doppler_map(
     if ops is not None:
         ops.add("range_doppler", counters.range_doppler_mults(n_fast, n_pulses))
     return RangeDopplerMap(
-        np.abs(doppler) ** 2,
-        chirp.range_resolution,
-        chirp.velocity_resolution,
-        target_id,
+        np.abs(doppler) ** 2, chirp.range_resolution, chirp.velocity_resolution
     )
 
 
@@ -155,28 +149,12 @@ def _median_excluding_window(values: np.ndarray, guard: int) -> np.ndarray:
     return (0.5 * (lo + hi)).T.reshape(arr.shape)
 
 
-def _mean_excluding_window(values: np.ndarray, guard: int) -> np.ndarray:
-    """Per-cell mean down axis 0 of ``values`` minus the cell and its guard band."""
-    arr = np.asarray(values)
-    n = arr.shape[0]
-    csum = np.concatenate((np.zeros((1,) + arr.shape[1:]), np.cumsum(arr, axis=0)))
-    left = np.clip(np.arange(n) - guard, 0, n)
-    right = np.clip(np.arange(n) + guard + 1, 0, n)
-    window_sum = csum[right] - csum[left]
-    count = (n - (right - left)).reshape((n,) + (1,) * (arr.ndim - 1))
-    return (csum[n] - window_sum) / np.maximum(count, 1)
-
-
-def cfar_noise_floor(
-    power: np.ndarray, guard_cells: int = 4, statistic: str = "median"
-) -> np.ndarray:
-    """Per-cell noise floor for every velocity column of a power map.
+def cfar_noise_floor(power: np.ndarray, guard_cells: int = 4) -> np.ndarray:
+    """Per-cell median noise floor for every velocity column of a power map.
 
     Each column needs more than ``2 * guard_cells + 1`` rows, so that every
     cell keeps at least one cell outside its guard band.
     """
-    if statistic not in CFAR_STATISTICS:
-        raise ValueError(f"unknown CFAR statistic {statistic!r}")
     if guard_cells < 0:
         raise ValueError(f"guard_cells: {guard_cells} must be >= 0")
     power = np.asarray(power)
@@ -187,27 +165,23 @@ def cfar_noise_floor(
             f"guard_cells: a guard band of {guard_cells} leaves no reference cells "
             f"in {power.shape[0]} rows (needs more than {2 * guard_cells + 1})"
         )
-    estimator = (
-        _median_excluding_window if statistic == "median" else _mean_excluding_window
-    )
-    return np.ascontiguousarray(estimator(power, guard_cells), dtype=float)
+    return np.ascontiguousarray(_median_excluding_window(power, guard_cells), dtype=float)
 
 
 def cfar_detect(
     rd_map: RangeDopplerMap,
     threshold_db: float = 10.0,
     guard_cells: int = 4,
-    statistic: str = "median",
 ) -> list[Detection]:
     """Threshold against the per-column floor, then keep 3x3 local maxima.
 
     Scaling the whole map by a positive constant leaves the detection set
-    unchanged (both floor statistics are scale-equivariant).
+    unchanged (the median floor is scale-equivariant).
     """
     power = rd_map.power
     if power.size == 0:
         raise ValueError("empty range-Doppler map")
-    floor = cfar_noise_floor(power, guard_cells, statistic)
+    floor = cfar_noise_floor(power, guard_cells)
     factor = 10.0 ** (threshold_db / 10.0)
     above = (power >= floor * factor) & (power > 0)
 

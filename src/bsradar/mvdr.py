@@ -40,12 +40,10 @@ class CovarianceEstimate:
 
 @dataclass
 class Correlator:
-    """Beamformer weight vector tagged with its space and provenance."""
+    """Beamformer weight vector tagged with the space it applies in."""
 
     weights: np.ndarray
     space: str = ANTENNA_SPACE
-    target_id: int | None = None
-    subband: int | None = None
 
     @property
     def dim(self) -> int:
@@ -59,16 +57,13 @@ def estimate_covariance(
 ) -> CovarianceEstimate:
     """Average snapshot outer products and add relative diagonal loading.
 
-    ``snapshots`` is a (dim, n_t) array of column snapshots (a sequence of
-    vectors is stacked as columns).  The load added is
-    loading_factor * trace(R)/dim, which keeps the estimate invertible when
-    n_t < dim and is invariant under unitary changes of basis.
+    ``snapshots`` is a (dim, n_t) array of column snapshots.  The load added
+    is loading_factor * trace(R)/dim, which keeps the estimate invertible
+    when n_t < dim and is invariant under unitary changes of basis.
     """
     arr = np.asarray(snapshots)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    elif arr.ndim != 2:
-        arr = np.column_stack(list(snapshots))
+    if arr.ndim != 2:
+        raise ValueError(f"expected (dim, n_t) snapshots, got shape {arr.shape}")
     if arr.shape[1] == 0:
         raise ValueError("covariance estimation needs at least one snapshot")
     dim, n_t = arr.shape
@@ -105,8 +100,6 @@ def mvdr_correlator(
     steering: np.ndarray,
     ops: OpCounter | None = None,
     space: str = ANTENNA_SPACE,
-    target_id: int | None = None,
-    subband: int | None = None,
 ) -> Correlator:
     """Closed-form MVDR weights R^-1 a / (a^H R^-1 a)."""
     a = np.asarray(steering)
@@ -116,18 +109,13 @@ def mvdr_correlator(
     denom = a.conj() @ x
     if ops is not None:
         ops.add("solve", counters.mvdr_solve_mults(cov.dim))
-    return Correlator(x / denom, space, target_id, subband)
+    return Correlator(x / denom, space)
 
 
-def conventional_correlator(
-    steering: np.ndarray,
-    space: str = ANTENNA_SPACE,
-    target_id: int | None = None,
-    subband: int | None = None,
-) -> Correlator:
+def conventional_correlator(steering: np.ndarray, space: str = ANTENNA_SPACE) -> Correlator:
     """Non-adaptive distortionless weights a / ||a||^2."""
     a = np.asarray(steering)
-    return Correlator(a / (np.linalg.norm(a) ** 2), space, target_id, subband)
+    return Correlator(a / (np.linalg.norm(a) ** 2), space)
 
 
 def lift_correlator(
@@ -141,9 +129,7 @@ def lift_correlator(
     if corr.space != BEAMSPACE_WINDOWED:
         raise ValueError(f"can only lift windowed-beamspace correlators, got {corr.space}")
     full = scatter_window(corr.weights, plan, win)
-    return Correlator(
-        adjoint_transform(full, plan), ANTENNA_SPACE, corr.target_id, corr.subband
-    )
+    return Correlator(adjoint_transform(full, plan), ANTENNA_SPACE)
 
 
 def apply_correlator(

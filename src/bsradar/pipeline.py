@@ -3,7 +3,8 @@
 One run takes the config's scene (one :class:`Scenario`, e.g. from
 ``scenario_preset``), simulates the cube, channelizes it, trains and applies
 a beamformer per (target, subband) pair, resynthesizes the wideband
-per-target series, and scores CFAR detections against the simulator truth.
+per-target series, and scores median-floor CFAR detections against the
+simulator truth.
 
 A run is pure: :func:`process_cube` and :func:`run_pipeline` return a
 :class:`PipelineResult` holding every output (subband and wideband series,
@@ -31,8 +32,9 @@ All three methods run one beamforming routine.  A method only chooses the
 **basis** a subband's snapshots are expressed in (the antennas, or the
 zero-padded beamspace FFT), the **selector** of each target's rows of that
 basis (every row, or the bins of a fixed window centered on the target's
-beam) and the **rule** that turns a target's training rows and steering
-into weights (MVDR, or the non-adaptive distortionless a/||a||^2):
+beam at that subband's center frequency) and the **rule** that turns a
+target's training rows and steering into weights (MVDR, or the
+non-adaptive distortionless a/||a||^2):
 
 ==================  =========  ================  ============
 method              basis      selector          rule
@@ -59,6 +61,7 @@ application is tallied as its own W-by-snapshots product.
 from __future__ import annotations
 
 import json
+import numbers
 import resource
 import time
 from contextlib import contextmanager
@@ -79,7 +82,6 @@ from .beamspace import (
 from .channelizer import SubbandCube, bin_center_frequencies, channelize, synthesize
 from .counters import OpCounter
 from .detection import (
-    CFAR_STATISTICS,
     REPORT_COLUMNS,
     Detection,
     DetectionScore,
@@ -128,9 +130,6 @@ class PipelineConfig:
     train_pulses: int = 8
     cfar_threshold_db: float = 10.0
     cfar_guard_cells: int = 4
-    cfar_statistic: str = "median"
-    gate: tuple[int, int] = (5, 3)
-    recenter_per_subband: bool = True
     geometry: ArrayGeometry = DEFAULT_GEOMETRY
     chirp: ChirpParams = field(default_factory=ChirpParams)
 
@@ -138,7 +137,7 @@ class PipelineConfig:
         if self.method not in METHODS:
             raise ValueError(f"method: {self.method!r} not one of {METHODS}")
         _require_scenario(self.scenario)
-        for name in ("window", "fft_size", "gate"):
+        for name in ("window", "fft_size"):
             value = getattr(self, name)
             ints = isinstance(value, tuple) and all(type(v) is int for v in value)
             if not ((ints and len(value) == 2) or (name == "fft_size" and value is None)):
@@ -146,6 +145,11 @@ class PipelineConfig:
         for name in ("subbands", "train_pulses", "cfar_guard_cells"):
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name}: {getattr(self, name)!r} is not an int")
+        for name in ("loading", "cfar_threshold_db"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and np.isfinite(value)):
+                raise ValueError(f"{name}: {value!r} is not a finite number")
         if self.subbands < 1:
             raise ValueError(f"subbands: {self.subbands} must be >= 1")
         if self.chirp.pulse_samples % self.subbands != 0:
@@ -168,10 +172,6 @@ class PipelineConfig:
             raise ValueError(
                 f"cfar_guard_cells: a guard band of {self.cfar_guard_cells} leaves no "
                 f"reference cells in pulse_samples {self.chirp.pulse_samples}"
-            )
-        if self.cfar_statistic not in CFAR_STATISTICS:
-            raise ValueError(
-                f"cfar_statistic: {self.cfar_statistic!r} not one of {CFAR_STATISTICS}"
             )
         plan = self.beamspace_plan()
         w_z, w_x = self.window
@@ -349,18 +349,13 @@ def _beamform(
         # basis and selector: the rows a target beamforms on, with its steering there
         if cfg.method == METHOD_BEAMSPACE:
             space = BEAMSPACE_WINDOWED
-            if cfg.recenter_per_subband:
-                centers = omegas
-            else:
-                design = [spatial_frequencies(t.direction, geom.design_freq, geom) for t in targets]
-                centers = np.reshape(design, (len(targets), 2, 1)).repeat(len(freqs), axis=2)
 
             def to_basis(snap):
                 # reads the strided subband view in place
                 return beamspace_transform(snap, plan, ops).reshape(plan.m, n_snap)
 
             def select(k, b, steering):
-                win = window_for(SpatialFrequencies(*centers[k, :, b]), plan, *cfg.window)
+                win = window_for(SpatialFrequencies(*omegas[k, :, b]), plan, *cfg.window)
                 return win, window_rows(win, plan), windowed_steering(steering, plan, win, ops)
 
         else:
@@ -376,14 +371,14 @@ def _beamform(
         # rule
         if cfg.method == METHOD_CONVENTIONAL:
 
-            def train(training, steering, k, b):
-                return conventional_correlator(steering, space, k, b)
+            def train(training, steering):
+                return conventional_correlator(steering, space)
 
         else:
 
-            def train(training, steering, k, b):
+            def train(training, steering):
                 cov = estimate_covariance(training, cfg.loading, ops)
-                return mvdr_correlator(cov, steering, ops, space, k, b)
+                return mvdr_correlator(cov, steering, ops, space)
 
         center: list = [None] * len(targets)
         for b in range(cfg.subbands):
@@ -393,7 +388,7 @@ def _beamform(
             groups: dict = {}  # selector -> (rows, target ids, correlators)
             for k in range(len(targets)):
                 win, rows, steering = select(k, b, steer[:, k])
-                corr = train(training[rows], steering, k, b)
+                corr = train(training[rows], steering)
                 ids, corrs = groups.setdefault(win, (rows, [], []))[1:]
                 ids.append(k)
                 corrs.append(corr)
@@ -424,14 +419,10 @@ def _back_end(
 
     replica = generate_chirp(chirp)
     with _stage("range_doppler", timings):
-        maps = [
-            range_doppler_map(wideband[k], replica, chirp, target_id=k, ops=ops)
-            for k in range(n_targets)
-        ]
+        maps = [range_doppler_map(wideband[k], replica, chirp, ops) for k in range(n_targets)]
     with _stage("cfar", timings):
         detections_per_target = [
-            cfar_detect(rd, cfg.cfar_threshold_db, cfg.cfar_guard_cells, cfg.cfar_statistic)
-            for rd in maps
+            cfar_detect(rd, cfg.cfar_threshold_db, cfg.cfar_guard_cells) for rd in maps
         ]
     scores: list[DetectionScore] = []
     with _stage("score", timings):
@@ -442,10 +433,7 @@ def _back_end(
                 + chirp.num_pulses // 2
             ) % chirp.num_pulses
             scores.append(
-                score_detections(
-                    detections_per_target[k], truth_r, truth_v, maps[k], k,
-                    cfg.gate[0], cfg.gate[1],
-                )
+                score_detections(detections_per_target[k], truth_r, truth_v, maps[k], k)
             )
 
     w_z, w_x = cfg.window

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bsradar import PipelineConfig, scenario_preset
+from bsradar import PipelineConfig, pipeline, scenario_preset
 from bsradar.cli import _build_config, build_parser, main
 from bsradar.cubeio import chirp_from_dict, geometry_from_dict, load_cube, load_scenario
 
@@ -179,18 +179,33 @@ def test_errors_exit_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,field",
-    [("--subbands", "subbands"), ("--train-pulses", "train_pulses")],
+    "flag,value,field",
+    [
+        pytest.param("--subbands", "0", "subbands", id="--subbands-subbands"),
+        pytest.param("--train-pulses", "0", "train_pulses", id="--train-pulses-train_pulses"),
+        ("--loading", "nan", "loading"),
+        ("--loading", "inf", "loading"),
+        ("--cfar-db", "nan", "cfar_threshold_db"),
+    ],
 )
-def test_zero_overrides_are_rejected_not_replaced(flag, field, capsys):
-    rc = main(["run", "--preset", "A1", flag, "0"])
+def test_zero_overrides_are_rejected_not_replaced(flag, value, field, capsys, monkeypatch):
+    def simulating(*args, **kwargs):
+        raise AssertionError("simulated a scene the config does not allow")
+
+    monkeypatch.setattr(pipeline, "synthesize_datacube", simulating)
+    rc = main(["run", "--preset", "A1", flag, value])
     assert rc == 2
-    assert f"error: {field}:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {field}:")
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["run", "--preset", "A1", "--workers", "2"], ["bench", "--sizes", "8,16"]],
+    [
+        ["run", "--preset", "A1", "--workers", "2"],
+        ["bench", "--sizes", "8,16"],
+        ["run", "--preset", "A1", "--statistic", "mean"],
+        ["run", "--preset", "A1", "--no-recenter"],
+    ],
 )
 def test_removed_options_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -230,8 +245,6 @@ def test_unknown_preset_rejected_by_parser(capsys):
         (["--train-pulses", "4"], "train_pulses", 4),
         (["--cfar-db", "12.5"], "cfar_threshold_db", 12.5),
         (["--guard", "2"], "cfar_guard_cells", 2),
-        (["--statistic", "mean"], "cfar_statistic", "mean"),
-        (["--no-recenter"], "recenter_per_subband", False),
     ],
 )
 def test_each_flag_sets_its_config_field(flags, field, value):
@@ -279,6 +292,13 @@ KEY_ERRORS = [
     (lambda c: c["pipeline"].update(preset="A1"), "pipeline", "preset"),
     (lambda c: c["pipeline"].update(seed=5), "pipeline", "seed"),
     (lambda c: c["pipeline"].update(snr_db=-3.0), "pipeline", "snr_db"),
+    (lambda c: c["pipeline"].update(gate=[5, 3]), "pipeline", "gate"),
+    (lambda c: c["pipeline"].update(cfar_statistic="mean"), "pipeline", "cfar_statistic"),
+    (
+        lambda c: c["pipeline"].update(recenter_per_subband=False),
+        "pipeline",
+        "recenter_per_subband",
+    ),
 ]
 
 
@@ -311,10 +331,13 @@ VALUE_ERRORS = [
     ),
     (lambda c: c["chirp"].update(pulse_samples="many"), "chirp: pulse_samples: "),
     (lambda c: c["pipeline"].update(window=5), "window: "),
+    (lambda c: c["pipeline"].update(cfar_threshold_db="10"), "cfar_threshold_db: "),
 ]
 
 
-@pytest.mark.parametrize("edit,prefix", VALUE_ERRORS, ids=["amplitude", "pulse_samples", "window"])
+@pytest.mark.parametrize(
+    "edit,prefix", VALUE_ERRORS, ids=["amplitude", "pulse_samples", "window", "cfar_threshold_db"]
+)
 def test_config_value_errors_name_section_and_key(config_file, capsys, edit, prefix):
     config = json.loads(config_file.read_text())
     edit(config)

@@ -182,9 +182,9 @@ class TestConfigJson:
 
     def test_pipeline_section_fills_the_remaining_fields(self):
         kwargs = config_from_dict(
-            {"pipeline": {"method": "conventional", "fft_size": [8, 64], "gate": [3, 2]}}
+            {"pipeline": {"method": "conventional", "fft_size": [8, 64], "window": [4, 8]}}
         )
-        assert kwargs == {"method": "conventional", "fft_size": (8, 64), "gate": (3, 2)}
+        assert kwargs == {"method": "conventional", "fft_size": (8, 64), "window": (4, 8)}
         PipelineConfig(scenario=scenario_preset("E2"), **kwargs).validate()
 
     def test_readme_config_example_parses(self):

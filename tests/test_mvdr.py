@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -72,6 +74,11 @@ class TestEstimateCovariance:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_covariance(np.zeros((4, 0)))
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4), ()])
+    def test_only_dim_by_snapshot_arrays_accepted(self, rng, shape):
+        with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}"):
+            estimate_covariance(rng.standard_normal(shape) + 0j)
 
 
 class TestMvdrCorrelator:

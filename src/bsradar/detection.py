@@ -9,15 +9,18 @@ The CFAR runs down each velocity column: the noise floor for a cell is the
 median of that column excluding the cell itself and ``guard`` cells on each
 side, and a cell fires when its power reaches the floor plus the threshold
 in dB.  Firing cells are then thinned to 3x3 local maxima so one physical
-target yields one detection.
+target yields one detection.  The median, an order statistic, keeps the
+floor robust when targets or interference share a column with the cell
+under test.
 
-The exact median floor of a whole map comes from one sort per column and
-no per-column Python loop: with each cell's guard-band ranks known, the
-k-th remaining order statistic is the sorted position j that solves
-``j = k + #{excluded ranks <= j}``, a fixed point reached for all cells
-together in at most 2*guard + 2 vectorized passes (two or three in
-practice).  The median, an order statistic, keeps the floor robust when
-targets or interference share a column with the cell under test.
+Each column is sorted once.  Removing a guard band never lowers an order
+statistic, so the column's sorted value at the smallest median rank bounds
+every floor in it from below; only positive 3x3 local maxima that clear
+that bound times the threshold can fire, and the exact floor is computed
+at those cells alone, a few hundred of a map's quarter million.  At a cell
+whose band holds ``w`` cells, the k-th smallest of the rest is the sorted
+value at the smallest position ``p`` in ``k ... k + w`` with
+``p - #{band <= sorted[p]} >= k``, which is exact under ties.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.ndimage import maximum_filter
 
 from . import counters
 from .counters import OpCounter
@@ -105,56 +107,9 @@ def range_doppler_map(
     )
 
 
-def _median_excluding_window(values: np.ndarray, guard: int) -> np.ndarray:
-    """Exact per-cell median down axis 0 of ``values``, less the cell and its guard.
-
-    ``values`` is one column or a (rows, cols) map.  Every column is sorted
-    once; for each cell the k-th order statistic of what remains is the
-    sorted position j solving ``j = k + #{excluded ranks <= j}``, found for
-    all cells at once by iterating from j = k until no cell moves (at most
-    2*guard + 2 passes).  It is the same value a brute-force delete-and-median
-    would produce.  The floor is a value of the remaining multiset, so how
-    the sort orders ties cannot change it.
-    """
-    arr = np.asarray(values)
-    n = arr.shape[0]
-    width = 2 * guard + 1
-    cols = np.ascontiguousarray(arr.reshape(n, -1).T)
-    m = cols.shape[0]
-    order = np.argsort(cols, axis=1)
-    srt = np.take_along_axis(cols, order, axis=1)
-    # ranks padded by ``guard`` on each side with a sentinel no j reaches, so
-    # slice d of ``padded`` holds the rank of every cell's neighbor at d - guard
-    padded = np.full((m, n + 2 * guard), np.iinfo(np.int32).max, dtype=np.int32)
-    ranks = np.arange(n, dtype=np.int32)[None, :]
-    np.put_along_axis(padded[:, guard : guard + n], order, ranks, axis=1)
-    idx = np.arange(n)
-    remaining = n - (np.minimum(idx + guard, n - 1) - np.maximum(idx - guard, 0) + 1)
-
-    def order_stat(k: np.ndarray) -> np.ndarray:
-        k = k.astype(np.int32)
-        j = np.broadcast_to(k, (m, n))
-        for _ in range(width + 1):
-            excluded_below = np.zeros((m, n), dtype=np.int32)
-            for d in range(width):
-                excluded_below += padded[:, d : d + n] <= j
-            step = k + excluded_below
-            if np.array_equal(step, j):
-                break
-            j = step
-        return np.take_along_axis(srt, j, axis=1)
-
-    lo = order_stat((remaining - 1) // 2)
-    hi = order_stat(remaining // 2)
-    return (0.5 * (lo + hi)).T.reshape(arr.shape)
-
-
-def cfar_noise_floor(power: np.ndarray, guard_cells: int = 4) -> np.ndarray:
-    """Per-cell median noise floor for every velocity column of a power map.
-
-    Each column needs more than ``2 * guard_cells + 1`` rows, so that every
-    cell keeps at least one cell outside its guard band.
-    """
+def _check_map(power: np.ndarray, guard_cells: int) -> np.ndarray:
+    """A 2-D power map whose columns keep a reference cell outside every
+    guard band, i.e. more than ``2 * guard_cells + 1`` rows."""
     if guard_cells < 0:
         raise ValueError(f"guard_cells: {guard_cells} must be >= 0")
     power = np.asarray(power)
@@ -165,7 +120,79 @@ def cfar_noise_floor(power: np.ndarray, guard_cells: int = 4) -> np.ndarray:
             f"guard_cells: a guard band of {guard_cells} leaves no reference cells "
             f"in {power.shape[0]} rows (needs more than {2 * guard_cells + 1})"
         )
-    return np.ascontiguousarray(_median_excluding_window(power, guard_cells), dtype=float)
+    return power
+
+
+def _median_ranks(rows: np.ndarray, n: int, guard: int):
+    """Ranks (lo, hi) of the median of what a row's guard band leaves of n."""
+    band = np.minimum(rows + guard, n - 1) - np.maximum(rows - guard, 0) + 1
+    remaining = n - band
+    return (remaining - 1) // 2, remaining // 2
+
+
+def _floor_at(
+    power: np.ndarray, columns: np.ndarray, rows: np.ndarray, cols: np.ndarray, guard: int
+) -> np.ndarray:
+    """Exact median floor at the cells ``(rows[i], cols[i])`` of ``power``.
+
+    ``columns[c]`` is column c of ``power`` sorted.  The k-th smallest value
+    x (from 0) left by a guard band of ``b`` cells is ``columns[c, p]`` for
+    the smallest p with ``p - #{band <= columns[c, p]} >= k``: such a p has
+    at least k + 1 remaining values at or below ``columns[c, p]``, so that
+    value is no smaller than x, while ``p = k + #{band <= x}``, which lies
+    in ``k ... k + b``, holds x and passes.  Ties are counted by value, so
+    how the sort orders them cannot change the floor.
+    """
+    n = power.shape[0]
+    k_lo, k_hi = _median_ranks(rows, n, guard)
+    # both searches end by k_hi + b <= k_lo + 2 * guard + 2; a position
+    # clipped to the last row comes after the one that passes
+    positions = np.minimum(k_lo[:, None] + np.arange(2 * guard + 3), n - 1)
+    values = columns[cols[:, None], positions]
+    in_band_below = np.zeros(values.shape, dtype=np.intp)
+    for d in range(-guard, guard + 1):
+        r = rows + d
+        inside = (r >= 0) & (r < n)
+        neighbor = power[np.clip(r, 0, n - 1), cols]
+        in_band_below += inside[:, None] & (neighbor[:, None] <= values)
+    slack = positions - in_band_below
+    cell = np.arange(len(rows))
+    lo = values[cell, np.argmax(slack >= k_lo[:, None], axis=1)]
+    hi = values[cell, np.argmax(slack >= k_hi[:, None], axis=1)]
+    return 0.5 * (lo + hi)
+
+
+def _sorted_columns(power: np.ndarray) -> np.ndarray:
+    """Row c holds column c of ``power`` in ascending order."""
+    columns = power.T.copy()
+    columns.sort(axis=1)
+    return columns
+
+
+def _local_maxima(power: np.ndarray) -> np.ndarray:
+    """Cells that reach every 3x3 neighbor inside the map, compared through
+    shifted views, so no padded copy of the map is made."""
+    n, n_v = power.shape
+    keep = np.ones(power.shape, dtype=bool)
+    for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        # every pair of neighbors (a, a + (dr, dc)), compared both ways
+        a = (slice(0, n - dr), slice(max(0, -dc), n_v - max(0, dc)))
+        b = (slice(dr, n), slice(max(0, dc), n_v - max(0, -dc)))
+        keep[a] &= power[a] >= power[b]
+        keep[b] &= power[b] >= power[a]
+    return keep
+
+
+def cfar_noise_floor(power: np.ndarray, guard_cells: int = 4) -> np.ndarray:
+    """Per-cell median noise floor for every velocity column of a power map.
+
+    Each column needs more than ``2 * guard_cells + 1`` rows, so that every
+    cell keeps at least one cell outside its guard band.
+    """
+    power = _check_map(power, guard_cells)
+    rows, cols = np.indices(power.shape).reshape(2, -1)
+    floor = _floor_at(power, _sorted_columns(power), rows, cols, guard_cells)
+    return np.ascontiguousarray(floor.reshape(power.shape), dtype=float)
 
 
 def cfar_detect(
@@ -175,23 +202,31 @@ def cfar_detect(
 ) -> list[Detection]:
     """Threshold against the per-column floor, then keep 3x3 local maxima.
 
-    Scaling the whole map by a positive constant leaves the detection set
-    unchanged (the median floor is scale-equivariant).
+    The floor is exact but computed only at positive local maxima that
+    reach their column's lowest possible floor times the threshold; no
+    other cell can fire.  Scaling the whole map by a positive constant
+    leaves the detection set unchanged (the median floor is
+    scale-equivariant).
     """
     power = rd_map.power
     if power.size == 0:
         raise ValueError("empty range-Doppler map")
-    floor = cfar_noise_floor(power, guard_cells)
+    power = _check_map(power, guard_cells)
+    columns = _sorted_columns(power)
+    k_lo, _ = _median_ranks(np.arange(power.shape[0]), power.shape[0], guard_cells)
+    # no floor in a column lies below its sorted value at the smallest rank
+    lowest = columns[:, k_lo.min()]
     factor = 10.0 ** (threshold_db / 10.0)
-    above = (power >= floor * factor) & (power > 0)
 
-    local_max = power >= maximum_filter(power, size=3, mode="constant", cval=-np.inf)
-    hits = np.argwhere(above & local_max)
+    rows, cols = np.nonzero(_local_maxima(power) & (power > 0) & (power >= lowest * factor))
+    floor = _floor_at(power, columns, rows, cols, guard_cells)
+    peak = power[rows, cols]
+    fires = peak >= floor * factor
     with np.errstate(divide="ignore"):
-        margins = 10.0 * np.log10(power / np.where(floor > 0, floor, np.inf))
+        margins = 10.0 * np.log10(peak / np.where(floor > 0, floor, np.inf))
     return [
-        Detection(int(r), int(v), float(margins[r, v]))
-        for r, v in sorted(map(tuple, hits))
+        Detection(int(r), int(v), float(m))
+        for r, v, m in zip(rows[fires], cols[fires], margins[fires])
     ]
 
 

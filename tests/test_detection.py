@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.ndimage import maximum_filter
 
 from bsradar import (
     ArrayGeometry,
@@ -16,7 +17,7 @@ from bsradar import (
     synthesize_datacube,
     write_detection_report,
 )
-from bsradar.detection import _median_excluding_window, cfar_noise_floor
+from bsradar.detection import cfar_noise_floor
 
 
 def reference_median_column(column, guard):
@@ -62,6 +63,20 @@ def brute_force_median_floor(power, guard):
         keep[max(0, i - guard) : i + guard + 1] = False
         floor[i] = np.median(power[keep], axis=0)
     return floor
+
+
+def oracle_detect(power, floor, threshold_db):
+    """``cfar_detect`` spelled out over every cell of the map: the given
+    floor, the threshold, 3x3 maxima from ``maximum_filter`` and dB margins."""
+    factor = 10.0 ** (threshold_db / 10.0)
+    above = (power >= floor * factor) & (power > 0)
+    local_max = power >= maximum_filter(power, size=3, mode="constant", cval=-np.inf)
+    with np.errstate(divide="ignore"):
+        margins = 10.0 * np.log10(power / np.where(floor > 0, floor, np.inf))
+    return [
+        Detection(int(r), int(v), float(margins[r, v]))
+        for r, v in np.argwhere(above & local_max)
+    ]
 
 
 def tiny_chirp(pulse_samples=512, num_pulses=16):
@@ -132,7 +147,7 @@ class TestExclusionStatistics:
     def test_median_matches_brute_force(self, rng):
         for n, guard in [(64, 4), (33, 2), (16, 0)]:
             col = rng.exponential(1.0, n)
-            fast = _median_excluding_window(col, guard)
+            fast = cfar_noise_floor(col[:, None], guard)[:, 0]
             for i in range(n):
                 keep = np.ones(n, dtype=bool)
                 keep[max(0, i - guard) : i + guard + 1] = False
@@ -184,7 +199,8 @@ class TestFloorMatchesColumnOracle:
         power = rng.exponential(1.0, (100, 3))
         floor = cfar_noise_floor(power, 2)
         for col in range(3):
-            assert np.array_equal(_median_excluding_window(power[:, col], 2), floor[:, col])
+            column = cfar_noise_floor(power[:, col][:, None], 2)[:, 0]
+            assert np.array_equal(column, floor[:, col])
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -201,6 +217,47 @@ class TestFloorMatchesColumnOracle:
             power = np.round(power * levels) / levels
         expected = brute_force_median_floor(power, guard)
         assert np.array_equal(cfar_noise_floor(power, guard), expected)
+
+
+class TestDetectMatchesWholeMapOracle:
+    """``cfar_detect`` computes the floor only where a detection can fire;
+    it must return exactly what the whole-map floor would."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 80),
+        cols=st.integers(1, 8),
+        guard=st.integers(0, 8),
+        threshold_db=st.floats(-5.0, 20.0),
+        levels=st.sampled_from([0, 1, 2, 5]),
+        zero_run=st.none() | st.tuples(st.integers(0, 79), st.integers(1, 80), st.integers(0, 7)),
+        just_above_guard_band=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_brute_force_floor(
+        self, rows, cols, guard, threshold_db, levels, zero_run, just_above_guard_band, seed
+    ):
+        rows = 2 * guard + 2 if just_above_guard_band else max(rows, 2 * guard + 2)
+        power = np.random.default_rng(seed).exponential(1.0, (rows, cols))
+        if levels:
+            # few distinct values: heavy ties, and zeros where a value rounds down
+            power = np.floor(power * levels) / levels
+        if zero_run is not None:
+            start, length, col = zero_run
+            power[start : start + length, col % cols] = 0.0
+        expected = oracle_detect(power, brute_force_median_floor(power, guard), threshold_db)
+        assert cfar_detect(RangeDopplerMap(power, 0.3, 2.0), threshold_db, guard) == expected
+
+    def test_full_size_map_with_planted_peaks(self):
+        rng = np.random.default_rng(11)
+        power = rng.exponential(1.0, (4096, 64))
+        rows, cols = rng.integers(0, 4096, 60), rng.integers(0, 64, 60)
+        power[rows, cols] = 10.0 ** rng.uniform(0.5, 4.0, 60)
+        power[1000:1003, 5] = 500.0  # a tied plateau: three equal local maxima
+        floor = reference_floor(power, 4)
+        for threshold_db in (-3.0, 3.0, 10.0, 20.0):
+            expected = oracle_detect(power, floor, threshold_db)
+            assert cfar_detect(RangeDopplerMap(power, 0.3, 2.0), threshold_db) == expected
 
 
 class TestFloorInputContract:

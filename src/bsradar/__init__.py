@@ -19,7 +19,6 @@ from .beamspace import (
     windowed_steering,
 )
 from .channelizer import (
-    SubbandCube,
     bin_center_frequencies,
     channelize,
     subband_index_for_bin,

@@ -11,41 +11,12 @@ total energy by exactly L and the round trip is lossless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import counters
 from .counters import OpCounter
-from .geometry import ArrayGeometry, subband_center_freq
+from .geometry import subband_center_freq
 from .simulate import ChirpParams, DataCube
-
-
-@dataclass
-class SubbandCube:
-    """Channelized cube, shape (antennas, subbands, snapshots per pulse, pulses).
-
-    ``samples`` is a strided view: its buffer is laid out (antennas,
-    snapshots per pulse, subbands, pulses), the order the per-block DFT
-    writes it in, so ``samples.transpose(0, 2, 1, 3)`` is C-contiguous.
-    :func:`channelize` decides whose buffer that is: a fresh array, or the
-    input cube's own samples when the caller gave the cube up (and, with a
-    single subband, always the cube's, read only).  A subband
-    ``samples[:, b]`` is a strided (antennas, snapshots, pulses) view that
-    the beamspace transform reads in place.  The pipeline's beamforming is
-    a subband cube's last reader: ``run_pipeline`` and ``process_cube``
-    free the buffer when it returns, and only a ``sweep`` keeps its one
-    shared buffer across its points.
-    """
-
-    samples: np.ndarray
-    subbands: int
-    geometry: ArrayGeometry
-    chirp: ChirpParams
-
-    @property
-    def snapshots_per_pulse(self) -> int:
-        return self.samples.shape[2]
 
 
 def subband_index_for_bin(bins, L: int):
@@ -69,25 +40,34 @@ def _half_bin_ramp(L: int) -> np.ndarray:
 
 def channelize(
     cube: DataCube, L: int, ops: OpCounter | None = None, *, _overwrite: bool = False
-) -> SubbandCube:
+) -> np.ndarray:
     """Split the cube's fast-time axis into L critically sampled subbands.
 
     L must divide the pulse length and be even; L == 1 passes the cube
-    through as a single band.
+    through as a single band.  Returns the subbands, shape (antennas,
+    subbands, snapshots per pulse, pulses), the layout :func:`synthesize`
+    takes.
 
-    The result's ``samples`` is a strided view of an (antennas, snapshots,
-    subbands, pulses) buffer; see :class:`SubbandCube`.  By default that
+    The result is a strided view: its buffer is laid out (antennas,
+    snapshots per pulse, subbands, pulses), the order the per-block DFT
+    writes it in, so ``result.transpose(0, 2, 1, 3)`` is C-contiguous, and
+    a subband ``result[:, b]`` is a strided (antennas, snapshots, pulses)
+    view that the beamspace transform reads in place.  By default the
     buffer is fresh, so the cube is left as it was and the caller holds two
     cube-sized arrays.  ``_overwrite`` is for a caller that owns a
     complex128 cube and will not read it again: the subbands are then
     written over the cube's own samples, so no second cube-sized array is
-    made.
+    made.  With a single subband the result is always a view of the cube's
+    samples, to be read only.  The pipeline's beamforming is the subbands'
+    last reader: ``run_pipeline`` and ``process_cube`` free the buffer when
+    it returns, and only a ``sweep`` keeps its one shared buffer across its
+    points.
     """
     n_fast = cube.chirp.pulse_samples
     if n_fast % L != 0:
         raise ValueError(f"subband count {L} does not divide pulse_samples {n_fast}")
     if L == 1:
-        return SubbandCube(cube.samples[:, None, :, :], 1, cube.geometry, cube.chirp)
+        return cube.samples[:, None, :, :]
     if L % 2 != 0:
         raise ValueError(f"subband count {L} must be even (or 1 for passthrough)")
 
@@ -106,7 +86,7 @@ def channelize(
             "channelize",
             counters.channelize_mults(n_ant, n_snap * n_pulses, L),
         )
-    return SubbandCube(dst.transpose(0, 2, 1, 3), L, cube.geometry, cube.chirp)
+    return dst.transpose(0, 2, 1, 3)
 
 
 def synthesize(subband_outputs: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import struct
 import typing
@@ -202,7 +203,14 @@ def _int(value) -> int:
     return value
 
 
-_COERCE = {int: _int, float: float, float | None: lambda v: None if v is None else float(v)}
+def _real(value) -> float:
+    """A JSON number as a float; a bool, a string or any other value is rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+_COERCE = {int: _int, float: _real, float | None: lambda v: None if v is None else _real(v)}
 
 
 def _numeric_dataclass(section: str, cls, data):
@@ -227,15 +235,15 @@ def _same_names(**conversions) -> dict:
 
 
 _TARGET_KEYS = {
-    "position_m": ("position", lambda v: tuple(float(x) for x in v)),
-    "radial_velocity_mps": ("radial_velocity", float),
-    "amplitude": ("amplitude", lambda v: complex(*v)),
+    "position_m": ("position", lambda v: tuple(_real(x) for x in v)),
+    "radial_velocity_mps": ("radial_velocity", _real),
+    "amplitude": ("amplitude", lambda v: complex(*(_real(x) for x in v))),
 }
 _INTERFERER_KEYS = _same_names(
-    azimuth_deg=float, elevation_deg=float, power=float, waveform_kind=str, bandwidth_fraction=float
+    azimuth_deg=_real, elevation_deg=_real, power=_real, waveform_kind=str, bandwidth_fraction=_real
 )
 _SCENARIO_KEYS = _same_names(
-    label=str, seed=_int, noise_power=float, targets=list, interferers=list
+    label=str, seed=_int, noise_power=_real, targets=list, interferers=list
 )
 
 

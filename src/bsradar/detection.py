@@ -35,6 +35,10 @@ from . import counters
 from .counters import OpCounter
 from .simulate import ChirpParams
 
+#: A detection scores its target within this many range and velocity bins.
+GATE_RANGE_BINS = 5
+GATE_VELOCITY_BINS = 3
+
 # detections.csv columns; the sweep report adds a status column
 REPORT_COLUMNS = (
     "scenario",
@@ -236,20 +240,19 @@ def score_detections(
     truth_velocity_bin: int,
     rd_map: RangeDopplerMap,
     target_id: int = 0,
-    gate_range_bins: int = 5,
-    gate_velocity_bins: int = 3,
 ) -> DetectionScore:
     """Match the nearest in-gate detection to the truth bins.
 
-    Errors are grid-quantized (integer bins times the map resolution); with
-    no detection inside the gate the target is scored as a miss with
-    symbolic infinite errors.
+    The gate is ``GATE_RANGE_BINS`` range and ``GATE_VELOCITY_BINS``
+    velocity bins either side of the truth.  Errors are grid-quantized
+    (integer bins times the map resolution); with no detection inside the
+    gate the target is scored as a miss with symbolic infinite errors.
     """
     best = None
     for det in detections:
         dr = det.range_bin - truth_range_bin
         dv = det.velocity_bin - truth_velocity_bin
-        if abs(dr) > gate_range_bins or abs(dv) > gate_velocity_bins:
+        if abs(dr) > GATE_RANGE_BINS or abs(dv) > GATE_VELOCITY_BINS:
             continue
         key = (dr * dr + dv * dv, -det.power_db_over_floor)
         if best is None or key < best[0]:

@@ -22,6 +22,15 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0
 
 
+def check_finite(obj, *names: str) -> None:
+    """Reject the first named attribute of ``obj`` holding a NaN or an infinity
+    (every element of a sequence is checked), naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name}: {value!r} is not a finite number")
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """n_z-by-n_x uniform planar array with a design frequency in Hz.
@@ -44,6 +53,7 @@ class ArrayGeometry:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
         elif self.spacing <= 0:
             raise ValueError("spacing must be positive")
+        check_finite(self, "n_z", "n_x", "design_freq", "spacing")
 
     @property
     def n(self) -> int:

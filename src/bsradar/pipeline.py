@@ -15,16 +15,23 @@ carries ``timings``: per stage (simulate, channelize, beamform, synthesize,
 range_doppler, cfar, score) its wall seconds and the process's peak RSS in
 MB at the stage's end.
 
+A run checks its config once, where it enters (:func:`run_pipeline`,
+:func:`process_cube`, or each point of a :func:`sweep`); past channelization
+every stage reads the geometry, chirp, subband count and scene from the
+config alone, so :func:`process_cube` first checks that its cube and
+scenario are the config's.
+
 A run makes at most one cube-sized buffer and holds it only until
-beamforming returns.  The channelizer writes the subbands over the samples
-of a cube the pipeline made itself (in :func:`run_pipeline`, and the one
-cube a window or FFT-size :func:`sweep` shares, channelized once for all
-its points), so the subband cube is a strided view of that buffer.  A
-caller's cube given to :func:`process_cube` is never written: it is
-channelized into a fresh buffer.  Beamforming is the subband cube's last
+beamforming returns.  The channelizer hands beamforming a plain
+(antennas, subbands, snapshots, pulses) array: it writes the subbands over
+the samples of a cube the pipeline made itself (in :func:`run_pipeline`,
+and the one cube a window or FFT-size :func:`sweep` shares, channelized
+once for all its points), so that array is a strided view of the cube's
+buffer.  A caller's cube given to :func:`process_cube` is never written: it
+is channelized into a fresh buffer.  Beamforming is the subbands' last
 reader: the beamspace transform reads each subband's strided view in place,
 and neither :func:`run_pipeline` nor :func:`process_cube` keeps a name for
-the subband cube or the simulated cube, so the buffer is freed the moment
+the subbands or the simulated cube, so the buffer is freed the moment
 beamforming returns and synthesis and detection run beside the outputs
 alone.  Only a :func:`sweep` keeps its shared buffer, across all its points.
 
@@ -79,7 +86,7 @@ from .beamspace import (
     window_rows,
     windowed_steering,
 )
-from .channelizer import SubbandCube, bin_center_frequencies, channelize, synthesize
+from .channelizer import bin_center_frequencies, channelize, synthesize
 from .counters import OpCounter
 from .detection import (
     REPORT_COLUMNS,
@@ -269,18 +276,12 @@ def _stage(name: str, timings: dict):
     }
 
 
-def _train_window_columns(snapshots_per_pulse: int, n_pulses: int, train_pulses: int) -> np.ndarray:
-    """Column indices of the training snapshots inside the (S*P)-wide matrix."""
-    s_idx = np.arange(snapshots_per_pulse)[:, None] * n_pulses
-    return (s_idx + np.arange(train_pulses)[None, :]).ravel()
-
-
 def _check_inputs(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> None:
     """Reject a cube or scenario the config does not describe.
 
-    The beam plan and ``validate`` read the config's geometry and chirp;
-    channelization, steering and detection read the cube's.  The scenario
-    must be ``cfg.scenario`` or equal to it.
+    Channelization reads the cube; everything after it reads the config's
+    geometry, chirp and scene.  So the cube's geometry and chirp must be
+    the config's, and the scenario must be ``cfg.scenario`` or equal to it.
     """
     if cube.geometry != cfg.geometry:
         raise ValueError(
@@ -302,45 +303,36 @@ def _simulate(cfg: PipelineConfig, timings: dict) -> DataCube:
         return synthesize_datacube(cfg.scenario, cfg.geometry, cfg.chirp)
 
 
-def _front_end(
-    cube: DataCube, scenario: Scenario, cfg: PipelineConfig, timings: dict, overwrite: bool
-) -> tuple[SubbandCube, np.ndarray, dict[str, int]]:
-    """Check the inputs, then channelize: the subbands, their center
-    frequencies and the channelizer's tallies.  ``overwrite`` gives the
-    cube's samples up to the channelizer as the subband buffer."""
-    cfg.validate()
-    _check_inputs(cube, scenario, cfg)
+def _channelize(
+    cube: DataCube, cfg: PipelineConfig, timings: dict, overwrite: bool
+) -> tuple[np.ndarray, dict[str, int]]:
+    """The cube's subbands and the channelizer's tallies.  ``overwrite``
+    gives the cube's samples up to the channelizer as the subband buffer."""
     ops = OpCounter()
     with _stage("channelize", timings):
-        sub = channelize(cube, cfg.subbands, ops, _overwrite=overwrite)
-        freqs = bin_center_frequencies(cfg.subbands, cube.chirp)
-    return sub, freqs, ops.counts
+        subbands = channelize(cube, cfg.subbands, ops, _overwrite=overwrite)
+    return subbands, ops.counts
 
 
 def _beamform(
-    front: tuple[SubbandCube, np.ndarray, dict[str, int]],
-    scenario: Scenario,
-    cfg: PipelineConfig,
-    timings: dict,
+    front: tuple[np.ndarray, dict[str, int]], cfg: PipelineConfig, timings: dict
 ) -> tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], OpCounter]:
     """Train and apply every target's beamformer, one subband at a time.
 
-    ``front`` is what :func:`_front_end` returned.  Returns the outputs
+    ``front`` is what :func:`_channelize` returned.  Returns the outputs
     (target, subband, snapshot, pulse), each target's correlator and window
-    in the center subband, and the run's tally counter.  This is the subband
-    cube's last reader and keeps no reference to it, so a caller that passes
-    ``front`` without naming it frees the subband buffer when this returns.
+    in the center subband, and the run's tally counter.  This is the
+    subbands' last reader and keeps no reference to them, so a caller that
+    passes ``front`` without naming it frees the subband buffer when this
+    returns.
     """
-    sub, freqs, front_mults = front
-    geom = sub.geometry
+    subbands, front_mults = front
+    geom, targets = cfg.geometry, cfg.scenario.targets
+    freqs = bin_center_frequencies(cfg.subbands, cfg.chirp)
     plan = cfg.beamspace_plan()
     ops = OpCounter()
     ops.counts.update(front_mults)
-    s_per_pulse, n_pulses = sub.snapshots_per_pulse, sub.chirp.num_pulses
-    n_snap = s_per_pulse * n_pulses
-    train_cols = _train_window_columns(s_per_pulse, n_pulses, cfg.train_pulses)
-    targets = scenario.targets
-    outputs = np.empty((len(targets), cfg.subbands, s_per_pulse, n_pulses), dtype=complex)
+    outputs = np.empty((len(targets), *subbands.shape[1:]), dtype=complex)
     with _stage("beamform", timings):
         # (target, axis, subband): each target's spatial frequencies at every subband center
         omegas = np.array([spatial_frequencies(t.direction, freqs, geom) for t in targets])
@@ -352,7 +344,7 @@ def _beamform(
 
             def to_basis(snap):
                 # reads the strided subband view in place
-                return beamspace_transform(snap, plan, ops).reshape(plan.m, n_snap)
+                return beamspace_transform(snap, plan, ops)
 
             def select(k, b, steering):
                 win = window_for(SpatialFrequencies(*omegas[k, :, b]), plan, *cfg.window)
@@ -362,8 +354,7 @@ def _beamform(
             space = ANTENNA_SPACE
 
             def to_basis(snap):
-                # a copy: the strided view has no (antennas, snapshots) view for zgemm
-                return snap.reshape(geom.n, n_snap)
+                return snap
 
             def select(k, b, steering):
                 return None, slice(None), steering
@@ -382,8 +373,8 @@ def _beamform(
 
         center: list = [None] * len(targets)
         for b in range(cfg.subbands):
-            basis = to_basis(sub.samples[:, b])
-            training = basis[:, train_cols]
+            basis = to_basis(subbands[:, b])  # (rows, snapshots, pulses)
+            training = basis[:, :, : cfg.train_pulses].reshape(len(basis), -1)
             steer = steering_matrix(*omegas[:, :, b].T, geom)
             groups: dict = {}  # selector -> (rows, target ids, correlators)
             for k in range(len(targets)):
@@ -394,24 +385,21 @@ def _beamform(
                 corrs.append(corr)
                 if b == CENTER_BIN:
                     center[k] = (corr, win)
-            # one product per group of targets that share their rows
+            # one product per group of targets that share their rows; on the
+            # antenna basis this gathers the strided subband for zgemm
             for rows, ids, corrs in groups.values():
-                out = apply_correlator(corrs, basis[rows], ops)
-                outputs[ids, b] = out.reshape(len(ids), s_per_pulse, n_pulses)
+                outputs[ids, b] = apply_correlator(corrs, basis[rows], ops)
     return outputs, center, ops
 
 
 def _back_end(
     beams: tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], OpCounter],
-    scenario: Scenario,
     cfg: PipelineConfig,
     timings: dict,
 ) -> PipelineResult:
     """Synthesize, detect and score what :func:`_beamform` returned."""
     outputs, center, ops = beams
-    geom, chirp = cfg.geometry, cfg.chirp
-    plan = cfg.beamspace_plan()
-    n_targets = len(scenario.targets)
+    geom, chirp, targets = cfg.geometry, cfg.chirp, cfg.scenario.targets
     s_per_pulse = outputs.shape[2]
 
     with _stage("synthesize", timings):
@@ -419,14 +407,14 @@ def _back_end(
 
     replica = generate_chirp(chirp)
     with _stage("range_doppler", timings):
-        maps = [range_doppler_map(wideband[k], replica, chirp, ops) for k in range(n_targets)]
+        maps = [range_doppler_map(series, replica, chirp, ops) for series in wideband]
     with _stage("cfar", timings):
         detections_per_target = [
             cfar_detect(rd, cfg.cfar_threshold_db, cfg.cfar_guard_cells) for rd in maps
         ]
     scores: list[DetectionScore] = []
     with _stage("score", timings):
-        for k, target in enumerate(scenario.targets):
+        for k, target in enumerate(targets):
             truth_r = target.delay_samples(chirp)
             truth_v = (
                 int(round(target.radial_velocity / chirp.velocity_resolution))
@@ -440,9 +428,9 @@ def _back_end(
     report = ComplexityReport(
         method=cfg.method,
         n_antennas=geom.n,
-        beam_points=plan.m,
+        beam_points=cfg.beamspace_plan().m,
         window_dim=w_z * w_x,
-        n_targets=n_targets,
+        n_targets=len(targets),
         n_subbands=cfg.subbands,
         n_train_snapshots=s_per_pulse * cfg.train_pulses,
         n_apply_snapshots=s_per_pulse * chirp.num_pulses,
@@ -471,12 +459,12 @@ def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> Pip
     it is channelized into a fresh buffer, which is freed once beamforming
     returns.
     """
+    cfg.validate()
+    _check_inputs(cube, scenario, cfg)
     timings: dict = {}
     # the subbands are never named here, so _beamform's return frees them
-    beams = _beamform(
-        _front_end(cube, scenario, cfg, timings, overwrite=False), scenario, cfg, timings
-    )
-    return _back_end(beams, scenario, cfg, timings)
+    beams = _beamform(_channelize(cube, cfg, timings, overwrite=False), cfg, timings)
+    return _back_end(beams, cfg, timings)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
@@ -489,10 +477,9 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     timings: dict = {}
     # neither the cube nor its subbands is named here, so _beamform's return frees them
     beams = _beamform(
-        _front_end(_simulate(cfg, timings), cfg.scenario, cfg, timings, overwrite=True),
-        cfg.scenario, cfg, timings,
+        _channelize(_simulate(cfg, timings), cfg, timings, overwrite=True), cfg, timings
     )
-    return _back_end(beams, cfg.scenario, cfg, timings)
+    return _back_end(beams, cfg, timings)
 
 
 def _score_row(cfg: PipelineConfig, score: DetectionScore) -> dict:
@@ -564,10 +551,9 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
                 # the axis never changes the subbands, so the first valid point's
                 # channelization serves every point
                 if front is None:
-                    front = _front_end(shared_cube, case.scenario, case, {}, overwrite=True)
+                    front = _channelize(shared_cube, case, {}, overwrite=True)
                 timings: dict = {}
-                beams = _beamform(front, case.scenario, case, timings)
-                result = _back_end(beams, case.scenario, case, timings)
+                result = _back_end(_beamform(front, case, timings), case, timings)
             rows += [{**_score_row(case, score), "status": "ok"} for score in result.scores]
         except Exception as exc:  # record the failed cell, keep sweeping
             label = case.scenario.label or "custom"

@@ -32,6 +32,7 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     Direction,
+    check_finite,
     spatial_frequencies,
     steering_matrix,
     steering_vector,
@@ -59,6 +60,12 @@ class ChirpParams:
     pri: float = 100e-6
 
     def __post_init__(self) -> None:
+        check_finite(self, *vars(self))  # every field is a number
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate: {self.sample_rate!r} must be positive")
+        # so that the lowest sampled frequency, carrier_freq - sample_rate/2, is positive
+        if self.carrier_freq <= self.sample_rate / 2:
+            raise ValueError(f"carrier_freq: {self.carrier_freq!r} must exceed sample_rate / 2")
         if self.bandwidth < 0 or self.bandwidth > self.sample_rate:
             raise ValueError("bandwidth must lie in [0, sample_rate]")
         if self.pulse_samples < 1:
@@ -97,6 +104,9 @@ class TargetSpec:
     radial_velocity: float = 0.0
     amplitude: complex = 1.0 + 0.0j
 
+    def __post_init__(self) -> None:
+        check_finite(self, *vars(self))  # every field is a number
+
     @property
     def range(self) -> float:
         return float(np.linalg.norm(self.position))
@@ -126,6 +136,7 @@ class InterfererSpec:
     bandwidth_fraction: float = 0.8
 
     def __post_init__(self) -> None:
+        check_finite(self, "power", "bandwidth_fraction")
         if self.power <= 0:
             raise ValueError("interferer power must be positive")
         if self.waveform_kind not in ("wideband-noise", "narrowband-tone"):
@@ -147,6 +158,7 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "interferers", tuple(self.interferers))
+        check_finite(self, "noise_power")
         if self.noise_power < 0:
             raise ValueError("noise_power must be >= 0")
 
@@ -391,7 +403,6 @@ PRESET_NAMES = tuple(
 #: ground aim point 18 km ahead along broadside.
 _PLATFORM_ALTITUDE_M = 7_000.0
 _GROUND_POINT_AHEAD_M = 18_000.0
-_PLATFORM_SPEED_MPS = 90.0
 
 _NUM_TARGETS = 20
 _MAX_INTERFERERS = 16
@@ -401,9 +412,7 @@ def _ground_elevation() -> float:
     return float(np.arctan2(-_PLATFORM_ALTITUDE_M, _GROUND_POINT_AHEAD_M))
 
 
-def _preset_targets(
-    mode: int, seed: int, snr_db: float, noise_power: float
-) -> tuple[TargetSpec, ...]:
+def _preset_targets(mode: int, seed: int, snr_db: float) -> tuple[TargetSpec, ...]:
     """20 airborne targets with elevation separations per easy/difficult mode.
 
     Separations from the ground reference direction span 25-50 deg in easy
@@ -430,7 +439,7 @@ def _preset_targets(
     closing = rng.permutation(np.linspace(-60.0, 60.0, _NUM_TARGETS))
     closing += rng.uniform(-0.3, 0.3, _NUM_TARGETS)
 
-    amp = np.sqrt(10.0 ** (snr_db / 10.0) * (noise_power if noise_power > 0 else 1.0))
+    amp = np.sqrt(10.0 ** (snr_db / 10.0))  # per-element SNR over the unit noise floor
     phases = rng.uniform(0.0, 2.0 * np.pi, _NUM_TARGETS)
 
     targets = []
@@ -486,35 +495,27 @@ DIFFICULT_MODE_SNR_DB = -30.0
 
 
 def scenario_preset(
-    name: str,
-    seed: int = DEFAULT_SEED,
-    snr_db: float | None = None,
-    noise_power: float = 1.0,
+    name: str, seed: int = DEFAULT_SEED, snr_db: float | None = None
 ) -> Scenario:
     """Named synthetic scene: A1..E2 or 'noninterferer'.
 
     Letters A-E fix the interferer count (2, 4, 8, 12, 16); suffix 1 uses
     the easy elevation layout, suffix 2 the difficult one.  The
     noninterferer preset carries the easy targets and an empty interferer
-    list.  ``snr_db`` overrides the per-mode default per-element target SNR.
+    list.  ``snr_db`` overrides the per-mode default per-element target SNR
+    over the presets' unit noise power.
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     if name == "noninterferer":
         if snr_db is None:
             snr_db = EASY_MODE_SNR_DB
-        targets = _preset_targets(1, seed, snr_db, noise_power)
+        targets = _preset_targets(1, seed, snr_db)
         interferers: tuple[InterfererSpec, ...] = ()
     else:
         letter, mode = name[0], int(name[1])
         if snr_db is None:
             snr_db = EASY_MODE_SNR_DB if mode == 1 else DIFFICULT_MODE_SNR_DB
-        targets = _preset_targets(mode, seed, snr_db, noise_power)
+        targets = _preset_targets(mode, seed, snr_db)
         interferers = _preset_interferers(PRESET_INTERFERER_COUNTS[letter], seed)
-    return Scenario(
-        targets=targets,
-        interferers=interferers,
-        noise_power=noise_power,
-        seed=seed,
-        label=name,
-    )
+    return Scenario(targets=targets, interferers=interferers, seed=seed, label=name)

@@ -302,7 +302,7 @@ class TestStridedSubband:
     def subband(geom, rng, n_snap=32, n_pulses=64, L=4):
         chirp = ChirpParams(pulse_samples=n_snap * L, num_pulses=n_pulses, pri=1e-6)
         cube = DataCube(random_complex(rng, (geom.n, n_snap * L, n_pulses)), geom, chirp)
-        return channelize(cube, L).samples[:, 1]
+        return channelize(cube, L)[:, 1]
 
     @pytest.mark.parametrize("m_z,m_x", [(4, 32), (8, 64)])
     def test_strided_view_equals_contiguous_input(self, geom, rng, m_z, m_x):
@@ -335,3 +335,34 @@ class TestStridedSubband:
         finally:
             tracemalloc.stop()
         assert result <= peak <= result + first_stage + slack
+
+
+PLAN_2x8 = BeamspacePlan(2, 8, 2, 8)
+WIN_2x4 = WindowSpec(2, 4, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: BeamspacePlan(4, 4, 0, 4), "^array dims must be >= 1"),
+        (lambda: BeamspacePlan(4, 4, 4, 0), "^array dims must be >= 1"),
+        (lambda: WindowSpec(0, 2, 0, 0), "^window dims must be >= 1"),
+        (lambda: WindowSpec(2, 0, 0, 0), "^window dims must be >= 1"),
+        (
+            lambda: adjoint_transform(np.zeros(15), PLAN_2x8),
+            "^beam vector length 15 != grid size 16",
+        ),
+        (
+            lambda: extract_window(np.zeros(15), PLAN_2x8, WIN_2x4),
+            "^beam vector length 15 != grid size 16",
+        ),
+        (
+            lambda: scatter_window(np.zeros(7), PLAN_2x8, WIN_2x4),
+            "^expected 8 window values, got 7",
+        ),
+    ],
+    ids=["plan-n_z", "plan-n_x", "window-w_z", "window-w_x", "adjoint", "extract", "scatter"],
+)
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

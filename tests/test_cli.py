@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import replace
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from bsradar import PipelineConfig, pipeline, scenario_preset
-from bsradar.cli import _build_config, build_parser, main
+from bsradar.cli import _build_config, _pair, build_parser, main
 from bsradar.cubeio import chirp_from_dict, geometry_from_dict, load_cube, load_scenario
 
 
@@ -368,3 +369,9 @@ def test_scenario_sweep_rejects_an_unknown_preset(tmp_path, capsys):
     assert main(argv) == 2
     assert "'Z9'" in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("text", ["1x2x3", "4,8,16", "4"])
+def test_pair_takes_exactly_two_ints(text):
+    with pytest.raises(argparse.ArgumentTypeError, match="^expected VxH"):
+        _pair(text)

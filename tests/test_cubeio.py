@@ -7,7 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsradar import ArrayGeometry, ChirpParams, DataCube, PipelineConfig, scenario_preset
+from bsradar import (
+    ArrayGeometry,
+    ChirpParams,
+    DataCube,
+    Direction,
+    InterfererSpec,
+    PipelineConfig,
+    Scenario,
+    TargetSpec,
+    scenario_preset,
+)
 from bsradar.cli import build_parser
 from bsradar.cubeio import (
     chirp_from_dict,
@@ -205,3 +215,214 @@ class TestConfigJson:
         assert len(lines) >= 6
         for argv in lines:
             assert build_parser().parse_args(argv[1:]).command == argv[1]
+
+
+def _short_file(path, cube):
+    path.write_bytes(b"BSRCUBE\x00" + bytes(8))
+
+
+def _truncated_map(path, cube):
+    save_map(path, np.zeros((4, 2)), 500e6)
+    path.write_bytes(path.read_bytes()[:-4])
+
+
+def _load(path, cube):
+    return load_cube(path, cube.geometry, cube.chirp)
+
+
+def _version_2(path, cube):
+    save_cube(path, cube)
+    raw = bytearray(path.read_bytes())
+    raw[8:12] = (2).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize(
+    "write,read,match",
+    [
+        (_short_file, _load, "^file too short"),
+        (_version_2, _load, "^unsupported format version 2"),
+        (
+            save_cube,
+            lambda p, c: load_cube(p, c.geometry, replace(c.chirp, num_pulses=8, pri=2e-6)),
+            "^chirp does not match the stored dimensions",
+        ),
+        (
+            lambda p, c: save_map(p, np.zeros(5), 500e6),
+            lambda p, c: None,
+            "^expected a 2D power map",
+        ),
+        (
+            _truncated_map,
+            lambda p, c: load_map(p),
+            "^payload holds 7 floats, expected 8",
+        ),
+        (
+            lambda p, c: None,
+            lambda p, c: config_from_dict({"chirp": [1, 2]}),
+            "^chirp: expected a JSON object, got list",
+        ),
+        (
+            lambda p, c: None,
+            lambda p, c: config_from_dict("chirp"),
+            "^config: expected a JSON object, got str",
+        ),
+    ],
+    ids=[
+        "short-header",
+        "bad-version",
+        "chirp-dims",
+        "map-not-2d",
+        "map-payload",
+        "section-not-object",
+        "config-not-object",
+    ],
+)
+def test_input_checks(tmp_path, cube, write, read, match):
+    path = tmp_path / "file.bin"
+    with pytest.raises(ValueError, match=match):
+        write(path, cube)
+        read(path, cube)
+
+
+NAN, INF = float("nan"), float("inf")
+AT_ORIGIN = {"azimuth_deg": 0.0, "elevation_deg": 0.0}
+GEOMETRY = {"n_z": 4, "n_x": 32, "design_freq": 10e9}
+
+
+@pytest.mark.parametrize(
+    "section,data,build,match",
+    [
+        ("chirp", {"pri": NAN}, lambda: ChirpParams(pri=NAN), "pri: nan is not a finite number"),
+        (
+            "chirp",
+            {"carrier_freq": INF},
+            lambda: ChirpParams(carrier_freq=INF),
+            "carrier_freq: inf is not a finite number",
+        ),
+        (
+            "chirp",
+            {"sample_rate": 0, "bandwidth": 0},
+            lambda: ChirpParams(sample_rate=0, bandwidth=0),
+            r"sample_rate: 0(\.0)? must be positive",
+        ),
+        (
+            "chirp",
+            {"carrier_freq": 250e6},
+            lambda: ChirpParams(carrier_freq=250e6),
+            r"carrier_freq: 250000000.0 must exceed sample_rate / 2",
+        ),
+        (
+            "geometry",
+            {**GEOMETRY, "design_freq": NAN},
+            lambda: ArrayGeometry(4, 32, NAN),
+            "design_freq: nan is not a finite number",
+        ),
+        (
+            "geometry",
+            {**GEOMETRY, "spacing": INF},
+            lambda: ArrayGeometry(4, 32, 10e9, INF),
+            "spacing: inf is not a finite number",
+        ),
+        (
+            "scenario",
+            {"noise_power": INF},
+            lambda: Scenario(noise_power=INF),
+            "noise_power: inf is not a finite number",
+        ),
+        (
+            "scenario",
+            {"targets": [{"position_m": [NAN, 50.0, 0.0]}]},
+            lambda: TargetSpec((NAN, 50.0, 0.0)),
+            r"position: \(nan, 50.0, 0.0\) is not a finite number",
+        ),
+        (
+            "scenario",
+            {"targets": [{"position_m": [0.0, 50.0, 0.0], "radial_velocity_mps": -INF}]},
+            lambda: TargetSpec((0.0, 50.0, 0.0), -INF),
+            "radial_velocity: -inf is not a finite number",
+        ),
+        (
+            "scenario",
+            {"targets": [{"position_m": [0.0, 50.0, 0.0], "amplitude": [1.0, NAN]}]},
+            lambda: TargetSpec((0.0, 50.0, 0.0), 0.0, complex(1.0, NAN)),
+            r"amplitude: \(1\+nanj\) is not a finite number",
+        ),
+        (
+            "scenario",
+            {"interferers": [{**AT_ORIGIN, "power": INF}]},
+            lambda: InterfererSpec(Direction(0.0, 0.0), INF),
+            "power: inf is not a finite number",
+        ),
+    ],
+    ids=[
+        "pri",
+        "carrier",
+        "zero-sample-rate",
+        "carrier-below-half-rate",
+        "design-freq",
+        "spacing",
+        "noise-power",
+        "target-position",
+        "target-velocity",
+        "target-amplitude",
+        "interferer-power",
+    ],
+)
+def test_numbers_are_checked_where_built(section, data, build, match):
+    with pytest.raises(ValueError, match=f"^{match}"):
+        build()
+    with pytest.raises(ValueError, match=f"^config: {section}: {match}"):
+        config_from_dict({section: data})
+
+
+@pytest.mark.parametrize(
+    "section,data,prefix",
+    [
+        ("chirp", {"pri": True}, "chirp: pri: True"),
+        ("chirp", {"pri": "1e-4"}, "chirp: pri: '1e-4'"),
+        ("geometry", {**GEOMETRY, "design_freq": "1e10"}, "geometry: design_freq: '1e10'"),
+        ("geometry", {**GEOMETRY, "spacing": False}, "geometry: spacing: False"),
+        ("scenario", {"noise_power": "1"}, "scenario: noise_power: '1'"),
+        (
+            "scenario",
+            {"targets": [{"position_m": ["0", 50.0, 0.0]}]},
+            r"scenario.targets\[0\]: position_m: '0'",
+        ),
+        (
+            "scenario",
+            {"targets": [{"position_m": [0.0, 50.0, 0.0], "radial_velocity_mps": True}]},
+            r"scenario.targets\[0\]: radial_velocity_mps: True",
+        ),
+        (
+            "scenario",
+            {"targets": [{"position_m": [0.0, 50.0, 0.0], "amplitude": [True, 0.0]}]},
+            r"scenario.targets\[0\]: amplitude: True",
+        ),
+        (
+            "scenario",
+            {"interferers": [{**AT_ORIGIN, "bandwidth_fraction": "0.5"}]},
+            r"scenario.interferers\[0\]: bandwidth_fraction: '0.5'",
+        ),
+        (
+            "scenario",
+            {"interferers": [{"azimuth_deg": True, "elevation_deg": 0.0}]},
+            r"scenario.interferers\[0\]: azimuth_deg: True",
+        ),
+    ],
+    ids=[
+        "chirp-bool",
+        "chirp-string",
+        "geometry-string",
+        "spacing-bool",
+        "noise-power-string",
+        "position-string",
+        "velocity-bool",
+        "amplitude-bool",
+        "fraction-string",
+        "azimuth-bool",
+    ],
+)
+def test_float_fields_take_only_json_numbers(section, data, prefix):
+    with pytest.raises(ValueError, match=f"^{prefix} is not a number"):
+        config_from_dict({section: data})

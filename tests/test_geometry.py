@@ -223,3 +223,24 @@ class TestOneManifold:
             x = spectrum[:, b]
             cosine = abs(np.vdot(a, x)) / (np.linalg.norm(a) * np.linalg.norm(x))
             assert cosine >= 1.0 - 1e-12, b
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: ArrayGeometry(4, 4, 0.0), "^design_freq must be positive"),
+        (lambda: ArrayGeometry(4, 4, -1e9), "^design_freq must be positive"),
+        (
+            lambda: Direction.from_position(0.0, 0.0, 0.0),
+            "^position coincides with the array origin",
+        ),
+        (
+            lambda: steering_matrix([0.1, 0.2], [0.1], ArrayGeometry(2, 4, 10e9)),
+            "^omega_x and omega_z must have matching shapes",
+        ),
+    ],
+    ids=["zero-design-freq", "negative-design-freq", "origin", "steering-shapes"],
+)
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -48,7 +48,6 @@ from bsradar.pipeline import (
     SWEEP_AXES,
     ComplexityReport,
     StageError,
-    _train_window_columns,
     write_reports,
 )
 from bsradar.mvdr import BEAMSPACE_WINDOWED
@@ -115,16 +114,18 @@ def reference_beamform(
     """The per-(target, subband) loop the pipeline ran before it had one path
     for all methods: two method branches, one product per beamspace target."""
     ops = OpCounter()
-    geom, chirp = sub.geometry, sub.chirp
+    geom, chirp = cfg.geometry, cfg.chirp
     n_ant = geom.n
-    s_per_pulse = sub.snapshots_per_pulse
+    s_per_pulse = sub.shape[2]
     n_pulses = chirp.num_pulses
-    train_cols = _train_window_columns(s_per_pulse, n_pulses, cfg.train_pulses)
+    # the training snapshots' columns in the (S*P)-wide snapshot matrix
+    s_idx = np.arange(s_per_pulse)[:, None] * n_pulses
+    train_cols = (s_idx + np.arange(cfg.train_pulses)[None, :]).ravel()
     w_z, w_x = cfg.window
     n_targets = len(scenario.targets)
 
     for b in bins:
-        snap = sub.samples[:, b, :, :].reshape(n_ant, s_per_pulse * n_pulses)
+        snap = sub[:, b, :, :].reshape(n_ant, s_per_pulse * n_pulses)
         omegas = [spatial_frequencies(t.direction, freqs[b], geom) for t in scenario.targets]
         steer = steering_matrix(*np.transpose(omegas), geom)
 
@@ -261,6 +262,44 @@ class TestConfigValidation:
     def test_fft_must_cover_array(self):
         with pytest.raises(ValueError):
             PipelineConfig(scenario=A1, fft_size=(2, 32)).validate()
+
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            (
+                dict(subbands=3, chirp=ChirpParams(pulse_samples=96, num_pulses=16, pri=1e-6)),
+                r"^subbands: 3 must be even \(or 1\)",
+            ),
+            (dict(loading=-1e-3), "^loading: must be >= 0"),
+        ],
+        ids=["odd-subbands", "negative-loading"],
+    )
+    def test_input_checks(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            PipelineConfig(scenario=A1, **kw).validate()
+
+    def test_each_run_validates_once(self, monkeypatch):
+        geom, chirp, scenario = tiny_setup(n_targets=1)
+        cfg = tiny_config(geom, chirp, scenario)
+        cube = synthesize_datacube(scenario, geom, chirp)
+        calls = []
+
+        def counting(self, real=PipelineConfig.validate):
+            calls.append(self)
+            real(self)
+
+        monkeypatch.setattr(PipelineConfig, "validate", counting)
+        runs = [
+            (lambda: run_pipeline(cfg), 1),
+            (lambda: process_cube(cube, scenario, cfg), 1),
+            (lambda: sweep(cfg, "window", [(1, 2), (2, 4)]), 2),
+            (lambda: sweep(cfg, "fft-size", [(2, 8), (4, 16)]), 2),
+            (lambda: sweep(replace(cfg, scenario=None), "scenario", [scenario] * 2), 2),
+        ]
+        for run, validations in runs:
+            calls.clear()
+            run()
+            assert len(calls) == validations
 
 
 class TestCubeContract:
@@ -497,6 +536,24 @@ class TestCubeOwnership:
         assert owned.complexity.stage_mults == given.complexity.stage_mults
         assert owned.scores == given.scores
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_subband_runs_end_to_end(self, method):
+        geom, chirp, scenario = tiny_setup()
+        cfg = tiny_config(geom, chirp, scenario, method=method, subbands=1)
+        cube = synthesize_datacube(scenario, geom, chirp)
+        before = cube.samples.copy()
+        given = process_cube(cube, scenario, cfg)
+        assert np.array_equal(cube.samples, before)
+        owned = run_pipeline(cfg)
+        shape = (len(scenario.targets), 1, chirp.pulse_samples, chirp.num_pulses)
+        assert given.subband_outputs.shape == shape
+        assert np.array_equal(owned.subband_outputs, given.subband_outputs)
+        assert np.array_equal(owned.wideband_outputs, given.wideband_outputs)
+        for a, b in zip(owned.maps, given.maps, strict=True):
+            assert np.array_equal(a.power, b.power)
+        assert owned.complexity.stage_mults == given.complexity.stage_mults
+        assert owned.scores == given.scores
+
     def test_stage_timings_recorded(self):
         geom, chirp, scenario = tiny_setup(n_targets=1)
         cfg = tiny_config(geom, chirp, scenario)
@@ -562,7 +619,7 @@ class TestBufferLifetime:
 
         def channelizing(*args, real=pipeline.channelize, **kwargs):
             sub = real(*args, **kwargs)
-            buffer = sub.samples
+            buffer = sub
             while isinstance(buffer.base, np.ndarray):
                 buffer = buffer.base
             refs.extend([weakref.ref(sub), weakref.ref(buffer)])

@@ -6,6 +6,7 @@ import pytest
 from bsradar import (
     ArrayGeometry,
     ChirpParams,
+    DataCube,
     Direction,
     InterfererSpec,
     Scenario,
@@ -480,3 +481,51 @@ class TestPresets:
         a = scenario_preset("A1")
         e = scenario_preset("E1")
         assert e.interferers[: len(a.interferers)] == a.interferers
+
+
+EAST = Direction(0.0, 0.0)
+SMALL_GEOM = ArrayGeometry(2, 4, 10e9)
+SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: ChirpParams(bandwidth=-1.0), r"^bandwidth must lie in \[0, sample_rate\]"),
+        (lambda: ChirpParams(bandwidth=600e6), r"^bandwidth must lie in \[0, sample_rate\]"),
+        (lambda: ChirpParams(pulse_samples=0), "^pulse_samples must be >= 1"),
+        (lambda: ChirpParams(num_pulses=1), "^num_pulses must be >= 2"),
+        (lambda: ChirpParams(pri=8e-6), "^pri must exceed the sampled pulse window"),
+        (lambda: InterfererSpec(EAST, power=0.0), "^interferer power must be positive"),
+        (lambda: InterfererSpec(EAST, waveform_kind="chirp"), "^unknown waveform_kind 'chirp'"),
+        (
+            lambda: InterfererSpec(EAST, bandwidth_fraction=1.5),
+            r"^bandwidth_fraction must lie in \[0, 1\]",
+        ),
+        (lambda: Scenario(noise_power=-1.0), "^noise_power must be >= 0"),
+        (
+            lambda: DataCube(np.zeros((8, 64, 3), dtype=complex), SMALL_GEOM, SMALL_CHIRP),
+            r"^cube shape \(8, 64, 3\) does not match geometry/chirp \(8, 64, 4\)",
+        ),
+        (
+            lambda: DataCube(np.full((8, 64, 4), np.nan + 0j), SMALL_GEOM, SMALL_CHIRP),
+            "^cube contains non-finite samples",
+        ),
+    ],
+    ids=[
+        "negative-bandwidth",
+        "bandwidth-over-rate",
+        "pulse-samples",
+        "num-pulses",
+        "pri",
+        "interferer-power",
+        "waveform-kind",
+        "bandwidth-fraction",
+        "noise-power",
+        "cube-shape",
+        "cube-non-finite",
+    ],
+)
+def test_input_checks(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

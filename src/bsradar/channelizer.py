@@ -60,8 +60,8 @@ def channelize(
     made.  With a single subband the result is always a view of the cube's
     samples, to be read only.  The pipeline's beamforming is the subbands'
     last reader: ``run_pipeline`` and ``process_cube`` free the buffer when
-    it returns, and only a ``sweep`` keeps its one shared buffer across its
-    points.
+    it returns, and a ``sweep`` keeps it only until the last of the points
+    that share the cube has beamformed.
     """
     n_fast = cube.chirp.pulse_samples
     if n_fast % L != 0:

@@ -131,10 +131,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args, needs_scene=args.axis != "scenario")
-    if args.axis in ("window", "fft-size"):
-        values = [_pair(v) for v in args.values.split(",")] if args.values else []
-    else:
-        values = [_preset(v, args) for v in args.values.split(",") if v]
+    # every item is converted before any point runs; a scenario is a preset name
+    convert = args.axes[args.axis] or (lambda name: _preset(name, args))
+    values = [convert(item) for item in args.values.split(",") if item]
     rows = sweep(cfg, args.axis, values, args.sweep_out)
     ok = sum(1 for r in rows if r.get("status") == "ok")
     print(f"sweep over {args.axis}: {len(values)} points, {ok} result rows ok")
@@ -164,14 +163,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--snr-db", type=float, default=None, dest="snr_db")
 
     def add_pipeline_args(p):
-        p.add_argument("--method", choices=METHODS)
-        p.add_argument("--subbands", type=int)
-        p.add_argument("--fft", type=_pair, metavar="MZxMX", dest="fft_size")
-        p.add_argument("--window", type=_pair, metavar="WZxWX")
-        p.add_argument("--loading", type=float)
-        p.add_argument("--train-pulses", type=int, dest="train_pulses")
-        p.add_argument("--cfar-db", type=float, metavar="CFAR_DB", dest="cfar_threshold_db")
-        p.add_argument("--guard", type=int, metavar="GUARD", dest="cfar_guard_cells")
+        """Add the pipeline flags, each with its field as dest, and return them."""
+        return [
+            p.add_argument("--method", choices=METHODS),
+            p.add_argument("--subbands", type=int),
+            p.add_argument("--fft", type=_pair, metavar="MZxMX", dest="fft_size"),
+            p.add_argument("--window", type=_pair, metavar="WZxWX"),
+            p.add_argument("--loading", type=float),
+            p.add_argument("--train-pulses", type=int, dest="train_pulses"),
+            p.add_argument("--cfar-db", type=float, metavar="CFAR_DB", dest="cfar_threshold_db"),
+            p.add_argument("--guard", type=int, metavar="GUARD", dest="cfar_guard_cells"),
+        ]
 
     p_sim = sub.add_parser("simulate", help="synthesize a scene into a binary cube")
     add_scene_args(p_sim)
@@ -187,13 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--export-patterns", action="store_true", dest="export_patterns")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="sweep window / fft-size / scenario")
+    p_sweep = sub.add_parser("sweep", help="sweep one config field, or the scenario")
     add_scene_args(p_sweep)
-    add_pipeline_args(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=("window", "fft-size", "scenario"))
+    # an axis is a pipeline flag's field, its values read by that flag's type
+    axes = {"scenario": None, **{f.dest: f.type or str for f in add_pipeline_args(p_sweep)}}
+    p_sweep.add_argument("--axis", required=True, choices=tuple(axes))
     p_sweep.add_argument("--values", default="", help="comma list, e.g. 2x4,4x4,4x8")
     p_sweep.add_argument("--out", required=True, dest="sweep_out", help="CSV path")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, axes=axes)
 
     p_bp = sub.add_parser("beampattern", help="export a correlator's beam pattern")
     add_scene_args(p_bp)

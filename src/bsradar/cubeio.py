@@ -203,6 +203,13 @@ def _int(value) -> int:
     return value
 
 
+def _str(value) -> str:
+    """A JSON string as is; any other value is rejected."""
+    if not isinstance(value, str):
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def _real(value) -> float:
     """A JSON number as a float; a bool, a string or any other value is rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -240,10 +247,14 @@ _TARGET_KEYS = {
     "amplitude": ("amplitude", lambda v: complex(*(_real(x) for x in v))),
 }
 _INTERFERER_KEYS = _same_names(
-    azimuth_deg=_real, elevation_deg=_real, power=_real, waveform_kind=str, bandwidth_fraction=_real
+    azimuth_deg=_real,
+    elevation_deg=_real,
+    power=_real,
+    waveform_kind=_str,
+    bandwidth_fraction=_real,
 )
 _SCENARIO_KEYS = _same_names(
-    label=str, seed=_int, noise_power=_real, targets=list, interferers=list
+    label=_str, seed=_int, noise_power=_real, targets=list, interferers=list
 )
 
 

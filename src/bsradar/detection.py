@@ -39,7 +39,7 @@ from .simulate import ChirpParams
 GATE_RANGE_BINS = 5
 GATE_VELOCITY_BINS = 3
 
-# detections.csv columns; the sweep report adds a status column
+# detections.csv columns; the sweep report adds point and status columns
 REPORT_COLUMNS = (
     "scenario",
     "target_id",
@@ -52,6 +52,8 @@ REPORT_COLUMNS = (
     "range_error_m",
     "velocity_error_mps",
 )
+# a report kind's format version: sweep v2 added the point column
+REPORT_VERSIONS = {"detection": 1, "sweep": 2}
 
 
 @dataclass
@@ -276,10 +278,11 @@ def write_detection_report(
     columns: Sequence[str] = REPORT_COLUMNS,
     kind: str = "detection",
 ) -> None:
-    """Report CSV under a ``# bsradar <kind> report v1`` line; one row per
-    (scenario, target, configuration), keys outside ``columns`` dropped."""
+    """Report CSV under a ``# bsradar <kind> report v<N>`` line (N from
+    ``REPORT_VERSIONS``); one row per (scenario, target, configuration), keys
+    outside ``columns`` dropped."""
     with open(path, "w", newline="") as handle:
-        handle.write(f"# bsradar {kind} report v1\n")
+        handle.write(f"# bsradar {kind} report v{REPORT_VERSIONS[kind]}\n")
         writer = csv.DictWriter(handle, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         for row in rows:

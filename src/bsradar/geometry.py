@@ -14,6 +14,7 @@ Conventions (fixed across the whole package):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,6 +32,15 @@ def check_finite(obj, *names: str) -> None:
             raise ValueError(f"{name}: {value!r} is not a finite number")
 
 
+def check_count(obj, *names: str) -> None:
+    """Reject the first named attribute of ``obj`` that is not an integer (a
+    Python or NumPy int; a bool or a float is rejected), naming the field."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}: {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """n_z-by-n_x uniform planar array with a design frequency in Hz.
@@ -45,6 +55,7 @@ class ArrayGeometry:
     spacing: float | None = None
 
     def __post_init__(self) -> None:
+        check_count(self, "n_z", "n_x")
         if self.n_z < 1 or self.n_x < 1:
             raise ValueError("element counts must be >= 1")
         if self.design_freq <= 0:
@@ -53,7 +64,7 @@ class ArrayGeometry:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
         elif self.spacing <= 0:
             raise ValueError("spacing must be positive")
-        check_finite(self, "n_z", "n_x", "design_freq", "spacing")
+        check_finite(self, "design_freq", "spacing")
 
     @property
     def n(self) -> int:

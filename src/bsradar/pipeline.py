@@ -16,24 +16,25 @@ range_doppler, cfar, score) its wall seconds and the process's peak RSS in
 MB at the stage's end.
 
 A run checks its config once, where it enters (:func:`run_pipeline`,
-:func:`process_cube`, or each point of a :func:`sweep`); past channelization
-every stage reads the geometry, chirp, subband count and scene from the
-config alone, so :func:`process_cube` first checks that its cube and
-scenario are the config's.
+:func:`process_cube`, or each point of a :func:`sweep`, before any point
+runs); past channelization every stage reads the geometry, chirp, subband
+count and scene from the config alone, so :func:`process_cube` first
+checks that its cube and scenario are the config's.
 
 A run makes at most one cube-sized buffer and holds it only until
 beamforming returns.  The channelizer hands beamforming a plain
 (antennas, subbands, snapshots, pulses) array: it writes the subbands over
 the samples of a cube the pipeline made itself (in :func:`run_pipeline`,
-and the one cube a window or FFT-size :func:`sweep` shares, channelized
-once for all its points), so that array is a strided view of the cube's
-buffer.  A caller's cube given to :func:`process_cube` is never written: it
-is channelized into a fresh buffer.  Beamforming is the subbands' last
-reader: the beamspace transform reads each subband's strided view in place,
-and neither :func:`run_pipeline` nor :func:`process_cube` keeps a name for
-the subbands or the simulated cube, so the buffer is freed the moment
-beamforming returns and synthesis and detection run beside the outputs
-alone.  Only a :func:`sweep` keeps its shared buffer, across all its points.
+and in a :func:`sweep`, whose consecutive points share one cube while the
+scenario, geometry, chirp and subband count are unchanged), so that array
+is a strided view of the cube's buffer.  A caller's cube given to
+:func:`process_cube` is never written: it is channelized into a fresh
+buffer.  Beamforming is the subbands' last reader: the beamspace transform
+reads each subband's strided view in place, and no entry point keeps a
+name for the subbands or the simulated cube past its last reader's
+beamforming, so the buffer is freed then, and synthesis and detection run
+beside the outputs alone.  A sweep keeps a buffer only between points
+that share it, and drops each point's result once its rows are made.
 
 All three methods run one beamforming routine.  A method only chooses the
 **basis** a subband's snapshots are expressed in (the antennas, or the
@@ -72,7 +73,7 @@ import numbers
 import resource
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -519,46 +520,60 @@ def write_reports(result: PipelineResult, out_dir) -> list[Path]:
     return [report_path, complexity_path]
 
 
-SWEEP_AXES = {"window": "window", "fft-size": "fft_size", "scenario": "scenario"}
-SWEEP_COLUMNS = REPORT_COLUMNS + ("status",)
+SWEEP_COLUMNS = REPORT_COLUMNS + ("point", "status")
+
+
+def _cube_key(cfg: PipelineConfig) -> tuple:
+    """What a point's channelized cube depends on."""
+    return (cfg.scenario, cfg.geometry, cfg.chirp, cfg.subbands)
 
 
 def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> list[dict]:
     """Run the pipeline across one axis and aggregate per-target rows.
 
-    ``axis`` names the config field each point replaces: window / fft-size
-    take (v, h) int pairs and share one simulated cube, channelized once (in
-    place) for every point; scenario takes :class:`Scenario` values.  A
-    failed point is recorded and the sweep goes on.
+    ``axis`` names the :class:`PipelineConfig` field each point replaces
+    with one of ``values``.  Consecutive points whose scenario, geometry,
+    chirp and subband count agree share one simulated cube, channelized once
+    in place; the last point that reads it takes the buffer, so it is freed
+    before that point's synthesis, and a point's result is freed once its
+    rows are made.  So a sweep holds at most one cube and one result.  Each
+    row names its point (``loading=0.001``, ``scenario=A1``); a point that
+    fails is one ``failed: <message>`` row and the sweep goes on.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis {axis!r} not one of {tuple(SWEEP_AXES)}")
-    field_name = SWEEP_AXES[axis]
-    for scenario in values if field_name == "scenario" else [cfg.scenario]:
-        _require_scenario(scenario)
-    shared_cube = front = None
-    if field_name != "scenario":
-        shared_cube = synthesize_datacube(cfg.scenario, cfg.geometry, cfg.chirp)
+    names = tuple(f.name for f in fields(PipelineConfig))
+    if axis not in names:
+        raise ValueError(f"axis {axis!r} not one of {names}")
+    cases = [replace(cfg, **{axis: value}) for value in values]
+    failed: dict[int, Exception] = {}
+    for i, case in enumerate(cases):
+        _require_scenario(case.scenario)
+        try:
+            case.validate()
+        except Exception as exc:  # recorded as the point's row below
+            failed[i] = exc
+    ran = [i for i in range(len(cases)) if i not in failed]
+    last = {i for i, j in zip(ran, ran[1:]) if _cube_key(cases[i]) != _cube_key(cases[j])}
+    last.update(ran[-1:])
 
     rows: list[dict] = []
-    for value in values:
-        case = replace(cfg, **{field_name: value})
+    held: list = []  # the current cube's channelized buffer, until its last reader
+    for i, (value, case) in enumerate(zip(values, cases)):
+        label = case.scenario.label or "custom"
+        point = f"{axis}={label if axis == 'scenario' else value}"
         try:
-            if shared_cube is None:
-                result = run_pipeline(case)
-            else:
-                case.validate()
-                # the axis never changes the subbands, so the first valid point's
-                # channelization serves every point
-                if front is None:
-                    front = _channelize(shared_cube, case, {}, overwrite=True)
-                timings: dict = {}
-                result = _back_end(_beamform(front, case, timings), case, timings)
-            rows += [{**_score_row(case, score), "status": "ok"} for score in result.scores]
-        except Exception as exc:  # record the failed cell, keep sweeping
-            label = case.scenario.label or "custom"
-            point = label if field_name == "scenario" else value
-            row = dict(scenario=label, method=case.method, status=f"failed[{point!r}]: {exc}")
+            if i in failed:
+                raise failed[i]
+            timings: dict = {}
+            if not held:
+                held.append(_channelize(_simulate(case, timings), case, timings, overwrite=True))
+            # neither the buffer its last reader takes nor the result is named,
+            # so the buffer goes before synthesis and the result with its rows
+            scores = _back_end(
+                _beamform(held.pop() if i in last else held[0], case, timings), case, timings
+            ).scores
+            rows += [{**_score_row(case, s), "point": point, "status": "ok"} for s in scores]
+        except Exception as exc:  # record the failed point, keep sweeping
+            row = dict(scenario=label, method=case.method, point=point, status=f"failed: {exc}")
             rows.append({**dict.fromkeys(SWEEP_COLUMNS, ""), **row})
 
     if out_path is not None:

@@ -32,6 +32,7 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     Direction,
+    check_count,
     check_finite,
     spatial_frequencies,
     steering_matrix,
@@ -60,6 +61,7 @@ class ChirpParams:
     pri: float = 100e-6
 
     def __post_init__(self) -> None:
+        check_count(self, "pulse_samples", "num_pulses")
         check_finite(self, *vars(self))  # every field is a number
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate: {self.sample_rate!r} must be positive")
@@ -106,6 +108,10 @@ class TargetSpec:
 
     def __post_init__(self) -> None:
         check_finite(self, *vars(self))  # every field is a number
+        try:
+            self.direction
+        except ValueError as exc:
+            raise ValueError(f"position: {self.position!r}: {exc}") from None
 
     @property
     def range(self) -> float:
@@ -145,6 +151,12 @@ class InterfererSpec:
             raise ValueError("bandwidth_fraction must lie in [0, 1]")
 
 
+def _check_seed(seed) -> None:
+    """A seed is a non-negative Python int, as a scenario file stores it."""
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed: {seed!r} is not a non-negative int")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Targets + interferers + noise level under one reproducibility seed."""
@@ -161,6 +173,9 @@ class Scenario:
         check_finite(self, "noise_power")
         if self.noise_power < 0:
             raise ValueError("noise_power must be >= 0")
+        _check_seed(self.seed)
+        if not isinstance(self.label, str):
+            raise ValueError(f"label: {self.label!r} is not a str")
 
 
 @dataclass
@@ -507,6 +522,7 @@ def scenario_preset(
     """
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    _check_seed(seed)  # before it seeds the layout
     if name == "noninterferer":
         if snr_db is None:
             snr_db = EASY_MODE_SNR_DB

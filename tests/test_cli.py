@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 from dataclasses import replace
 
@@ -363,12 +364,72 @@ def test_seed_replaces_the_config_scenario_seed(tmp_path, config_file):
     assert load_scenario(scenario_path).seed == 5
 
 
+def test_negative_seed_is_named(capsys):
+    assert main(["run", "--preset", "A1", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: seed: -1 is not a non-negative int"
+
+
 def test_scenario_sweep_rejects_an_unknown_preset(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     argv = ["sweep", "--axis", "scenario", "--values", "A1,Z9", "--out", str(csv_path)]
     assert main(argv) == 2
     assert "'Z9'" in capsys.readouterr().err
     assert not csv_path.exists()
+
+
+METHOD_FAILED = (
+    "failed: method: 'mvdr' not one of ('antenna-mvdr', 'beamspace-mvdr', 'conventional')"
+)
+
+
+@pytest.mark.parametrize(
+    "axis,values,rows",
+    [
+        # empty items are skipped; each point that runs has a row per target
+        ("loading", "1e-3,,1e-4,", [("loading=0.001", "ok")] * 2 + [("loading=0.0001", "ok")] * 2),
+        ("window", "2x4,", [("window=(2, 4)", "ok")] * 2),
+        # an unknown method is a value of the field, so it fails as its point's row
+        (
+            "method",
+            "antenna-mvdr,mvdr",
+            [("method=antenna-mvdr", "ok")] * 2 + [("method=mvdr", METHOD_FAILED)],
+        ),
+    ],
+)
+def test_sweep_axis_is_any_pipeline_flag_field(tmp_path, config_file, axis, values, rows):
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(config_file), "--axis", axis, "--values", values]
+    assert main(argv + ["--out", str(csv_path)]) == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "# bsradar sweep report v2"
+    assert [(row["point"], row["status"]) for row in csv.DictReader(lines[1:])] == rows
+
+
+@pytest.mark.parametrize(
+    "axis,values,message",
+    [
+        ("loading", "1e-3,abc", "could not convert string to float: 'abc'"),
+        ("window", "2x4,2x", "invalid literal for int() with base 10: ''"),
+        ("subbands", "16,2.5", "invalid literal for int() with base 10: '2.5'"),
+    ],
+)
+def test_sweep_values_are_all_read_before_any_point_runs(
+    tmp_path, config_file, capsys, axis, values, message
+):
+    csv_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "--config", str(config_file), "--axis", axis, "--values", values]
+    assert main(argv + ["--out", str(csv_path)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+    assert not csv_path.exists()
+
+
+def test_sweep_axis_is_spelled_as_the_field(tmp_path, config_file, capsys):
+    argv = ["sweep", "--config", str(config_file), "--axis", "fft-size", "--values", "2x8"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "sweep.csv")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'fft-size'" in err and "'fft_size'" in err and "'loading'" in err
 
 
 @pytest.mark.parametrize("text", ["1x2x3", "4,8,16", "4"])

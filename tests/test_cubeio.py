@@ -185,6 +185,21 @@ class TestConfigJson:
         with pytest.raises(ValueError, match=f"^{prefix}.* is not an integer"):
             read(data)
 
+    @pytest.mark.parametrize(
+        "data,prefix",
+        [
+            ({"label": 5}, "scenario: label: 5"),
+            (
+                {"interferers": [{"azimuth_deg": 0.0, "elevation_deg": 0.0, "waveform_kind": 5}]},
+                r"scenario.interferers\[0\]: waveform_kind: 5",
+            ),
+        ],
+        ids=["label", "waveform-kind"],
+    )
+    def test_string_fields_take_only_json_strings(self, data, prefix):
+        with pytest.raises(ValueError, match=f"^{prefix} is not a string"):
+            scenario_from_dict(data)
+
     def test_pipeline_int_fields_are_checked_by_validate(self):
         kwargs = config_from_dict({"pipeline": {"subbands": 16.0}})
         with pytest.raises(ValueError, match="^subbands: 16.0 is not an int"):

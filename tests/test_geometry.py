@@ -238,8 +238,19 @@ class TestOneManifold:
             lambda: steering_matrix([0.1, 0.2], [0.1], ArrayGeometry(2, 4, 10e9)),
             "^omega_x and omega_z must have matching shapes",
         ),
+        (lambda: ArrayGeometry(2.5, 4, 10e9), "^n_z: 2.5 is not an integer"),
+        (lambda: ArrayGeometry(True, 4, 10e9), "^n_z: True is not an integer"),
+        (lambda: ArrayGeometry(2, 4.0, 10e9), "^n_x: 4.0 is not an integer"),
     ],
-    ids=["zero-design-freq", "negative-design-freq", "origin", "steering-shapes"],
+    ids=[
+        "zero-design-freq",
+        "negative-design-freq",
+        "origin",
+        "steering-shapes",
+        "n-z-float",
+        "n-z-bool",
+        "n-x-float",
+    ],
 )
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):

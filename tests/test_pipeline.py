@@ -1,3 +1,4 @@
+import csv
 import weakref
 from dataclasses import replace
 
@@ -45,7 +46,6 @@ from bsradar.pipeline import (
     METHOD_BEAMSPACE,
     METHOD_CONVENTIONAL,
     METHODS,
-    SWEEP_AXES,
     ComplexityReport,
     StageError,
     write_reports,
@@ -58,9 +58,9 @@ REPORT_HEADER = (
     b"velocity_error_mps\r\n"
 )
 SWEEP_HEADER = (
-    b"# bsradar sweep report v1\n"
+    b"# bsradar sweep report v2\n"
     b"scenario,target_id,method,w_z,w_x,m_z,m_x,detected,range_error_m,"
-    b"velocity_error_mps,status\r\n"
+    b"velocity_error_mps,point,status\r\n"
 )
 
 
@@ -293,7 +293,8 @@ class TestConfigValidation:
             (lambda: run_pipeline(cfg), 1),
             (lambda: process_cube(cube, scenario, cfg), 1),
             (lambda: sweep(cfg, "window", [(1, 2), (2, 4)]), 2),
-            (lambda: sweep(cfg, "fft-size", [(2, 8), (4, 16)]), 2),
+            (lambda: sweep(cfg, "fft_size", [(2, 8), (4, 16)]), 2),
+            (lambda: sweep(cfg, "loading", [1e-3, 1e-4, 0.0]), 3),
             (lambda: sweep(replace(cfg, scenario=None), "scenario", [scenario] * 2), 2),
         ]
         for run, validations in runs:
@@ -568,11 +569,48 @@ class TestCubeOwnership:
 
     @pytest.mark.parametrize(
         "axis,values",
-        [("window", [(1, 2), (9, 9), (2, 4), (2, 8)]), ("fft-size", [(2, 8), (4, 16)])],
+        [
+            ("window", [(1, 2), (9, 9), (2, 4), (2, 8)]),
+            ("fft_size", [(2, 8), (4, 16)]),
+            ("loading", [1e-3, 1e-5, 0.0]),
+            ("method", [METHOD_ANTENNA, "mvdr", METHOD_CONVENTIONAL, METHOD_BEAMSPACE]),
+            ("train_pulses", [4, 16]),
+            ("cfar_threshold_db", [10.0, 16.0]),
+        ],
     )
     def test_sweep_channelizes_its_cube_once(self, tmp_path, monkeypatch, axis, values):
         geom, chirp, scenario = tiny_setup(n_targets=2)
         cfg = tiny_config(geom, chirp, scenario)
+        calls = self.count_channelizations(monkeypatch)
+        sweep(cfg, axis, values, tmp_path / "s.csv")
+        assert calls == [cfg.subbands]
+        monkeypatch.undo()
+        assert read_sweep(tmp_path / "s.csv") == own_reports(cfg, axis, values, tmp_path)
+
+    @pytest.mark.parametrize(
+        "axis,values,channelized",
+        [
+            # the invalid 3 runs nothing, so the 8s on either side share a cube
+            ("subbands", [8, 3, 8, 16, 16, 8], [8, 16, 8]),
+            ("scenario", ["tiny", "tiny", "other", "tiny"], [16, 16, 16]),
+        ],
+    )
+    def test_sweep_channelizes_once_per_distinct_cube(
+        self, tmp_path, monkeypatch, axis, values, channelized
+    ):
+        geom, chirp, scenario = tiny_setup(n_targets=2)
+        scenes = {"tiny": scenario, "other": replace(tiny_setup(seed=6)[2], label="other")}
+        values = [scenes[v] for v in values] if axis == "scenario" else values
+        cfg = tiny_config(geom, chirp, scenario)
+        calls = self.count_channelizations(monkeypatch)
+        sweep(cfg, axis, values, tmp_path / "s.csv")
+        assert calls == channelized
+        monkeypatch.undo()
+        assert read_sweep(tmp_path / "s.csv") == own_reports(cfg, axis, values, tmp_path)
+
+    @staticmethod
+    def count_channelizations(monkeypatch) -> list[int]:
+        """The subband count of every channelization from now on."""
         calls = []
 
         def counting(*args, real=pipeline.channelize, **kwargs):
@@ -580,36 +618,44 @@ class TestCubeOwnership:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "channelize", counting)
-        sweep(cfg, axis, values, tmp_path / "s.csv")
-        assert calls == [cfg.subbands]
-        # every valid point's rows are that point's own report
-        monkeypatch.undo()
-        swept = (tmp_path / "s.csv").read_text().splitlines()[2:]
-        cube = synthesize_datacube(scenario, geom, chirp)
-        expected = []
-        for k, value in enumerate(values):
-            case = replace(cfg, **{SWEEP_AXES[axis]: value})
-            if value == (9, 9):
-                expected.append(
-                    f'tiny,,{case.method},,,,,,,,"failed[{value!r}]: '
-                    'window: (9, 9) must fit the beam grid (2, 8)"'
-                )
-                continue
-            write_reports(process_cube(cube, scenario, case), tmp_path / str(k))
-            lines = (tmp_path / str(k) / "detections.csv").read_text().splitlines()[2:]
-            expected += [line + ",ok" for line in lines]
-        assert swept == expected
+        return calls
+
+
+def read_sweep(path) -> list[list[str]]:
+    return list(csv.reader(path.read_text().splitlines()[2:]))
+
+
+def own_reports(cfg, axis, values, tmp_path) -> list[list[str]]:
+    """Each point's own ``process_cube`` report rows followed by the point
+    and ``ok``, or the row of its validation failure."""
+    expected = []
+    for k, value in enumerate(values):
+        case = replace(cfg, **{axis: value})
+        point = f"scenario={value.label}" if axis == "scenario" else f"{axis}={value}"
+        try:
+            case.validate()
+        except ValueError as exc:
+            expected.append(["tiny", "", case.method] + [""] * 7 + [point, f"failed: {exc}"])
+            continue
+        cube = synthesize_datacube(case.scenario, case.geometry, case.chirp)
+        write_reports(process_cube(cube, case.scenario, case), tmp_path / str(k))
+        lines = (tmp_path / str(k) / "detections.csv").read_text().splitlines()[2:]
+        expected += [line.split(",") + [point, "ok"] for line in lines]
+    return expected
 
 
 class TestBufferLifetime:
     """Beamforming is the subband buffer's last reader: by the time synthesis
     runs, no frame holds the subband cube, its buffer or, in ``run_pipeline``,
-    the simulated cube whose samples became that buffer."""
+    the simulated cube whose samples became that buffer.  A sweep keeps the
+    buffer only for the points after this one that share it, and no earlier
+    point's result."""
 
     @staticmethod
     def watch(monkeypatch) -> list[list[bool]]:
-        """At each synthesize call, which simulated cubes, subband cubes and
-        subband buffers made so far are still alive, in order of creation."""
+        """At each synthesize call, which simulated cubes, subband cubes,
+        subband buffers, results and their subband and wideband outputs made
+        so far are still alive, in order of creation."""
         refs, alive = [], []
 
         def simulating(*args, real=pipeline.synthesize_datacube, **kwargs):
@@ -629,9 +675,16 @@ class TestBufferLifetime:
             alive.append([ref() is not None for ref in refs])
             return real(*args, **kwargs)
 
+        def finishing(*args, real=pipeline._back_end, **kwargs):
+            result = real(*args, **kwargs)
+            outputs = (result, result.subband_outputs, result.wideband_outputs)
+            refs.extend(weakref.ref(obj) for obj in outputs)
+            return result
+
         monkeypatch.setattr(pipeline, "synthesize_datacube", simulating)
         monkeypatch.setattr(pipeline, "channelize", channelizing)
         monkeypatch.setattr(pipeline, "synthesize", synthesizing)
+        monkeypatch.setattr(pipeline, "_back_end", finishing)
         return alive
 
     @pytest.mark.parametrize("method", METHODS)
@@ -643,13 +696,36 @@ class TestBufferLifetime:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_process_cube_frees_its_buffer_before_synthesis(self, monkeypatch, method):
-        # the caller's cube stays (TestCubeOwnership checks its bytes), and a
-        # sweep keeps its one shared buffer (test_sweep_channelizes_its_cube_once)
+        # the caller's cube stays (TestCubeOwnership checks its bytes)
         geom, chirp, scenario = tiny_setup()
         cube = synthesize_datacube(scenario, geom, chirp)
         alive = self.watch(monkeypatch)
         process_cube(cube, scenario, tiny_config(geom, chirp, scenario, method=method))
         assert alive == [[False, False]]
+
+    @pytest.mark.parametrize(
+        "axis,values,expected",
+        [
+            # one cube: (cube, subbands, buffer), then (result, subband outputs,
+            # wideband outputs) per point; the third point takes the buffer
+            (
+                "loading",
+                [1e-3, 1e-4, 1e-5],
+                [[False, True, True], [False, True, True] + [False] * 3, [False] * 9],
+            ),
+            # two cubes: each point is its cube's last reader
+            ("scenario", ["tiny", "other"], [[False] * 3, [False] * 9]),
+        ],
+    )
+    def test_sweep_frees_each_result_and_the_last_readers_buffer(
+        self, monkeypatch, axis, values, expected
+    ):
+        geom, chirp, scenario = tiny_setup()
+        scenes = {"tiny": scenario, "other": replace(tiny_setup(seed=6)[2], label="other")}
+        values = [scenes[v] for v in values] if axis == "scenario" else values
+        alive = self.watch(monkeypatch)
+        sweep(tiny_config(geom, chirp, scenario), axis, values)
+        assert alive == expected
 
 
 class TestComplexityReport:
@@ -763,7 +839,8 @@ class TestSweep:
         for k, scenario in enumerate((first, second)):
             write_reports(run_pipeline(replace(cfg, scenario=scenario)), tmp_path / str(k))
             expected += (tmp_path / str(k) / "detections.csv").read_text().splitlines()[2:]
-        assert swept == [line + ",ok" for line in expected]
+        points = ["scenario=tiny"] * 2 + ["scenario=custom"]
+        assert swept == [line + f",{point},ok" for line, point in zip(expected, points)]
         assert [line.split(",")[0] for line in swept] == ["tiny", "tiny", "custom"]
         with pytest.raises(ValueError, match="^scenario: expected a Scenario"):
             sweep(cfg, "scenario", ["A1"])
@@ -771,5 +848,5 @@ class TestSweep:
     def test_unknown_axis(self):
         geom, chirp, scenario = tiny_setup()
         cfg = tiny_config(geom, chirp, scenario)
-        with pytest.raises(ValueError, match="axis"):
-            sweep(cfg, "loading", [1, 2])
+        with pytest.raises(ValueError, match="^axis 'fft-size' not one of .*'fft_size'"):
+            sweep(cfg, "fft-size", [(2, 8)])

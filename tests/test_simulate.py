@@ -511,6 +511,25 @@ SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
             lambda: DataCube(np.full((8, 64, 4), np.nan + 0j), SMALL_GEOM, SMALL_CHIRP),
             "^cube contains non-finite samples",
         ),
+        (
+            lambda: ChirpParams(pulse_samples=64.0, num_pulses=4, pri=1e-6),
+            "^pulse_samples: 64.0 is not an integer",
+        ),
+        (lambda: ChirpParams(num_pulses=True), "^num_pulses: True is not an integer"),
+        (lambda: Scenario(seed=1.5), "^seed: 1.5 is not a non-negative int"),
+        (lambda: Scenario(seed=-1), "^seed: -1 is not a non-negative int"),
+        # a scenario file could not store it
+        (lambda: Scenario(seed=np.int64(3)), "^seed: .*3.* is not a non-negative int"),
+        (lambda: scenario_preset("A1", seed=-1), "^seed: -1 is not a non-negative int"),
+        (lambda: Scenario(label=5), "^label: 5 is not a str"),
+        (
+            lambda: TargetSpec((0.0, 0.0, 0.0)),
+            r"^position: \(0.0, 0.0, 0.0\): position coincides with the array origin",
+        ),
+        (
+            lambda: TargetSpec((0.0, -100.0, 0.0)),
+            r"^position: \(0.0, -100.0, 0.0\): direction .* outside the front hemisphere",
+        ),
     ],
     ids=[
         "negative-bandwidth",
@@ -524,6 +543,15 @@ SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
         "noise-power",
         "cube-shape",
         "cube-non-finite",
+        "pulse-samples-float",
+        "num-pulses-bool",
+        "seed-float",
+        "seed-negative",
+        "seed-numpy",
+        "preset-seed-negative",
+        "label-int",
+        "target-at-origin",
+        "target-behind-array",
     ],
 )
 def test_input_checks(call, match):

@@ -3,7 +3,7 @@
 A numpy/scipy library covering the full chain: planar-array steering,
 synthetic scene simulation, FFT channelization, beamspace windowing,
 adaptive (MVDR) and conventional beamforming, range-Doppler/CFAR detection,
-and an instrumented pipeline harness that tallies arithmetic cost.
+and a pipeline harness that tallies each kernel call's arithmetic cost.
 """
 
 from . import cubeio
@@ -24,7 +24,6 @@ from .channelizer import (
     subband_index_for_bin,
     synthesize,
 )
-from .counters import OpCounter
 from .detection import (
     Detection,
     DetectionScore,

@@ -20,14 +20,11 @@ spans floor(w/2) bins below its center and the remainder above.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from . import counters
-from .counters import OpCounter
 from .geometry import ArrayGeometry, SpatialFrequencies
 
 TWO_PI = 2.0 * np.pi
@@ -92,9 +89,7 @@ def _check_window(win: WindowSpec, plan: BeamspacePlan) -> None:
         )
 
 
-def beamspace_transform(
-    y: np.ndarray, plan: BeamspacePlan, ops: OpCounter | None = None
-) -> np.ndarray:
+def beamspace_transform(y: np.ndarray, plan: BeamspacePlan) -> np.ndarray:
     """Project antenna snapshot(s) onto the beam grid.
 
     ``y`` is a length-N vector or an (N, ...) batch of snapshots, such as a
@@ -113,11 +108,6 @@ def beamspace_transform(
     stage_z = scipy.fft.fft(grid, n=plan.m_z, axis=1)
     out = scipy.fft.fft(stage_z, n=plan.m_x, axis=0, overwrite_x=True)
     out /= np.sqrt(plan.m)
-    if ops is not None:
-        ops.add(
-            "beamspace_fft",
-            math.prod(snaps) * counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x),
-        )
     return out.reshape(plan.m, *snaps)
 
 
@@ -194,16 +184,7 @@ def scatter_window(
 
 
 def windowed_steering(
-    steering: np.ndarray,
-    plan: BeamspacePlan,
-    win: WindowSpec,
-    ops: OpCounter | None = None,
+    steering: np.ndarray, plan: BeamspacePlan, win: WindowSpec
 ) -> np.ndarray:
     """Length-W windowed beamspace image of an antenna steering vector."""
-    beam = beamspace_transform(steering, plan)
-    if ops is not None:
-        ops.add(
-            "windowed_steering",
-            counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x),
-        )
-    return extract_window(beam, plan, win)
+    return extract_window(beamspace_transform(steering, plan), plan, win)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import counters
-from .counters import OpCounter
 from .geometry import subband_center_freq
 from .simulate import ChirpParams, DataCube
 
@@ -38,9 +36,7 @@ def _half_bin_ramp(L: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(L) / L)
 
 
-def channelize(
-    cube: DataCube, L: int, ops: OpCounter | None = None, *, _overwrite: bool = False
-) -> np.ndarray:
+def channelize(cube: DataCube, L: int, *, _overwrite: bool = False) -> np.ndarray:
     """Split the cube's fast-time axis into L critically sampled subbands.
 
     L must divide the pulse length and be even; L == 1 passes the cube
@@ -81,15 +77,10 @@ def channelize(
     for ant in range(n_ant):
         np.multiply(blocks[ant], ramp, out=dst[ant])
         np.fft.fft(dst[ant], axis=1, out=dst[ant])
-    if ops is not None:
-        ops.add(
-            "channelize",
-            counters.channelize_mults(n_ant, n_snap * n_pulses, L),
-        )
     return dst.transpose(0, 2, 1, 3)
 
 
-def synthesize(subband_outputs: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
+def synthesize(subband_outputs: np.ndarray) -> np.ndarray:
     """Rebuild wideband series from per-subband snapshot streams.
 
     The trailing three axes are (subbands, snapshots, pulses); any leading
@@ -109,7 +100,4 @@ def synthesize(subband_outputs: np.ndarray, ops: OpCounter | None = None) -> np.
     time_blocks = np.empty(blocks.shape, dtype=complex)
     np.fft.ifft(blocks, axis=-2, out=time_blocks)
     time_blocks *= _half_bin_ramp(L).conj()[:, None]
-    if ops is not None:
-        lead = int(np.prod(arr.shape[:-3], dtype=int))
-        ops.add("synthesize", lead * counters.synthesize_mults(n_snap * n_pulses, L))
     return time_blocks.reshape(*arr.shape[:-3], n_snap * L, n_pulses)

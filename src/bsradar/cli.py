@@ -131,6 +131,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args, needs_scene=args.axis != "scenario")
+    if args.axis == "scenario" and cfg.scenario is not None:
+        raise ValueError(
+            "scenario: --axis scenario takes its scenes from --values, "
+            "not from --preset or a config file's scenario"
+        )
     # every item is converted before any point runs; a scenario is a preset name
     convert = args.axes[args.axis] or (lambda name: _preset(name, args))
     values = [convert(item) for item in args.values.split(",") if item]

@@ -1,11 +1,11 @@
-"""Complex-multiplication tallies for the instrumented kernels.
+"""Closed-form complex-multiplication counts of the processing kernels.
 
-Every processing kernel that matters for the cost comparison accepts an
-optional :class:`OpCounter` and adds the number of complex multiplications
-it dispatches, computed from its actual call dimensions with the closed
-forms below.  The tallies are therefore deterministic, machine independent,
-additive across stages, and reproducible run to run.  Real-by-complex
-scalings and additions are not counted.
+The kernels only compute.  The pipeline tallies them: beside each kernel
+call it adds the closed form below at that call's own dimensions to the
+call's stage (see :mod:`bsradar.pipeline` for the accounting rule).  The
+tallies are therefore deterministic, machine independent, additive across
+stages, and reproducible run to run.  Real-by-complex scalings and
+additions are not counted.
 """
 
 from __future__ import annotations
@@ -79,17 +79,3 @@ def synthesize_mults(n_blocks: int, subbands: int) -> int:
 def range_doppler_mults(n_fast: int, n_pulses: int) -> int:
     """Circular matched filter per pulse plus the slow-time DFT per range bin."""
     return n_pulses * (2 * fft_mults(n_fast) + n_fast) + n_fast * fft_mults(n_pulses)
-
-
-class OpCounter:
-    """Accumulates per-stage complex-multiplication tallies."""
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-
-    def add(self, stage: str, mults: int) -> None:
-        self.counts[stage] = self.counts.get(stage, 0) + int(mults)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
-        return f"OpCounter({inner})"

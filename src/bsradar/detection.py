@@ -31,8 +31,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import counters
-from .counters import OpCounter
 from .simulate import ChirpParams
 
 #: A detection scores its target within this many range and velocity bins.
@@ -88,16 +86,13 @@ class DetectionScore:
 
 
 def range_doppler_map(
-    output: np.ndarray,
-    chirp_replica: np.ndarray,
-    chirp: ChirpParams,
-    ops: OpCounter | None = None,
+    output: np.ndarray, chirp_replica: np.ndarray, chirp: ChirpParams
 ) -> RangeDopplerMap:
     """Matched-filter each pulse, then DFT across pulses per range bin."""
     series = np.asarray(output)
     if series.ndim != 2:
         raise ValueError("expected (pulse_samples, num_pulses) beamformer output")
-    n_fast, n_pulses = series.shape
+    n_fast = series.shape[0]
     replica = np.asarray(chirp_replica)
     if replica.shape[0] != n_fast:
         raise ValueError(f"replica length {replica.shape[0]} != fast-time length {n_fast}")
@@ -106,8 +101,6 @@ def range_doppler_map(
         np.fft.fft(series, axis=0) * np.conj(np.fft.fft(replica))[:, None], axis=0
     )
     doppler = np.fft.fftshift(np.fft.fft(matched, axis=1), axes=1)
-    if ops is not None:
-        ops.add("range_doppler", counters.range_doppler_mults(n_fast, n_pulses))
     return RangeDopplerMap(
         np.abs(doppler) ** 2, chirp.range_resolution, chirp.velocity_resolution
     )

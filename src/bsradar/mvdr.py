@@ -16,9 +16,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import zgemm
 
-from . import counters
 from .beamspace import BeamspacePlan, WindowSpec, adjoint_transform, scatter_window
-from .counters import OpCounter
 from .geometry import ArrayGeometry, angle_frequencies, steering_matrix
 
 ANTENNA_SPACE = "antenna"
@@ -51,9 +49,7 @@ class Correlator:
 
 
 def estimate_covariance(
-    snapshots: np.ndarray,
-    loading_factor: float = 0.0,
-    ops: OpCounter | None = None,
+    snapshots: np.ndarray, loading_factor: float = 0.0
 ) -> CovarianceEstimate:
     """Average snapshot outer products and add relative diagonal loading.
 
@@ -73,8 +69,6 @@ def estimate_covariance(
     # threadpool; mixing numpy's and scipy's OpenBLAS builds in a tight
     # loop makes their idle spinners fight for cores
     r = zgemm(1.0 / n_t, arr, arr, trans_b=2)
-    if ops is not None:
-        ops.add("covariance", counters.outer_product_mults(dim, n_t))
 
     loading = 0.0
     if loading_factor:
@@ -96,10 +90,7 @@ def _solve_hpd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def mvdr_correlator(
-    cov: CovarianceEstimate,
-    steering: np.ndarray,
-    ops: OpCounter | None = None,
-    space: str = ANTENNA_SPACE,
+    cov: CovarianceEstimate, steering: np.ndarray, space: str = ANTENNA_SPACE
 ) -> Correlator:
     """Closed-form MVDR weights R^-1 a / (a^H R^-1 a)."""
     a = np.asarray(steering)
@@ -107,8 +98,6 @@ def mvdr_correlator(
         raise ValueError(f"steering length {a.shape[0]} != covariance dim {cov.dim}")
     x = _solve_hpd(cov.matrix, a)
     denom = a.conj() @ x
-    if ops is not None:
-        ops.add("solve", counters.mvdr_solve_mults(cov.dim))
     return Correlator(x / denom, space)
 
 
@@ -133,15 +122,12 @@ def lift_correlator(
 
 
 def apply_correlator(
-    corr: Correlator | Sequence[Correlator],
-    snapshots: np.ndarray,
-    ops: OpCounter | None = None,
+    corr: Correlator | Sequence[Correlator], snapshots: np.ndarray
 ) -> np.ndarray:
     """Beamformer output series w^H y[n] for column snapshot(s).
 
     ``corr`` is one correlator, or a sequence of correlators of one
     dimension applied in one matrix product, giving one output row each.
-    Each correlator is tallied as its own dim-by-snapshots product.
     """
     group = not isinstance(corr, Correlator)
     weights = np.array([c.weights for c in corr] if group else [corr.weights])
@@ -150,8 +136,6 @@ def apply_correlator(
     if arr.shape[0] != dim:
         raise ValueError(f"snapshot length {arr.shape[0]} != correlator dim {dim}")
     out = zgemm(1.0, np.conj(weights), arr.reshape(dim, -1))
-    if ops is not None:
-        ops.add("apply", n_corr * counters.matvec_mults(dim, arr[0].size))
     out = out.reshape(n_corr, *arr.shape[1:])
     return out if group else out[0]
 

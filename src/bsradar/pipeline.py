@@ -57,13 +57,22 @@ its selected rows.  Application is one matrix product per group of targets
 that share their rows (all targets for the antenna basis, coinciding
 windows in beamspace).
 
-Every numeric kernel adds its complex-multiply tally to a shared counter;
-the resulting report carries per-stage totals plus the derived per-pair
-training and per-snapshot application costs used for method comparisons.
-The channelizer and the beamspace transform run once per subband and are
-tallied once (shared front end); each target's adaptive training is tallied
-in full, including its own covariance accumulation, and each target's
-application is tallied as its own W-by-snapshots product.
+The kernels only compute; the pipeline tallies their complex multiplies.
+Beside each kernel call it adds that call's closed form from
+:mod:`counters`, taken at the call's own dimensions, to the stage's total,
+so the tallies follow the calls actually made.  The accounting rule, which
+the report's per-pair training and per-snapshot application figures rest
+on:
+
+* the channelizer runs once per cube and the beamspace FFT once per
+  subband, shared by every target, and each call is tallied once;
+* each target's training is tallied in full: its own covariance over its
+  rows, its own solve, and, in beamspace, its windowed steering, which
+  costs one full beamspace transform of the steering vector;
+* a group's application product is tallied per target, as that target's
+  own W-by-snapshots product;
+* a single subband is the cube itself: channelize and synthesize pass it
+  through, and neither is tallied.
 """
 
 from __future__ import annotations
@@ -72,6 +81,7 @@ import json
 import numbers
 import resource
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -79,6 +89,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import counters
 from .beamspace import (
     BeamspacePlan,
     WindowSpec,
@@ -88,7 +99,6 @@ from .beamspace import (
     windowed_steering,
 )
 from .channelizer import bin_center_frequencies, channelize, synthesize
-from .counters import OpCounter
 from .detection import (
     REPORT_COLUMNS,
     Detection,
@@ -181,7 +191,10 @@ class PipelineConfig:
                 f"cfar_guard_cells: a guard band of {self.cfar_guard_cells} leaves no "
                 f"reference cells in pulse_samples {self.chirp.pulse_samples}"
             )
-        plan = self.beamspace_plan()
+        try:
+            plan = self.beamspace_plan()
+        except ValueError as exc:
+            raise ValueError(f"fft_size: {exc}") from None
         w_z, w_x = self.window
         if not (1 <= w_z <= plan.m_z and 1 <= w_x <= plan.m_x):
             raise ValueError(
@@ -306,33 +319,35 @@ def _simulate(cfg: PipelineConfig, timings: dict) -> DataCube:
 
 def _channelize(
     cube: DataCube, cfg: PipelineConfig, timings: dict, overwrite: bool
-) -> tuple[np.ndarray, dict[str, int]]:
-    """The cube's subbands and the channelizer's tallies.  ``overwrite``
+) -> tuple[np.ndarray, Counter]:
+    """The cube's subbands and the run's tallies so far.  ``overwrite``
     gives the cube's samples up to the channelizer as the subband buffer."""
-    ops = OpCounter()
     with _stage("channelize", timings):
-        subbands = channelize(cube, cfg.subbands, ops, _overwrite=overwrite)
-    return subbands, ops.counts
+        subbands = channelize(cube, cfg.subbands, _overwrite=overwrite)
+    mults: Counter = Counter()
+    n_ant, n_sub, n_snap, n_pulses = subbands.shape
+    if n_sub > 1:
+        mults["channelize"] += counters.channelize_mults(n_ant, n_snap * n_pulses, n_sub)
+    return subbands, mults
 
 
 def _beamform(
-    front: tuple[np.ndarray, dict[str, int]], cfg: PipelineConfig, timings: dict
-) -> tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], OpCounter]:
+    front: tuple[np.ndarray, Counter], cfg: PipelineConfig, timings: dict
+) -> tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], Counter]:
     """Train and apply every target's beamformer, one subband at a time.
 
     ``front`` is what :func:`_channelize` returned.  Returns the outputs
     (target, subband, snapshot, pulse), each target's correlator and window
-    in the center subband, and the run's tally counter.  This is the
+    in the center subband, and the run's tallies so far.  This is the
     subbands' last reader and keeps no reference to them, so a caller that
     passes ``front`` without naming it frees the subband buffer when this
     returns.
     """
     subbands, front_mults = front
+    mults = Counter(front_mults)  # a sweep's points share one front end
     geom, targets = cfg.geometry, cfg.scenario.targets
     freqs = bin_center_frequencies(cfg.subbands, cfg.chirp)
     plan = cfg.beamspace_plan()
-    ops = OpCounter()
-    ops.counts.update(front_mults)
     outputs = np.empty((len(targets), *subbands.shape[1:]), dtype=complex)
     with _stage("beamform", timings):
         # (target, axis, subband): each target's spatial frequencies at every subband center
@@ -342,14 +357,17 @@ def _beamform(
         # basis and selector: the rows a target beamforms on, with its steering there
         if cfg.method == METHOD_BEAMSPACE:
             space = BEAMSPACE_WINDOWED
+            transform_mults = counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x)
 
             def to_basis(snap):
                 # reads the strided subband view in place
-                return beamspace_transform(snap, plan, ops)
+                mults["beamspace_fft"] += snap[0].size * transform_mults
+                return beamspace_transform(snap, plan)
 
             def select(k, b, steering):
                 win = window_for(SpatialFrequencies(*omegas[k, :, b]), plan, *cfg.window)
-                return win, window_rows(win, plan), windowed_steering(steering, plan, win, ops)
+                mults["windowed_steering"] += transform_mults
+                return win, window_rows(win, plan), windowed_steering(steering, plan, win)
 
         else:
             space = ANTENNA_SPACE
@@ -369,8 +387,10 @@ def _beamform(
         else:
 
             def train(training, steering):
-                cov = estimate_covariance(training, cfg.loading, ops)
-                return mvdr_correlator(cov, steering, ops, space)
+                cov = estimate_covariance(training, cfg.loading)
+                mults["covariance"] += counters.outer_product_mults(cov.dim, cov.n_t)
+                mults["solve"] += counters.mvdr_solve_mults(cov.dim)
+                return mvdr_correlator(cov, steering, space)
 
         center: list = [None] * len(targets)
         for b in range(cfg.subbands):
@@ -389,26 +409,34 @@ def _beamform(
             # one product per group of targets that share their rows; on the
             # antenna basis this gathers the strided subband for zgemm
             for rows, ids, corrs in groups.values():
-                outputs[ids, b] = apply_correlator(corrs, basis[rows], ops)
-    return outputs, center, ops
+                outputs[ids, b] = apply_correlator(corrs, basis[rows])
+                n_apply = basis[0].size
+                mults["apply"] += len(corrs) * counters.matvec_mults(corrs[0].dim, n_apply)
+    return outputs, center, mults
 
 
 def _back_end(
-    beams: tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], OpCounter],
+    beams: tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], Counter],
     cfg: PipelineConfig,
     timings: dict,
 ) -> PipelineResult:
     """Synthesize, detect and score what :func:`_beamform` returned."""
-    outputs, center, ops = beams
+    outputs, center, mults = beams
     geom, chirp, targets = cfg.geometry, cfg.chirp, cfg.scenario.targets
-    s_per_pulse = outputs.shape[2]
+    n_targets, n_sub, s_per_pulse, n_pulses = outputs.shape
 
     with _stage("synthesize", timings):
-        wideband = synthesize(outputs, ops)
+        wideband = synthesize(outputs)
+    if n_sub > 1:
+        mults["synthesize"] += n_targets * counters.synthesize_mults(
+            s_per_pulse * n_pulses, n_sub
+        )
 
     replica = generate_chirp(chirp)
     with _stage("range_doppler", timings):
-        maps = [range_doppler_map(series, replica, chirp, ops) for series in wideband]
+        maps = [range_doppler_map(series, replica, chirp) for series in wideband]
+    for series in wideband:
+        mults["range_doppler"] += counters.range_doppler_mults(*series.shape)
     with _stage("cfar", timings):
         detections_per_target = [
             cfar_detect(rd, cfg.cfar_threshold_db, cfg.cfar_guard_cells) for rd in maps
@@ -435,7 +463,7 @@ def _back_end(
         n_subbands=cfg.subbands,
         n_train_snapshots=s_per_pulse * cfg.train_pulses,
         n_apply_snapshots=s_per_pulse * chirp.num_pulses,
-        stage_mults=dict(ops.counts),
+        stage_mults=dict(mults),
     )
 
     return PipelineResult(

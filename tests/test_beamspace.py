@@ -8,7 +8,6 @@ from bsradar import (
     BeamspacePlan,
     ChirpParams,
     DataCube,
-    OpCounter,
     SpatialFrequencies,
     WindowSpec,
     adjoint_transform,
@@ -22,7 +21,6 @@ from bsradar import (
     windowed_steering,
 )
 from bsradar.beamspace import window_rows
-from bsradar.counters import beamspace_fft_mults
 
 from conftest import random_complex
 
@@ -310,13 +308,10 @@ class TestStridedSubband:
         view = self.subband(geom, rng)
         assert not view.flags.c_contiguous
         n_snap = view.shape[1] * view.shape[2]
-        ops_view, ops_flat = OpCounter(), OpCounter()
-        beams = beamspace_transform(view, plan, ops_view)
+        beams = beamspace_transform(view, plan)
         flat = np.ascontiguousarray(view).reshape(geom.n, n_snap)
         assert beams.shape == (plan.m, *view.shape[1:])
-        assert np.array_equal(beams.reshape(plan.m, n_snap), beamspace_transform(flat, plan, ops_flat))
-        tally = n_snap * beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x)
-        assert ops_view.counts == ops_flat.counts == {"beamspace_fft": tally}
+        assert np.array_equal(beams.reshape(plan.m, n_snap), beamspace_transform(flat, plan))
 
     @pytest.mark.parametrize("m_z,m_x", [(4, 32), (8, 64)])
     def test_strided_view_allocates_only_the_result(self, geom, rng, m_z, m_x):

@@ -8,7 +8,6 @@ from bsradar import (
     ArrayGeometry,
     ChirpParams,
     DataCube,
-    OpCounter,
     bin_center_frequencies,
     channelize,
     subband_center_freq,
@@ -235,12 +234,3 @@ class TestMetadata:
         l = subband_index_for_bin(np.arange(8), 8)
         expected = subband_center_freq(l, 8, chirp.carrier_freq, chirp.sample_rate)
         assert np.array_equal(freqs, expected)
-
-    def test_ops_counter_tallies(self, rng):
-        cube = make_cube(random_complex(rng, (2, 256, 2)))
-        ops = OpCounter()
-        sub = channelize(cube, 32, ops)
-        assert ops.counts["channelize"] == 2 * (8 * 2) * (32 + 16 * 5)
-        ops2 = OpCounter()
-        synthesize(sub[0], ops2)
-        assert ops2.counts["synthesize"] == (8 * 2) * (16 * 5 + 32)

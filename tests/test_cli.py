@@ -377,6 +377,19 @@ def test_scenario_sweep_rejects_an_unknown_preset(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("scene", ["preset", "config"])
+def test_scenario_sweep_rejects_a_base_scene(tmp_path, config_file, capsys, scene):
+    csv_path = tmp_path / "sweep.csv"
+    base = ["--preset", "E2"] if scene == "preset" else ["--config", str(config_file)]
+    argv = ["sweep", *base, "--axis", "scenario", "--values", "A1", "--out", str(csv_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: scenario: --axis scenario takes its scenes from --values, "
+        "not from --preset or a config file's scenario"
+    )
+    assert not csv_path.exists()
+
+
 METHOD_FAILED = (
     "failed: method: 'mvdr' not one of ('antenna-mvdr', 'beamspace-mvdr', 'conventional')"
 )

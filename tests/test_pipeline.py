@@ -1,5 +1,6 @@
 import csv
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy.linalg.blas import zgemm
 from bsradar import (
     ArrayGeometry,
     ChirpParams,
-    OpCounter,
     PipelineConfig,
     Scenario,
     TargetSpec,
@@ -32,14 +32,17 @@ from bsradar import (
     window_for,
     windowed_steering,
 )
-from bsradar import counters, pipeline
+from bsradar import pipeline
 from bsradar.cli import _write_beam_pattern
 from bsradar.cubeio import load_map, save_map
 from bsradar.counters import (
     beamspace_fft_mults,
+    channelize_mults,
     matvec_mults,
     mvdr_solve_mults,
     outer_product_mults,
+    range_doppler_mults,
+    synthesize_mults,
 )
 from bsradar.pipeline import (
     METHOD_ANTENNA,
@@ -112,8 +115,9 @@ def reference_beamform(
     bins, sub, scenario, cfg, plan, freqs, outputs, correlator_slots, center_bin
 ):
     """The per-(target, subband) loop the pipeline ran before it had one path
-    for all methods: two method branches, one product per beamspace target."""
-    ops = OpCounter()
+    for all methods: two method branches, one product per beamspace target.
+    Returns its tallies, each call's closed form added where it is made."""
+    mults = Counter()
     geom, chirp = cfg.geometry, cfg.chirp
     n_ant = geom.n
     s_per_pulse = sub.shape[2]
@@ -123,6 +127,7 @@ def reference_beamform(
     train_cols = (s_idx + np.arange(cfg.train_pulses)[None, :]).ravel()
     w_z, w_x = cfg.window
     n_targets = len(scenario.targets)
+    transform_mults = beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x)
 
     for b in bins:
         snap = sub[:, b, :, :].reshape(n_ant, s_per_pulse * n_pulses)
@@ -130,16 +135,21 @@ def reference_beamform(
         steer = steering_matrix(*np.transpose(omegas), geom)
 
         if cfg.method == METHOD_BEAMSPACE:
-            beams = beamspace_transform(snap, plan, ops)
+            beams = beamspace_transform(snap, plan)
+            mults["beamspace_fft"] += snap.shape[1] * transform_mults
             for k in range(n_targets):
                 win = window_for(omegas[k], plan, w_z, w_x)
                 reduced = extract_window(beams, plan, win)
-                a_win = windowed_steering(steer[:, k], plan, win, ops)
-                cov = estimate_covariance(reduced[:, train_cols], cfg.loading, ops)
-                corr = mvdr_correlator(cov, a_win, ops, BEAMSPACE_WINDOWED)
-                outputs[k, b] = apply_correlator(corr, reduced, ops).reshape(
+                a_win = windowed_steering(steer[:, k], plan, win)
+                mults["windowed_steering"] += transform_mults
+                cov = estimate_covariance(reduced[:, train_cols], cfg.loading)
+                mults["covariance"] += outer_product_mults(cov.dim, cov.n_t)
+                corr = mvdr_correlator(cov, a_win, BEAMSPACE_WINDOWED)
+                mults["solve"] += mvdr_solve_mults(cov.dim)
+                outputs[k, b] = apply_correlator(corr, reduced).reshape(
                     s_per_pulse, n_pulses
                 )
+                mults["apply"] += matvec_mults(corr.dim, reduced.shape[1])
                 if b == center_bin:
                     correlator_slots[k][0] = corr
                     correlator_slots[k][1] = win
@@ -148,8 +158,10 @@ def reference_beamform(
             weights = np.empty((n_targets, n_ant), dtype=complex)
             for k in range(n_targets):
                 if cfg.method == METHOD_ANTENNA:
-                    cov = estimate_covariance(train, cfg.loading, ops)
-                    corr = mvdr_correlator(cov, steer[:, k], ops)
+                    cov = estimate_covariance(train, cfg.loading)
+                    mults["covariance"] += outer_product_mults(cov.dim, cov.n_t)
+                    corr = mvdr_correlator(cov, steer[:, k])
+                    mults["solve"] += mvdr_solve_mults(cov.dim)
                 else:
                     corr = conventional_correlator(steer[:, k])
                 weights[k] = corr.weights
@@ -157,12 +169,9 @@ def reference_beamform(
                     correlator_slots[k][0] = corr
                     correlator_slots[k][1] = None
             out = zgemm(1.0, np.conj(weights), snap)
-            ops.add(
-                "apply",
-                n_targets * counters.matvec_mults(n_ant, snap.shape[1]),
-            )
+            mults["apply"] += n_targets * matvec_mults(n_ant, snap.shape[1])
             outputs[:, b] = out.reshape(n_targets, s_per_pulse, n_pulses)
-    return ops
+    return mults
 
 
 def tiny_config(geom, chirp, scenario, **kw):
@@ -260,7 +269,7 @@ class TestConfigValidation:
             PipelineConfig(scenario=A1, train_pulses=1000).validate()
 
     def test_fft_must_cover_array(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fft_size: "):
             PipelineConfig(scenario=A1, fft_size=(2, 32)).validate()
 
     @pytest.mark.parametrize(
@@ -370,22 +379,23 @@ class TestOneBeamformingPath:
         cfg = tiny_config(geom, chirp, scenario, **kw)
         result = process_cube(cube, scenario, cfg)
 
-        ops = OpCounter()
-        sub = channelize(cube, cfg.subbands, ops)
+        sub = channelize(cube, cfg.subbands)
         freqs = bin_center_frequencies(cfg.subbands, chirp)
         outputs = np.empty_like(result.subband_outputs)
         slots = [[None, None] for _ in scenario.targets]
-        ops.counts.update(
+        n_ant, n_sub, s_per_pulse, n_pulses = sub.shape
+        tallies = Counter(channelize=channelize_mults(n_ant, s_per_pulse * n_pulses, n_sub))
+        tallies.update(
             reference_beamform(
                 range(cfg.subbands), sub, scenario, cfg, cfg.beamspace_plan(),
                 freqs, outputs, slots, 0,
-            ).counts
+            )
         )
 
         assert np.array_equal(result.subband_outputs, outputs)
         mults = result.complexity.stage_mults
-        assert {stage: mults[stage] for stage in ops.counts} == ops.counts
-        assert set(mults) - set(ops.counts) == {"synthesize", "range_doppler"}
+        assert {stage: mults[stage] for stage in tallies} == tallies
+        assert set(mults) - set(tallies) == {"synthesize", "range_doppler"}
         for k, (corr, win) in enumerate(slots):
             got = result.center_correlators[k]
             assert np.array_equal(got.weights, corr.weights)
@@ -750,23 +760,57 @@ class TestComplexityReport:
         with pytest.raises(TypeError, match=derived):
             ComplexityReport(**args, **{derived: 0})
 
-    def test_tallies_match_closed_forms(self):
+    @pytest.mark.parametrize("subbands", [16, 1])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_tallies_match_closed_forms(self, method, subbands):
         geom, chirp, scenario = tiny_setup()
-        cfg = tiny_config(geom, chirp, scenario, method=METHOD_ANTENNA)
+        cfg = tiny_config(geom, chirp, scenario, method=method, subbands=subbands)
         report = run_pipeline(cfg).complexity
-        k = len(scenario.targets)
-        n_sub = cfg.subbands
-        n = geom.n
-        s = chirp.pulse_samples // n_sub
+        k, n = len(scenario.targets), geom.n
+        pairs = k * subbands
+        s = chirp.pulse_samples // subbands
         n_t = s * cfg.train_pulses
         n_apply = s * chirp.num_pulses
-        assert report.stage_mults["covariance"] == k * n_sub * outer_product_mults(n, n_t)
-        assert report.stage_mults["solve"] == k * n_sub * mvdr_solve_mults(n)
-        assert report.stage_mults["apply"] == k * n_sub * matvec_mults(n, n_apply)
-        assert report.training_mults_per_pair == (
-            outer_product_mults(n, n_t) + mvdr_solve_mults(n)
+        expected = {
+            "range_doppler": k * range_doppler_mults(chirp.pulse_samples, chirp.num_pulses)
+        }
+        if subbands > 1:  # a single subband passes through both
+            expected["channelize"] = channelize_mults(n, n_apply, subbands)
+            expected["synthesize"] = k * synthesize_mults(n_apply, subbands)
+        dim, transform = n, 0  # rows a target beamforms on; one beamspace FFT
+        if method == METHOD_BEAMSPACE:
+            plan = cfg.beamspace_plan()
+            dim = cfg.window[0] * cfg.window[1]
+            transform = beamspace_fft_mults(geom.n_x, plan.m_z, plan.m_x)
+            expected["beamspace_fft"] = subbands * n_apply * transform
+            expected["windowed_steering"] = pairs * transform
+        training = transform
+        if method != METHOD_CONVENTIONAL:
+            expected["covariance"] = pairs * outer_product_mults(dim, n_t)
+            expected["solve"] = pairs * mvdr_solve_mults(dim)
+            training += outer_product_mults(dim, n_t) + mvdr_solve_mults(dim)
+        expected["apply"] = pairs * matvec_mults(dim, n_apply)
+        assert report.stage_mults == expected
+        assert report.training_mults_per_pair == training
+        assert report.application_mults_per_snapshot == transform + dim
+
+    def test_channelizer_tallies_by_hand(self):
+        # 2 antennas, 256 samples x 2 pulses, 32 subbands: 8 x 2 blocks, each a
+        # 32-point half-bin ramp and a radix-2 FFT of 16 * 5 twiddles
+        chirp = ChirpParams(pulse_samples=256, num_pulses=2, pri=2e-6, bandwidth=400e6)
+        scenario = Scenario(targets=(TargetSpec((0.0, 30.0, 0.0), 0.0),), noise_power=1e-2)
+        cfg = PipelineConfig(
+            scenario=scenario,
+            method=METHOD_ANTENNA,
+            subbands=32,
+            window=(1, 2),
+            train_pulses=2,
+            geometry=ArrayGeometry(1, 2, 10e9),
+            chirp=chirp,
         )
-        assert report.application_mults_per_snapshot == n
+        mults = run_pipeline(cfg).complexity.stage_mults
+        assert mults["channelize"] == 2 * (8 * 2) * (32 + 16 * 5)
+        assert mults["synthesize"] == (8 * 2) * (16 * 5 + 32)
 
     def test_beamspace_tallies_share_the_transform(self):
         geom, chirp, scenario = tiny_setup()

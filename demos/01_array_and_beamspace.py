@@ -53,9 +53,7 @@ def main() -> None:
         sf_off = type(sf)(2 * np.pi * (9 + frac) / plan.m_x, 0.0)
         a_off = steering_vector(sf_off, geom)
         win = window_for(sf_off, plan, 2, 4)
-        kept = np.linalg.norm(
-            extract_window(beamspace_transform(a_off, plan), plan, win)
-        ) ** 2
+        kept = np.linalg.norm(extract_window(beamspace_transform(a_off, plan), win)) ** 2
         print(f"  offset {frac:4.2f} bins -> {kept / geom.n * 100:5.1f}% captured")
 
 

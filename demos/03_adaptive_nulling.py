@@ -25,7 +25,6 @@ from bsradar import (
     window_for,
     windowed_steering,
 )
-from bsradar.mvdr import BEAMSPACE_WINDOWED
 
 
 def main() -> None:
@@ -62,24 +61,23 @@ def main() -> None:
     # the same contest inside a 2x4 beamspace window
     plan = BeamspacePlan.for_geometry(geom)
     win = window_for(sf_t, plan, 2, 4)
-    reduced = extract_window(beamspace_transform(snaps, plan), plan, win)
-    a_win = windowed_steering(a_t, plan, win)
-    small = mvdr_correlator(
-        estimate_covariance(reduced, 1e-3), a_win, space=BEAMSPACE_WINDOWED
-    )
+    reduced = extract_window(beamspace_transform(snaps, plan), win)
+    a_win = windowed_steering(a_t, win)
+    small = mvdr_correlator(estimate_covariance(reduced, 1e-3), a_win, win)
     print(f"\nwindowed beamspace (W={win.w}): output power "
           f"{10 * np.log10(np.mean(np.abs(apply_correlator(small, reduced)) ** 2)):6.1f} dB")
 
-    lifted = lift_correlator(small, plan, win)
+    lifted = lift_correlator(small)
     dual = np.max(np.abs(
         apply_correlator(small, reduced) - apply_correlator(lifted, snaps)
     ))
     print(f"lifted weights reproduce the windowed output to {dual:.2e}")
 
-    # pattern cuts along elevation through both sources
+    # pattern cuts along elevation through both sources; beam_pattern
+    # evaluates the windowed weights through their lift
     elevations = np.deg2rad(np.arange(0.0, 35.0, 1.0))
     az = np.deg2rad([0.0])
-    for label, corr in [("antenna MVDR", adaptive), ("lifted 2x4 MVDR", lifted)]:
+    for label, corr in [("antenna MVDR", adaptive), ("lifted 2x4 MVDR", small)]:
         pattern = beam_pattern(corr, az, elevations, geom, geom.design_freq)[:, 0]
         at = pattern[12]
         nul = pattern[22]

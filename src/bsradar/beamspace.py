@@ -14,8 +14,11 @@ in place, so a call allocates its result plus, when the x axis is padded,
 the first stage.  (``channelizer`` and ``simulate`` keep ``np.fft``: they
 write into preallocated buffers with ``out=``, which ``scipy.fft`` lacks.)
 
-Windows wrap circularly (the spatial DFT is periodic); an even-width window
-spans floor(w/2) bins below its center and the remainder above.
+A window is a rectangle of bins on one plan's grid and carries that plan,
+so it is checked against its grid once, when it is built, and the functions
+that select, scatter or steer through it take the window alone.  Windows
+wrap circularly (the spatial DFT is periodic); an even-width window spans
+floor(w/2) bins below its center and the remainder above.
 """
 
 from __future__ import annotations
@@ -66,27 +69,28 @@ class BeamspacePlan:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """w_z-by-w_x rectangle of beam bins centered at (center_row, center_col)."""
+    """w_z-by-w_x rectangle of ``plan``'s beam bins centered at (center_row,
+    center_col); it fits the grid and its center is a bin of the grid."""
 
+    plan: BeamspacePlan
     w_z: int
     w_x: int
     center_row: int
     center_col: int
 
     def __post_init__(self) -> None:
+        m_z, m_x = self.plan.m_z, self.plan.m_x
         if self.w_z < 1 or self.w_x < 1:
             raise ValueError("window dims must be >= 1")
+        if self.w_z > m_z or self.w_x > m_x:
+            raise ValueError(f"window ({self.w_z}, {self.w_x}) exceeds beam grid ({m_z}, {m_x})")
+        if not (0 <= self.center_row < m_z and 0 <= self.center_col < m_x):
+            center = (self.center_row, self.center_col)
+            raise ValueError(f"window center {center} is off the beam grid ({m_z}, {m_x})")
 
     @property
     def w(self) -> int:
         return self.w_z * self.w_x
-
-
-def _check_window(win: WindowSpec, plan: BeamspacePlan) -> None:
-    if win.w_z > plan.m_z or win.w_x > plan.m_x:
-        raise ValueError(
-            f"window ({win.w_z}, {win.w_x}) exceeds beam grid ({plan.m_z}, {plan.m_x})"
-        )
 
 
 def beamspace_transform(y: np.ndarray, plan: BeamspacePlan) -> np.ndarray:
@@ -142,49 +146,35 @@ def window_center(sf: SpatialFrequencies, plan: BeamspacePlan) -> tuple[int, int
 def window_for(
     sf: SpatialFrequencies, plan: BeamspacePlan, w_z: int, w_x: int
 ) -> WindowSpec:
-    """WindowSpec of the given size centered on the bin nearest ``sf``."""
-    row, col = window_center(sf, plan)
-    return WindowSpec(w_z, w_x, row, col)
+    """WindowSpec of the given size on ``plan``'s grid, centered on the bin nearest ``sf``."""
+    return WindowSpec(plan, w_z, w_x, *window_center(sf, plan))
 
 
-def window_indices(win: WindowSpec, plan: BeamspacePlan) -> tuple[np.ndarray, np.ndarray]:
-    """Wrapped (rows, cols) selected by the window, in window order."""
-    _check_window(win, plan)
-    rows = (win.center_row - win.w_z // 2 + np.arange(win.w_z)) % plan.m_z
-    cols = (win.center_col - win.w_x // 2 + np.arange(win.w_x)) % plan.m_x
-    return rows, cols
+def window_rows(win: WindowSpec) -> np.ndarray:
+    """Flat beam-grid indices of the window's (wrapped) bins, in window order."""
+    rows = (win.center_row - win.w_z // 2 + np.arange(win.w_z)) % win.plan.m_z
+    cols = (win.center_col - win.w_x // 2 + np.arange(win.w_x)) % win.plan.m_x
+    return (cols[:, None] * win.plan.m_z + rows[None, :]).ravel()
 
 
-def window_rows(win: WindowSpec, plan: BeamspacePlan) -> np.ndarray:
-    """Flat beam-grid indices of the window's bins, in window order."""
-    rows, cols = window_indices(win, plan)
-    return (cols[:, None] * plan.m_z + rows[None, :]).ravel()
-
-
-def extract_window(
-    beam: np.ndarray, plan: BeamspacePlan, win: WindowSpec
-) -> np.ndarray:
+def extract_window(beam: np.ndarray, win: WindowSpec) -> np.ndarray:
     """Select the window's bins from beam vector(s): the 0/1 selector product."""
     arr = np.asarray(beam)
-    if arr.shape[0] != plan.m:
-        raise ValueError(f"beam vector length {arr.shape[0]} != grid size {plan.m}")
-    return arr[window_rows(win, plan)]
+    if arr.shape[0] != win.plan.m:
+        raise ValueError(f"beam vector length {arr.shape[0]} != grid size {win.plan.m}")
+    return arr[window_rows(win)]
 
 
-def scatter_window(
-    values: np.ndarray, plan: BeamspacePlan, win: WindowSpec
-) -> np.ndarray:
+def scatter_window(values: np.ndarray, win: WindowSpec) -> np.ndarray:
     """Adjoint of :func:`extract_window`: place window values on the full grid."""
     values = np.asarray(values)
     if values.shape[0] != win.w:
         raise ValueError(f"expected {win.w} window values, got {values.shape[0]}")
-    grid = np.zeros(plan.m, dtype=complex)
-    grid[window_rows(win, plan)] = values
+    grid = np.zeros(win.plan.m, dtype=complex)
+    grid[window_rows(win)] = values
     return grid
 
 
-def windowed_steering(
-    steering: np.ndarray, plan: BeamspacePlan, win: WindowSpec
-) -> np.ndarray:
+def windowed_steering(steering: np.ndarray, win: WindowSpec) -> np.ndarray:
     """Length-W windowed beamspace image of an antenna steering vector."""
-    return extract_window(beamspace_transform(steering, plan), plan, win)
+    return extract_window(beamspace_transform(steering, win.plan), win)

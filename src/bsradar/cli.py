@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cubeio
-from .mvdr import ANTENNA_SPACE, beam_pattern, lift_correlator, write_beam_pattern_csv
+from .mvdr import beam_pattern, write_beam_pattern_csv
 from .pipeline import (
     METHODS,
     PipelineConfig,
@@ -71,7 +71,7 @@ def _cmd_simulate(args) -> int:
 def _write_beam_pattern(
     result: PipelineResult, target: int, path, grid
 ) -> tuple[int, int]:
-    """Lift a target's center-subband correlator and write its pattern CSV.
+    """Write the pattern CSV of a target's center-subband correlator.
 
     ``grid`` is ((az_start, az_stop), (el_start, el_stop), step) in degrees,
     both stops included; returns the pattern's (elevations, azimuths) shape.
@@ -79,8 +79,6 @@ def _write_beam_pattern(
     (az_start, az_stop), (el_start, el_stop), step = grid
     cfg = result.config
     corr = result.center_correlators[target]
-    if corr.space != ANTENNA_SPACE:
-        corr = lift_correlator(corr, cfg.beamspace_plan(), result.center_windows[target])
     azimuths = np.deg2rad(np.arange(az_start, az_stop + 1e-9, step))
     elevations = np.deg2rad(np.arange(el_start, el_stop + 1e-9, step))
     pattern = beam_pattern(corr, azimuths, elevations, cfg.geometry, cfg.chirp.carrier_freq)
@@ -147,8 +145,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_beampattern(args) -> int:
-    result = run_pipeline(_build_config(args))
+    cfg = _build_config(args)
+    n_targets = len(cfg.scenario.targets)
+    if not 0 <= args.target < n_targets:
+        raise ValueError(f"--target: {args.target} is not an index in [0, {n_targets})")
     grid = ((args.az_start, args.az_stop), (args.el_start, args.el_stop), args.step)
+    if not 0 < args.step < np.inf:
+        raise ValueError(f"--step: {args.step} is not a finite number > 0")
+    for axis, (start, stop) in zip(("az", "el"), grid):
+        if not -np.inf < start <= stop < np.inf:
+            raise ValueError(
+                f"--{axis}-start/--{axis}-stop: [{start}, {stop}] is not a finite span"
+            )
+    result = run_pipeline(cfg)
     n_el, n_az = _write_beam_pattern(result, args.target, args.pattern_out, grid)
     print(f"wrote beam pattern ({n_el}x{n_az}) to {args.pattern_out}")
     return 0

@@ -1,5 +1,9 @@
 """Covariance estimation and MVDR correlators in antenna or windowed beamspace.
 
+A :class:`Correlator`'s weights apply on the antennas, or on the bins of
+its ``window``, which carries its beam grid; :func:`lift_correlator` maps
+windowed weights back to the antennas.
+
 The correlator solving min w^H R w subject to w^H a = 1 is computed from a
 Hermitian positive-definite factorization (never an explicit inverse); a
 factorization failure raises with the smallest diagonal pivot named so the
@@ -16,11 +20,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import zgemm
 
-from .beamspace import BeamspacePlan, WindowSpec, adjoint_transform, scatter_window
+from .beamspace import WindowSpec, adjoint_transform, scatter_window
 from .geometry import ArrayGeometry, angle_frequencies, steering_matrix
-
-ANTENNA_SPACE = "antenna"
-BEAMSPACE_WINDOWED = "windowed-beamspace"
 
 
 @dataclass
@@ -38,10 +39,14 @@ class CovarianceEstimate:
 
 @dataclass
 class Correlator:
-    """Beamformer weight vector tagged with the space it applies in."""
+    """Beamformer weights on ``window``'s beam bins, or on the antennas if None."""
 
     weights: np.ndarray
-    space: str = ANTENNA_SPACE
+    window: WindowSpec | None = None
+
+    def __post_init__(self) -> None:
+        if self.window is not None and self.dim != self.window.w:
+            raise ValueError(f"weights length {self.dim} != window size {self.window.w}")
 
     @property
     def dim(self) -> int:
@@ -90,7 +95,7 @@ def _solve_hpd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def mvdr_correlator(
-    cov: CovarianceEstimate, steering: np.ndarray, space: str = ANTENNA_SPACE
+    cov: CovarianceEstimate, steering: np.ndarray, window: WindowSpec | None = None
 ) -> Correlator:
     """Closed-form MVDR weights R^-1 a / (a^H R^-1 a)."""
     a = np.asarray(steering)
@@ -98,27 +103,27 @@ def mvdr_correlator(
         raise ValueError(f"steering length {a.shape[0]} != covariance dim {cov.dim}")
     x = _solve_hpd(cov.matrix, a)
     denom = a.conj() @ x
-    return Correlator(x / denom, space)
+    return Correlator(x / denom, window)
 
 
-def conventional_correlator(steering: np.ndarray, space: str = ANTENNA_SPACE) -> Correlator:
+def conventional_correlator(
+    steering: np.ndarray, window: WindowSpec | None = None
+) -> Correlator:
     """Non-adaptive distortionless weights a / ||a||^2."""
     a = np.asarray(steering)
-    return Correlator(a / (np.linalg.norm(a) ** 2), space)
+    return Correlator(a / (np.linalg.norm(a) ** 2), window)
 
 
-def lift_correlator(
-    corr: Correlator, plan: BeamspacePlan, win: WindowSpec
-) -> Correlator:
+def lift_correlator(corr: Correlator) -> Correlator:
     """Map windowed-beamspace weights to the equivalent antenna-space weights.
 
     Applying the lifted weights to raw snapshots reproduces the windowed
     beamspace output exactly (adjoint of transform-then-window).
     """
-    if corr.space != BEAMSPACE_WINDOWED:
-        raise ValueError(f"can only lift windowed-beamspace correlators, got {corr.space}")
-    full = scatter_window(corr.weights, plan, win)
-    return Correlator(adjoint_transform(full, plan), ANTENNA_SPACE)
+    if corr.window is None:
+        raise ValueError("can only lift windowed-beamspace correlators, got an antenna one")
+    full = scatter_window(corr.weights, corr.window)
+    return Correlator(adjoint_transform(full, corr.window.plan))
 
 
 def apply_correlator(
@@ -150,11 +155,11 @@ def beam_pattern(
     """Cosine similarity |<w, a(az, el)>| / (||w|| ||a||) over an angle grid.
 
     ``azimuths`` and ``elevations`` are 1D arrays in radians; the result has
-    shape (len(elevations), len(azimuths)) with values in [0, 1].  Beamspace
-    correlators must be lifted to antenna space first.
+    shape (len(elevations), len(azimuths)) with values in [0, 1].  A
+    windowed correlator is evaluated through its lift to the antennas.
     """
-    if corr.space != ANTENNA_SPACE:
-        raise ValueError("lift the correlator to antenna space before evaluating")
+    if corr.window is not None:
+        corr = lift_correlator(corr)
     w_norm = np.linalg.norm(corr.weights)
     if w_norm == 0:
         raise ValueError("zero-norm correlator has no beam pattern")

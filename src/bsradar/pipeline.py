@@ -111,8 +111,6 @@ from .detection import (
 )
 from .geometry import ArrayGeometry, SpatialFrequencies, spatial_frequencies, steering_matrix
 from .mvdr import (
-    ANTENNA_SPACE,
-    BEAMSPACE_WINDOWED,
     Correlator,
     apply_correlator,
     conventional_correlator,
@@ -195,12 +193,10 @@ class PipelineConfig:
             plan = self.beamspace_plan()
         except ValueError as exc:
             raise ValueError(f"fft_size: {exc}") from None
-        w_z, w_x = self.window
-        if not (1 <= w_z <= plan.m_z and 1 <= w_x <= plan.m_x):
-            raise ValueError(
-                f"window: ({w_z}, {w_x}) must fit the beam grid "
-                f"({plan.m_z}, {plan.m_x})"
-            )
+        try:
+            WindowSpec(plan, *self.window, 0, 0)
+        except ValueError as exc:
+            raise ValueError(f"window: {exc}") from None
 
     def beamspace_plan(self) -> BeamspacePlan:
         return BeamspacePlan.for_geometry(self.geometry, *(self.fft_size or ()))
@@ -260,7 +256,6 @@ class PipelineResult:
     subband_outputs: np.ndarray
     maps: list[RangeDopplerMap]
     center_correlators: list[Correlator]
-    center_windows: list[WindowSpec | None]
     timings: dict[str, dict[str, float]] = field(default_factory=dict)
 
     @property
@@ -333,15 +328,15 @@ def _channelize(
 
 def _beamform(
     front: tuple[np.ndarray, Counter], cfg: PipelineConfig, timings: dict
-) -> tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], Counter]:
+) -> tuple[np.ndarray, list[Correlator], Counter]:
     """Train and apply every target's beamformer, one subband at a time.
 
     ``front`` is what :func:`_channelize` returned.  Returns the outputs
-    (target, subband, snapshot, pulse), each target's correlator and window
-    in the center subband, and the run's tallies so far.  This is the
-    subbands' last reader and keeps no reference to them, so a caller that
-    passes ``front`` without naming it frees the subband buffer when this
-    returns.
+    (target, subband, snapshot, pulse), each target's correlator in the
+    center subband, which carries its window in beamspace, and the run's
+    tallies so far.  This is the subbands' last reader and keeps no
+    reference to them, so a caller that passes ``front`` without naming it
+    frees the subband buffer when this returns.
     """
     subbands, front_mults = front
     mults = Counter(front_mults)  # a sweep's points share one front end
@@ -356,7 +351,6 @@ def _beamform(
 
         # basis and selector: the rows a target beamforms on, with its steering there
         if cfg.method == METHOD_BEAMSPACE:
-            space = BEAMSPACE_WINDOWED
             transform_mults = counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x)
 
             def to_basis(snap):
@@ -367,10 +361,9 @@ def _beamform(
             def select(k, b, steering):
                 win = window_for(SpatialFrequencies(*omegas[k, :, b]), plan, *cfg.window)
                 mults["windowed_steering"] += transform_mults
-                return win, window_rows(win, plan), windowed_steering(steering, plan, win)
+                return win, window_rows(win), windowed_steering(steering, win)
 
         else:
-            space = ANTENNA_SPACE
 
             def to_basis(snap):
                 return snap
@@ -381,16 +374,16 @@ def _beamform(
         # rule
         if cfg.method == METHOD_CONVENTIONAL:
 
-            def train(training, steering):
-                return conventional_correlator(steering, space)
+            def train(training, steering, win):
+                return conventional_correlator(steering, win)
 
         else:
 
-            def train(training, steering):
+            def train(training, steering, win):
                 cov = estimate_covariance(training, cfg.loading)
                 mults["covariance"] += counters.outer_product_mults(cov.dim, cov.n_t)
                 mults["solve"] += counters.mvdr_solve_mults(cov.dim)
-                return mvdr_correlator(cov, steering, space)
+                return mvdr_correlator(cov, steering, win)
 
         center: list = [None] * len(targets)
         for b in range(cfg.subbands):
@@ -400,12 +393,12 @@ def _beamform(
             groups: dict = {}  # selector -> (rows, target ids, correlators)
             for k in range(len(targets)):
                 win, rows, steering = select(k, b, steer[:, k])
-                corr = train(training[rows], steering)
+                corr = train(training[rows], steering, win)
                 ids, corrs = groups.setdefault(win, (rows, [], []))[1:]
                 ids.append(k)
                 corrs.append(corr)
                 if b == CENTER_BIN:
-                    center[k] = (corr, win)
+                    center[k] = corr
             # one product per group of targets that share their rows; on the
             # antenna basis this gathers the strided subband for zgemm
             for rows, ids, corrs in groups.values():
@@ -416,7 +409,7 @@ def _beamform(
 
 
 def _back_end(
-    beams: tuple[np.ndarray, list[tuple[Correlator, WindowSpec | None]], Counter],
+    beams: tuple[np.ndarray, list[Correlator], Counter],
     cfg: PipelineConfig,
     timings: dict,
 ) -> PipelineResult:
@@ -474,8 +467,7 @@ def _back_end(
         wideband_outputs=wideband,
         subband_outputs=outputs,
         maps=maps,
-        center_correlators=[corr for corr, _ in center],
-        center_windows=[win for _, win in center],
+        center_correlators=center,
         timings=timings,
     )
 

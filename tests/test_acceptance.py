@@ -341,9 +341,7 @@ def test_ac10_lifted_beamspace_null_on_interferer(default_config):
     cube = synthesize_datacube(scenario, cfg.geometry, cfg.chirp)
     result = process_cube(cube, scenario, cfg)
 
-    lifted = lift_correlator(
-        result.center_correlators[0], cfg.beamspace_plan(), result.center_windows[0]
-    )
+    lifted = lift_correlator(result.center_correlators[0])
     pattern = beam_pattern(
         lifted,
         np.deg2rad([0.0]),

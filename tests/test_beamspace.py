@@ -38,8 +38,9 @@ def dense_transform_matrix(plan: BeamspacePlan) -> np.ndarray:
     return np.kron(d_h_t, d_v)
 
 
-def dense_window_matrix(win: WindowSpec, plan: BeamspacePlan) -> np.ndarray:
+def dense_window_matrix(win: WindowSpec) -> np.ndarray:
     """Oracle: explicit 0/1 selector Kronecker product."""
+    plan = win.plan
     rows = (win.center_row - win.w_z // 2 + np.arange(win.w_z)) % plan.m_z
     cols = (win.center_col - win.w_x // 2 + np.arange(win.w_x)) % plan.m_x
     s_v = np.zeros((win.w_z, plan.m_z))
@@ -142,8 +143,8 @@ class TestWindowCenter:
         beam = beamspace_transform(a, plan)
         captures = []
         for center in (3, 4):
-            win = WindowSpec(3, plan.m_x, center, 0)
-            captures.append(np.linalg.norm(extract_window(beam, plan, win)) ** 2)
+            win = WindowSpec(plan, 3, plan.m_x, center, 0)
+            captures.append(np.linalg.norm(extract_window(beam, win)) ** 2)
         assert captures[0] == pytest.approx(captures[1], rel=1e-12)
 
 
@@ -151,8 +152,8 @@ class TestExtractWindow:
     def test_full_window_is_norm_preserving_permutation(self, geom, rng):
         plan = BeamspacePlan.for_geometry(geom)
         beam = beamspace_transform(random_complex(rng, geom.n), plan)
-        win = WindowSpec(plan.m_z, plan.m_x, 2, 7)
-        out = extract_window(beam, plan, win)
+        win = WindowSpec(plan, plan.m_z, plan.m_x, 2, 7)
+        out = extract_window(beam, win)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(beam), rel=1e-12)
         assert np.allclose(np.sort(np.abs(out)), np.sort(np.abs(beam)))
 
@@ -161,19 +162,20 @@ class TestExtractWindow:
         beam = random_complex(rng, plan.m)
         for _ in range(5):
             win = WindowSpec(
+                plan,
                 int(rng.integers(1, plan.m_z + 1)),
                 int(rng.integers(1, plan.m_x + 1)),
                 int(rng.integers(0, plan.m_z)),
                 int(rng.integers(0, plan.m_x)),
             )
-            oracle = dense_window_matrix(win, plan) @ beam
-            assert np.array_equal(extract_window(beam, plan, win), oracle)
+            oracle = dense_window_matrix(win) @ beam
+            assert np.array_equal(extract_window(beam, win), oracle)
 
     def test_wrap_at_origin(self, geom):
         plan = BeamspacePlan.for_geometry(geom)
         beam = np.arange(plan.m, dtype=complex)
-        win = WindowSpec(3, 1, 0, 0)
-        out = extract_window(beam, plan, win)
+        win = WindowSpec(plan, 3, 1, 0, 0)
+        out = extract_window(beam, win)
         grid = beam.reshape(plan.m_x, plan.m_z)
         assert np.array_equal(out, grid[0, [plan.m_z - 1, 0, 1]])
 
@@ -182,7 +184,7 @@ class TestExtractWindow:
         a = steering_vector(SpatialFrequencies(0.0, 2 * np.pi * 2 / plan.m_z), geom)
         beam = beamspace_transform(a, plan)
         win = window_for(SpatialFrequencies(0.0, 2 * np.pi * 2 / plan.m_z), plan, 2, 4)
-        captured = np.linalg.norm(extract_window(beam, plan, win)) ** 2
+        captured = np.linalg.norm(extract_window(beam, win)) ** 2
         assert captured == pytest.approx(np.linalg.norm(beam) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("axis", ["z", "x"])
@@ -196,7 +198,7 @@ class TestExtractWindow:
         a = steering_vector(sf, geom)
         beam = beamspace_transform(a, plan)
         win = window_for(sf, plan, 2, 4)
-        captured = np.linalg.norm(extract_window(beam, plan, win)) ** 2
+        captured = np.linalg.norm(extract_window(beam, win)) ** 2
         assert captured / np.linalg.norm(beam) ** 2 >= 0.8
 
     def test_capture_monotone_in_window_size(self, geom, rng):
@@ -206,23 +208,23 @@ class TestExtractWindow:
         row, col = window_center(sf, plan)
         last = -1.0
         for w_z, w_x in [(1, 1), (1, 2), (2, 2), (2, 4), (3, 4), (4, 8), (4, 32)]:
-            win = WindowSpec(w_z, w_x, row, col)
-            cap = np.linalg.norm(extract_window(beam, plan, win)) ** 2
+            win = WindowSpec(plan, w_z, w_x, row, col)
+            cap = np.linalg.norm(extract_window(beam, win)) ** 2
             assert cap >= last - 1e-12
             last = cap
 
     def test_window_exceeding_grid_rejected(self, geom):
         plan = BeamspacePlan.for_geometry(geom)
         with pytest.raises(ValueError):
-            extract_window(np.zeros(plan.m), plan, WindowSpec(8, 4, 0, 0))
+            WindowSpec(plan, 8, 4, 0, 0)
 
 
 class TestWindowedSteering:
     def test_boresight_dominant_entry_at_window_origin(self, geom):
         plan = BeamspacePlan.for_geometry(geom)
         a = steering_vector(SpatialFrequencies(0.0, 0.0), geom)
-        win = WindowSpec(2, 4, 0, 0)
-        out = windowed_steering(a, plan, win)
+        win = WindowSpec(plan, 2, 4, 0, 0)
+        out = windowed_steering(a, win)
         # window order: offsets (-1, 0) in z and (-2..1) in x; bin (0,0)
         # sits at x-offset index 2, z-offset index 1
         peak = np.argmax(np.abs(out))
@@ -233,8 +235,8 @@ class TestWindowedSteering:
         plan = BeamspacePlan.for_geometry(geom)
         sf = SpatialFrequencies(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
         a = steering_vector(sf, geom)
-        win = WindowSpec(plan.m_z, plan.m_x, *window_center(sf, plan))
-        out = windowed_steering(a, plan, win)
+        win = WindowSpec(plan, plan.m_z, plan.m_x, *window_center(sf, plan))
+        out = windowed_steering(a, win)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(a), rel=1e-10)
 
     def test_partial_window_never_gains_norm(self, geom, rng):
@@ -243,18 +245,18 @@ class TestWindowedSteering:
             sf = SpatialFrequencies(rng.uniform(-np.pi, np.pi), rng.uniform(-np.pi, np.pi))
             a = steering_vector(sf, geom)
             win = window_for(sf, plan, 2, 4)
-            out = windowed_steering(a, plan, win)
+            out = windowed_steering(a, win)
             assert np.linalg.norm(out) <= np.linalg.norm(a) + 1e-12
 
 
 class TestScatterAdjoint:
     def test_scatter_is_adjoint_of_extract(self, geom, rng):
         plan = BeamspacePlan(8, 64, geom.n_z, geom.n_x)
-        win = WindowSpec(3, 5, 6, 60)
+        win = WindowSpec(plan, 3, 5, 6, 60)
         beam = random_complex(rng, plan.m)
         values = random_complex(rng, win.w)
-        lhs = np.vdot(values, extract_window(beam, plan, win))
-        rhs = np.vdot(scatter_window(values, plan, win), beam)
+        lhs = np.vdot(values, extract_window(beam, win))
+        rhs = np.vdot(scatter_window(values, win), beam)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -285,11 +287,17 @@ class TestProperties:
     @given(plan=plans(), data=st.data())
     def test_window_rows_are_distinct_in_range_bins(self, plan, data):
         w_z, w_x = data.draw(st.integers(1, plan.m_z)), data.draw(st.integers(1, plan.m_x))
-        row, col = data.draw(st.integers(0, plan.m_z - 1)), data.draw(st.integers(0, plan.m_x - 1))
-        rows = window_rows(WindowSpec(w_z, w_x, row, col), plan)
+        if data.draw(st.booleans(), label="centered by window_for"):
+            omega = st.floats(-4 * np.pi, 4 * np.pi)
+            sf = SpatialFrequencies(data.draw(omega), data.draw(omega))
+            win = window_for(sf, plan, w_z, w_x)
+        else:
+            row = data.draw(st.integers(0, plan.m_z - 1))
+            win = WindowSpec(plan, w_z, w_x, row, data.draw(st.integers(0, plan.m_x - 1)))
+        rows = window_rows(win)
         assert len(set(rows.tolist())) == len(rows) == w_z * w_x
         assert 0 <= rows.min() and rows.max() < plan.m
-        assert col * plan.m_z + row in rows
+        assert win.center_col * plan.m_z + win.center_row in rows
 
 
 class TestStridedSubband:
@@ -333,7 +341,7 @@ class TestStridedSubband:
 
 
 PLAN_2x8 = BeamspacePlan(2, 8, 2, 8)
-WIN_2x4 = WindowSpec(2, 4, 0, 0)
+WIN_2x4 = WindowSpec(PLAN_2x8, 2, 4, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -341,22 +349,45 @@ WIN_2x4 = WindowSpec(2, 4, 0, 0)
     [
         (lambda: BeamspacePlan(4, 4, 0, 4), "^array dims must be >= 1"),
         (lambda: BeamspacePlan(4, 4, 4, 0), "^array dims must be >= 1"),
-        (lambda: WindowSpec(0, 2, 0, 0), "^window dims must be >= 1"),
-        (lambda: WindowSpec(2, 0, 0, 0), "^window dims must be >= 1"),
+        (lambda: WindowSpec(PLAN_2x8, 0, 2, 0, 0), "^window dims must be >= 1"),
+        (lambda: WindowSpec(PLAN_2x8, 2, 0, 0, 0), "^window dims must be >= 1"),
+        (
+            lambda: WindowSpec(PLAN_2x8, 3, 4, 0, 0),
+            r"^window \(3, 4\) exceeds beam grid \(2, 8\)",
+        ),
+        (
+            lambda: WindowSpec(PLAN_2x8, 2, 4, 2, 0),
+            r"^window center \(2, 0\) is off the beam grid \(2, 8\)",
+        ),
+        (
+            lambda: WindowSpec(PLAN_2x8, 2, 4, 0, -1),
+            r"^window center \(0, -1\) is off the beam grid \(2, 8\)",
+        ),
         (
             lambda: adjoint_transform(np.zeros(15), PLAN_2x8),
             "^beam vector length 15 != grid size 16",
         ),
         (
-            lambda: extract_window(np.zeros(15), PLAN_2x8, WIN_2x4),
+            lambda: extract_window(np.zeros(15), WIN_2x4),
             "^beam vector length 15 != grid size 16",
         ),
         (
-            lambda: scatter_window(np.zeros(7), PLAN_2x8, WIN_2x4),
+            lambda: scatter_window(np.zeros(7), WIN_2x4),
             "^expected 8 window values, got 7",
         ),
     ],
-    ids=["plan-n_z", "plan-n_x", "window-w_z", "window-w_x", "adjoint", "extract", "scatter"],
+    ids=[
+        "plan-n_z",
+        "plan-n_x",
+        "window-w_z",
+        "window-w_x",
+        "window-wider-than-grid",
+        "window-row-off-grid",
+        "window-col-off-grid",
+        "adjoint",
+        "extract",
+        "scatter",
+    ],
 )
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):

@@ -174,6 +174,32 @@ def test_beampattern_cli(tmp_path, config_file):
     assert len(lines) == 2 + 9 * 5
 
 
+@pytest.mark.parametrize(
+    "flags,flag",
+    [
+        (["--target", "-1"], "--target"),
+        (["--target", "5"], "--target"),
+        (["--step", "0"], "--step"),
+        (["--step", "-1"], "--step"),
+        (["--az-start", "60", "--az-stop", "-60"], "--az-start/--az-stop"),
+        (["--el-start", "10", "--el-stop", "-10"], "--el-start/--el-stop"),
+    ],
+    ids=["target-negative", "target-past-last", "step-zero", "step-negative", "az-span", "el-span"],
+)
+def test_beampattern_rejects_grid_and_target_flags_before_running(
+    tmp_path, config_file, capsys, monkeypatch, flags, flag
+):
+    def simulating(*args, **kwargs):
+        raise AssertionError("ran the pipeline for a pattern it cannot write")
+
+    monkeypatch.setattr(pipeline, "synthesize_datacube", simulating)
+    csv_path = tmp_path / "pattern.csv"
+    argv = ["beampattern", "--config", str(config_file), "--method", "beamspace-mvdr"]
+    assert main(argv + flags + ["--out", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not csv_path.exists()
+
+
 def test_errors_exit_nonzero(tmp_path, capsys):
     rc = main(["run", "--preset", "A1", "--subbands", "100"])
     assert rc == 2

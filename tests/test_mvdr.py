@@ -26,8 +26,6 @@ from bsradar import (
     windowed_steering,
 )
 
-from bsradar.mvdr import BEAMSPACE_WINDOWED
-
 from conftest import random_complex
 
 
@@ -157,15 +155,16 @@ class TestMvdrCorrelator:
 class TestReducedMvdr:
     def test_scalar_window_is_trivially_distortionless(self, rng):
         a_win = np.array([0.3 - 0.8j])
+        win = WindowSpec(BeamspacePlan(1, 1, 1, 1), 1, 1, 0, 0)
         cov = estimate_covariance(random_complex(rng, (1, 30)), 1e-3)
-        corr = mvdr_correlator(cov, a_win, space=BEAMSPACE_WINDOWED)
+        corr = mvdr_correlator(cov, a_win, win)
         assert corr.weights[0] == pytest.approx(1.0 / np.conj(a_win[0]))
         assert np.vdot(corr.weights, a_win) == pytest.approx(1.0)
 
     def test_full_window_lift_equals_antenna_mvdr(self, geom, rng):
         # m = n, W = M: the reduced pipeline is a unitary change of basis
         plan = BeamspacePlan.for_geometry(geom)
-        win = WindowSpec(plan.m_z, plan.m_x, 0, 0)
+        win = WindowSpec(plan, plan.m_z, plan.m_x, 0, 0)
         snaps = random_complex(rng, (geom.n, 256)) + 0.5
         a = steer(geom, 8.0, 3.0)
 
@@ -173,12 +172,10 @@ class TestReducedMvdr:
         c_ant = mvdr_correlator(cov_ant, a)
 
         beams = beamspace_transform(snaps, plan)
-        reduced = extract_window(beams, plan, win)
-        a_win = windowed_steering(a, plan, win)
-        c_red = mvdr_correlator(
-            estimate_covariance(reduced, 0.0), a_win, space=BEAMSPACE_WINDOWED
-        )
-        lifted = lift_correlator(c_red, plan, win)
+        reduced = extract_window(beams, win)
+        a_win = windowed_steering(a, win)
+        c_red = mvdr_correlator(estimate_covariance(reduced, 0.0), a_win, win)
+        lifted = lift_correlator(c_red)
 
         scale = np.max(np.abs(c_ant.weights))
         assert np.max(np.abs(lifted.weights - c_ant.weights)) / scale < 1e-8
@@ -198,15 +195,13 @@ class TestReducedMvdr:
         snaps = interferer + noise
 
         win = window_for(target_sf, plan, 1, 4)
-        reduced = extract_window(beamspace_transform(snaps, plan), plan, win)
-        a_win = windowed_steering(a_t, plan, win)
-        i_win = windowed_steering(a_i, plan, win)
+        reduced = extract_window(beamspace_transform(snaps, plan), win)
+        a_win = windowed_steering(a_t, win)
+        i_win = windowed_steering(a_i, win)
         assert np.linalg.norm(i_win) > 1.0  # interference really is in-window
 
-        adaptive = mvdr_correlator(
-            estimate_covariance(reduced, 0.0), a_win, space=BEAMSPACE_WINDOWED
-        )
-        fixed = conventional_correlator(a_win, space="windowed-beamspace")
+        adaptive = mvdr_correlator(estimate_covariance(reduced, 0.0), a_win, win)
+        fixed = conventional_correlator(a_win, win)
         p_adaptive = abs(np.vdot(adaptive.weights, i_win)) ** 2
         p_fixed = abs(np.vdot(fixed.weights, i_win)) ** 2
         assert p_fixed / p_adaptive >= 100.0
@@ -235,11 +230,9 @@ class TestWindowGrowth:
         last_power = np.inf
         for w_z, w_x in [(1, 2), (2, 2), (2, 4), (4, 4), (4, 8), (4, 16), (4, 32)]:
             win = window_for(target_sf, plan, w_z, w_x)
-            reduced = extract_window(beams, plan, win)
+            reduced = extract_window(beams, win)
             corr = mvdr_correlator(
-                estimate_covariance(reduced, 0.0),
-                windowed_steering(a, plan, win),
-                space=BEAMSPACE_WINDOWED,
+                estimate_covariance(reduced, 0.0), windowed_steering(a, win), win
             )
             power = float(
                 np.mean(np.abs(apply_correlator(corr, reduced)) ** 2)
@@ -251,42 +244,43 @@ class TestWindowGrowth:
 class TestLiftCorrelator:
     def test_boresight_full_window_lifts_to_steering_direction(self, geom):
         plan = BeamspacePlan.for_geometry(geom)
-        win = WindowSpec(plan.m_z, plan.m_x, 0, 0)
+        win = WindowSpec(plan, plan.m_z, plan.m_x, 0, 0)
         a = np.ones(geom.n, dtype=complex)
-        c_red = Correlator(windowed_steering(a, plan, win) / geom.n, "windowed-beamspace")
-        lifted = lift_correlator(c_red, plan, win)
+        lifted = lift_correlator(Correlator(windowed_steering(a, win) / geom.n, win))
         ratio = lifted.weights / (a / geom.n)
         assert np.allclose(ratio, ratio[0], atol=1e-12)
 
     def test_adjoint_identity(self, geom, rng):
         plan = BeamspacePlan(8, 64, geom.n_z, geom.n_x)
-        win = WindowSpec(2, 4, 1, 9)
+        win = WindowSpec(plan, 2, 4, 1, 9)
         c = random_complex(rng, win.w)
         y = random_complex(rng, geom.n)
-        windowed = extract_window(beamspace_transform(y, plan), plan, win)
+        windowed = extract_window(beamspace_transform(y, plan), win)
         lhs = np.vdot(c, windowed)
-        lifted = lift_correlator(Correlator(c, "windowed-beamspace"), plan, win)
+        lifted = lift_correlator(Correlator(c, win))
         rhs = np.vdot(lifted.weights, y)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_dual_application_paths_agree(self, geom, rng):
         plan = BeamspacePlan.for_geometry(geom)
-        win = WindowSpec(2, 4, 3, 20)
-        c = Correlator(random_complex(rng, win.w), "windowed-beamspace")
-        lifted = lift_correlator(c, plan, win)
+        win = WindowSpec(plan, 2, 4, 3, 20)
+        c = Correlator(random_complex(rng, win.w), win)
+        lifted = lift_correlator(c)
         snaps = random_complex(rng, (geom.n, 1000))
         via_beamspace = apply_correlator(
-            c, extract_window(beamspace_transform(snaps, plan), plan, win)
+            c, extract_window(beamspace_transform(snaps, plan), win)
         )
         via_antenna = apply_correlator(lifted, snaps)
         assert np.max(np.abs(via_beamspace - via_antenna)) < 1e-10
 
     def test_only_beamspace_correlators_lift(self, geom):
-        plan = BeamspacePlan.for_geometry(geom)
-        with pytest.raises(ValueError):
-            lift_correlator(
-                Correlator(np.ones(geom.n), "antenna"), plan, WindowSpec(2, 4, 0, 0)
-            )
+        with pytest.raises(ValueError, match="^can only lift windowed-beamspace"):
+            lift_correlator(Correlator(np.ones(geom.n)))
+
+    def test_weights_must_match_their_window(self, geom):
+        win = WindowSpec(BeamspacePlan.for_geometry(geom), 2, 4, 0, 0)
+        with pytest.raises(ValueError, match=r"^weights length 9 != window size 8"):
+            Correlator(np.ones(9, dtype=complex), win)
 
 
 class TestApplyCorrelator:
@@ -356,15 +350,13 @@ class TestBeamPattern:
                 geom.design_freq,
             )
 
-    def test_beamspace_correlator_must_be_lifted_first(self, geom):
-        with pytest.raises(ValueError):
-            beam_pattern(
-                Correlator(np.ones(8), "windowed-beamspace"),
-                np.array([0.0]),
-                np.array([0.0]),
-                geom,
-                geom.design_freq,
-            )
+    def test_windowed_correlator_pattern_is_its_lifts(self, geom, rng):
+        win = WindowSpec(BeamspacePlan(8, 64, geom.n_z, geom.n_x), 2, 4, 1, 9)
+        corr = Correlator(random_complex(rng, win.w), win)
+        az, el = np.deg2rad(np.arange(-60.0, 61.0, 15.0)), np.deg2rad(np.array([-20.0, 0.0, 7.0]))
+        pattern = beam_pattern(corr, az, el, geom, geom.design_freq)
+        lifted = beam_pattern(lift_correlator(corr), az, el, geom, geom.design_freq)
+        assert np.array_equal(pattern, lifted)
 
 
 class TestDistortionlessProperty:
@@ -395,13 +387,11 @@ class TestDistortionlessProperty:
 
         w_z, w_x = data.draw(st.integers(1, plan.m_z)), data.draw(st.integers(1, plan.m_x))
         win = window_for(sf, plan, w_z, w_x)
-        a_w = windowed_steering(a, plan, win)
-        training = extract_window(beamspace_transform(snaps, plan), plan, win)
-        corr = mvdr_correlator(
-            estimate_covariance(training, loading), a_w, space=BEAMSPACE_WINDOWED
-        )
+        a_w = windowed_steering(a, win)
+        training = extract_window(beamspace_transform(snaps, plan), win)
+        corr = mvdr_correlator(estimate_covariance(training, loading), a_w, win)
         assert abs(np.vdot(corr.weights, a_w) - 1) < 1e-9
-        lifted = lift_correlator(corr, plan, win).weights
+        lifted = lift_correlator(corr).weights
         assert abs(np.vdot(lifted, a) - 1) < 1e-9
 
 
@@ -435,7 +425,7 @@ class TestReedMallettBrennan:
             """Antenna column(s) in the basis: every row, or the window's beams."""
             if basis == "antenna":
                 return snaps
-            return extract_window(beamspace_transform(snaps, plan), plan, win)
+            return extract_window(beamspace_transform(snaps, plan), win)
 
         # the steering and the true covariance in the basis: S T a and S T R T^H S^H
         a = select(steer(geom, 4.0, 2.0))

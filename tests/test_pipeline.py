@@ -53,7 +53,6 @@ from bsradar.pipeline import (
     StageError,
     write_reports,
 )
-from bsradar.mvdr import BEAMSPACE_WINDOWED
 
 REPORT_HEADER = (
     b"# bsradar detection report v1\n"
@@ -139,12 +138,12 @@ def reference_beamform(
             mults["beamspace_fft"] += snap.shape[1] * transform_mults
             for k in range(n_targets):
                 win = window_for(omegas[k], plan, w_z, w_x)
-                reduced = extract_window(beams, plan, win)
-                a_win = windowed_steering(steer[:, k], plan, win)
+                reduced = extract_window(beams, win)
+                a_win = windowed_steering(steer[:, k], win)
                 mults["windowed_steering"] += transform_mults
                 cov = estimate_covariance(reduced[:, train_cols], cfg.loading)
                 mults["covariance"] += outer_product_mults(cov.dim, cov.n_t)
-                corr = mvdr_correlator(cov, a_win, BEAMSPACE_WINDOWED)
+                corr = mvdr_correlator(cov, a_win, win)
                 mults["solve"] += mvdr_solve_mults(cov.dim)
                 outputs[k, b] = apply_correlator(corr, reduced).reshape(
                     s_per_pulse, n_pulses
@@ -399,8 +398,7 @@ class TestOneBeamformingPath:
         for k, (corr, win) in enumerate(slots):
             got = result.center_correlators[k]
             assert np.array_equal(got.weights, corr.weights)
-            assert got.space == corr.space
-            assert result.center_windows[k] == win
+            assert got.window == corr.window == win
 
     @pytest.mark.parametrize("kw", [{}, dict(fft_size=(4, 16), window=(3, 5))])
     def test_oracle_scene_exercises_wrap_and_sharing(self, oracle_cube, kw):

@@ -7,6 +7,11 @@ f_c + (l - 1/2)/L * f_s with l in {-L/2+1, ..., L/2}.  DFT bin b maps to
 subband index l = b for b <= L/2 and l = b - L above.  The forward DFT is
 unscaled and the inverse carries the 1/L factor, so channelizing multiplies
 total energy by exactly L and the round trip is lossless.
+
+Every length-L block lies within one pulse, so pulses channelize independently:
+:func:`channelize_into` writes any range of a cube's pulses into a buffer of
+that range's size, and :func:`channelize` is that loop over every pulse,
+into a fresh buffer or over the cube's own samples.
 """
 
 from __future__ import annotations
@@ -42,37 +47,50 @@ def channelize(cube: DataCube, L: int, *, _overwrite: bool = False) -> np.ndarra
     L must divide the pulse length and be even; L == 1 passes the cube
     through as a single band.  Returns the subbands, shape (antennas,
     subbands, snapshots per pulse, pulses), the layout :func:`synthesize`
-    takes.
+    takes: :func:`channelize_into` over every pulse of the cube.
 
-    The result is a strided view: its buffer is laid out (antennas,
-    snapshots per pulse, subbands, pulses), the order the per-block DFT
-    writes it in, so ``result.transpose(0, 2, 1, 3)`` is C-contiguous, and
-    a subband ``result[:, b]`` is a strided (antennas, snapshots, pulses)
-    view that the beamspace transform reads in place.  By default the
-    buffer is fresh, so the cube is left as it was and the caller holds two
-    cube-sized arrays.  ``_overwrite`` is for a caller that owns a
-    complex128 cube and will not read it again: the subbands are then
-    written over the cube's own samples, so no second cube-sized array is
-    made.  With a single subband the result is always a view of the cube's
-    samples, to be read only.  The pipeline's beamforming is the subbands'
-    last reader: ``run_pipeline`` and ``process_cube`` free the buffer when
-    it returns, and a ``sweep`` keeps it only until the last of the points
-    that share the cube has beamformed.
+    By default the subbands are written into a fresh buffer, so the cube is
+    left as it was and the caller holds two cube-sized arrays.
+    ``_overwrite`` is for a caller that owns a complex128 cube and will not
+    read it again: the subbands are then written over the cube's own
+    samples, so no second cube-sized array is made.  With a single subband
+    the result is always a view of the cube's samples, to be read only.
     """
-    n_fast = cube.chirp.pulse_samples
+    samples = cube.samples
+    out = samples if _overwrite or L == 1 else np.empty(samples.shape, dtype=complex)
+    return channelize_into(samples, L, out)
+
+
+def channelize_into(samples: np.ndarray, L: int, out: np.ndarray) -> np.ndarray:
+    """Channelize (antennas, fast-time samples, pulses) into ``out``.
+
+    ``samples`` may be any range of a cube's pulses, a strided view of its
+    samples; ``out`` is a complex128 array of the same shape, or
+    ``samples`` itself to channelize in place.  Returns the subbands
+    (antennas, subbands, snapshots per pulse, pulses) as a strided view of
+    ``out``: its buffer is laid out (antennas, snapshots per pulse,
+    subbands, pulses), the order the per-block DFT writes it in, so
+    ``result.transpose(0, 2, 1, 3)`` is laid out like ``out``, and a
+    subband ``result[:, b]`` is a strided (antennas, snapshots, pulses)
+    view that the beamspace transform reads in place.  Each fast-time
+    block's DFT reads one pulse's samples only, so channelizing a cube a
+    range of pulses at a time gives the same bits as channelizing it
+    whole.  With L == 1 the result is a view of ``samples`` and ``out`` is
+    not written.
+    """
+    n_ant, n_fast, n_pulses = samples.shape
     if n_fast % L != 0:
         raise ValueError(f"subband count {L} does not divide pulse_samples {n_fast}")
     if L == 1:
-        return cube.samples[:, None, :, :]
+        return samples[:, None, :, :]
     if L % 2 != 0:
         raise ValueError(f"subband count {L} must be even (or 1 for passthrough)")
 
-    n_ant, _, n_pulses = cube.samples.shape
     n_snap = n_fast // L
-    blocks = cube.samples.reshape(n_ant, n_snap, L, n_pulses)
+    blocks = samples.reshape(n_ant, n_snap, L, n_pulses)
     ramp = _half_bin_ramp(L)[None, :, None]
     # (antenna, snapshot, subband, pulse): each block's DFT lands where it was read
-    dst = blocks if _overwrite else np.empty(blocks.shape, dtype=complex)
+    dst = out.reshape(n_ant, n_snap, L, n_pulses, copy=False)
     # one antenna at a time, so no cube-sized temporary exists beside dst
     for ant in range(n_ant):
         np.multiply(blocks[ant], ramp, out=dst[ant])

@@ -13,7 +13,9 @@ complexity report) and write no file.  :func:`write_reports` writes
 ``detections.csv`` and ``complexity.json`` from a result.  Each result also
 carries ``timings``: per stage (simulate, channelize, beamform, synthesize,
 range_doppler, cfar, score) its wall seconds and the process's peak RSS in
-MB at the stage's end.
+MB at the stage's end.  A cube channelized in blocks interleaves the two
+stages: ``channelize`` sums the blocks' channelizations and ``beamform`` is
+the rest.
 
 A run checks its config once, where it enters (:func:`run_pipeline`,
 :func:`process_cube`, or each point of a :func:`sweep`, before any point
@@ -21,20 +23,28 @@ runs); past channelization every stage reads the geometry, chirp, subband
 count and scene from the config alone, so :func:`process_cube` first
 checks that its cube and scenario are the config's.
 
-A run makes at most one cube-sized buffer and holds it only until
-beamforming returns.  The channelizer hands beamforming a plain
-(antennas, subbands, snapshots, pulses) array: it writes the subbands over
-the samples of a cube the pipeline made itself (in :func:`run_pipeline`,
-and in a :func:`sweep`, whose consecutive points share one cube while the
-scenario, geometry, chirp and subband count are unchanged), so that array
-is a strided view of the cube's buffer.  A caller's cube given to
-:func:`process_cube` is never written: it is channelized into a fresh
-buffer.  Beamforming is the subbands' last reader: the beamspace transform
-reads each subband's strided view in place, and no entry point keeps a
-name for the subbands or the simulated cube past its last reader's
+A run holds at most one cube and one block of subbands while it
+beamforms.  The channelizer hands beamforming plain (antennas, subbands,
+snapshots, pulses) arrays, one per block of consecutive pulses from pulse
+0, and beamforming trains every target on block 0 and applies the weights
+to each block in turn.  A cube the pipeline made itself (in
+:func:`run_pipeline`, and in a :func:`sweep`, whose consecutive points
+share one cube while the scenario, geometry, chirp and subband count are
+unchanged) is one block: the subbands are written over its own samples, so
+the array is a strided view of the cube's buffer.  A caller's cube given to
+:func:`process_cube` is never written: it is channelized a block at a time
+into one reused buffer of a block's size.  A block is a quarter of the
+pulses, rounded up, or the training pulses if they are more, so block 0
+holds them all and the buffer is a quarter of the cube unless training
+needs more; with a single subband each block is a view of the cube and no
+buffer is made.  Beamforming is the subbands' last reader: the beamspace
+transform reads each subband's strided view in place, and no entry point
+keeps a name for the subbands or the simulated cube past its last reader's
 beamforming, so the buffer is freed then, and synthesis and detection run
-beside the outputs alone.  A sweep keeps a buffer only between points
-that share it, and drops each point's result once its rows are made.
+beside the outputs alone.  A sweep keeps a buffer only between points that
+share it, and drops each point's result once its rows are made.  Blocks
+change no number: every fast-time DFT, beamspace transform and product
+column reads the same samples whichever block holds them.
 
 All three methods run one beamforming routine.  A method only chooses the
 **basis** a subband's snapshots are expressed in (the antennas, or the
@@ -64,13 +74,15 @@ so the tallies follow the calls actually made.  The accounting rule, which
 the report's per-pair training and per-snapshot application figures rest
 on:
 
-* the channelizer runs once per cube and the beamspace FFT once per
-  subband, shared by every target, and each call is tallied once;
+* the channelizer runs once per block and the beamspace FFT once per
+  subband and block, shared by every target, and each call is tallied
+  once, at its block's own dimensions; both closed forms are linear in the
+  pulses, so a cube's blocks sum to exactly the whole cube's figure;
 * each target's training is tallied in full: its own covariance over its
   rows, its own solve, and, in beamspace, its windowed steering, which
   costs one full beamspace transform of the steering vector;
-* a group's application product is tallied per target, as that target's
-  own W-by-snapshots product;
+* a group's application product is tallied per target and block, as that
+  target's own W-by-snapshots product over the block's snapshots;
 * a single subband is the cube itself: channelize and synthesize pass it
   through, and neither is tallied.
 """
@@ -85,7 +97,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,7 +110,7 @@ from .beamspace import (
     window_rows,
     windowed_steering,
 )
-from .channelizer import bin_center_frequencies, channelize, synthesize
+from .channelizer import bin_center_frequencies, channelize, channelize_into, synthesize
 from .detection import (
     REPORT_COLUMNS,
     Detection,
@@ -269,9 +281,9 @@ class StageError(RuntimeError):
 
 @contextmanager
 def _stage(name: str, timings: dict):
-    """Run one stage: name it in any failure, and record into ``timings`` its
-    wall seconds and the peak RSS of this process so far (``ru_maxrss``, KiB
-    on Linux) in MB."""
+    """Run one stage, or one piece of a stage that runs in pieces: name it in
+    any failure, add its wall seconds to ``timings[name]``, and record there
+    the peak RSS of this process so far (``ru_maxrss``, KiB on Linux) in MB."""
     start = time.perf_counter()
     try:
         yield
@@ -279,10 +291,9 @@ def _stage(name: str, timings: dict):
         raise
     except Exception as exc:
         raise StageError(f"stage '{name}': {exc}") from exc
-    timings[name] = {
-        "wall_s": time.perf_counter() - start,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    }
+    record = timings.setdefault(name, {"wall_s": 0.0})
+    record["wall_s"] += time.perf_counter() - start
+    record["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _check_inputs(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> None:
@@ -313,98 +324,128 @@ def _simulate(cfg: PipelineConfig, timings: dict) -> DataCube:
 
 
 def _channelize(
-    cube: DataCube, cfg: PipelineConfig, timings: dict, overwrite: bool
-) -> tuple[np.ndarray, Counter]:
-    """The cube's subbands and the run's tallies so far.  ``overwrite``
-    gives the cube's samples up to the channelizer as the subband buffer."""
+    cube: DataCube, cfg: PipelineConfig, timings: dict
+) -> list[tuple[int, np.ndarray]]:
+    """A cube the pipeline made itself, as one block channelized in place:
+    the subbands are written over the cube's samples, which nothing reads
+    again."""
     with _stage("channelize", timings):
-        subbands = channelize(cube, cfg.subbands, _overwrite=overwrite)
-    mults: Counter = Counter()
-    n_ant, n_sub, n_snap, n_pulses = subbands.shape
-    if n_sub > 1:
-        mults["channelize"] += counters.channelize_mults(n_ant, n_snap * n_pulses, n_sub)
-    return subbands, mults
+        return [(0, channelize(cube, cfg.subbands, _overwrite=True))]
+
+
+def _channelize_blocks(
+    cube: DataCube, cfg: PipelineConfig, timings: dict
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield a caller's cube a block of pulses at a time, as ``(first pulse,
+    subbands)``, each block channelized into one reused buffer of a block's
+    size.  A block is a quarter of the pulses, rounded up, or the training
+    pulses if they are more, so block 0 holds them all.  A block's subbands
+    are overwritten by the next block's, so each is read before the next is
+    asked for.  With a single subband each block is a view of the cube's
+    samples and no buffer is made."""
+    samples = cube.samples
+    n_ant, n_fast, n_pulses = samples.shape
+    size = max(cfg.train_pulses, -(-n_pulses // 4))
+    buffer = np.empty(n_ant * n_fast * size, dtype=complex) if cfg.subbands > 1 else None
+    for first in range(0, n_pulses, size):
+        block = samples[:, :, first : first + size]
+        out = block if buffer is None else buffer[: block.size].reshape(block.shape)
+        with _stage("channelize", timings):
+            subbands = channelize_into(block, cfg.subbands, out)
+        yield first, subbands
 
 
 def _beamform(
-    front: tuple[np.ndarray, Counter], cfg: PipelineConfig, timings: dict
+    blocks: Iterable[tuple[int, np.ndarray]], cfg: PipelineConfig, timings: dict
 ) -> tuple[np.ndarray, list[Correlator], Counter]:
     """Train and apply every target's beamformer, one subband at a time.
 
-    ``front`` is what :func:`_channelize` returned.  Returns the outputs
-    (target, subband, snapshot, pulse), each target's correlator in the
-    center subband, which carries its window in beamspace, and the run's
-    tallies so far.  This is the subbands' last reader and keeps no
-    reference to them, so a caller that passes ``front`` without naming it
-    frees the subband buffer when this returns.
+    ``blocks`` yields ``(first pulse, subbands)``: consecutive ranges of the
+    cube's pulses from pulse 0, each channelized to (antennas, subbands,
+    snapshots, pulses).  Block 0 holds the training pulses: on it every
+    target is trained in every subband, and the weights found there are
+    applied to every block.  Returns the outputs (target, subband, snapshot,
+    pulse), each target's correlator in the center subband, which carries
+    its window in beamspace, and the run's tallies.  This is the subbands'
+    last reader and keeps no reference to them, so a caller that passes
+    ``blocks`` without naming them frees the subband buffer when this
+    returns.
     """
-    subbands, front_mults = front
-    mults = Counter(front_mults)  # a sweep's points share one front end
-    geom, targets = cfg.geometry, cfg.scenario.targets
-    freqs = bin_center_frequencies(cfg.subbands, cfg.chirp)
+    mults: Counter = Counter()
+    geom, chirp, targets = cfg.geometry, cfg.chirp, cfg.scenario.targets
+    freqs = bin_center_frequencies(cfg.subbands, chirp)
     plan = cfg.beamspace_plan()
-    outputs = np.empty((len(targets), *subbands.shape[1:]), dtype=complex)
-    with _stage("beamform", timings):
-        # (target, axis, subband): each target's spatial frequencies at every subband center
-        omegas = np.array([spatial_frequencies(t.direction, freqs, geom) for t in targets])
-        omegas = omegas.reshape(len(targets), 2, len(freqs))
+    n_snap = chirp.pulse_samples // cfg.subbands
+    outputs = np.empty((len(targets), cfg.subbands, n_snap, chirp.num_pulses), dtype=complex)
+    # (target, axis, subband): each target's spatial frequencies at every subband center
+    omegas = np.array([spatial_frequencies(t.direction, freqs, geom) for t in targets])
+    omegas = omegas.reshape(len(targets), 2, len(freqs))
 
-        # basis and selector: the rows a target beamforms on, with its steering there
-        if cfg.method == METHOD_BEAMSPACE:
-            transform_mults = counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x)
+    # basis and selector: the rows a target beamforms on, with its steering there
+    if cfg.method == METHOD_BEAMSPACE:
+        transform_mults = counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x)
 
-            def to_basis(snap):
-                # reads the strided subband view in place
-                mults["beamspace_fft"] += snap[0].size * transform_mults
-                return beamspace_transform(snap, plan)
+        def to_basis(snap):
+            # reads the strided subband view in place
+            mults["beamspace_fft"] += snap[0].size * transform_mults
+            return beamspace_transform(snap, plan)
 
-            def select(k, b, steering):
-                win = window_for(SpatialFrequencies(*omegas[k, :, b]), plan, *cfg.window)
-                mults["windowed_steering"] += transform_mults
-                return win, window_rows(win), windowed_steering(steering, win)
+        def select(k, b, steering):
+            win = window_for(SpatialFrequencies(*omegas[k, :, b]), plan, *cfg.window)
+            mults["windowed_steering"] += transform_mults
+            return win, window_rows(win), windowed_steering(steering, win)
 
-        else:
+    else:
 
-            def to_basis(snap):
-                return snap
+        def to_basis(snap):
+            return snap
 
-            def select(k, b, steering):
-                return None, slice(None), steering
+        def select(k, b, steering):
+            return None, slice(None), steering
 
-        # rule
-        if cfg.method == METHOD_CONVENTIONAL:
+    # rule
+    if cfg.method == METHOD_CONVENTIONAL:
 
-            def train(training, steering, win):
-                return conventional_correlator(steering, win)
+        def train(training, steering, win):
+            return conventional_correlator(steering, win)
 
-        else:
+    else:
 
-            def train(training, steering, win):
-                cov = estimate_covariance(training, cfg.loading)
-                mults["covariance"] += counters.outer_product_mults(cov.dim, cov.n_t)
-                mults["solve"] += counters.mvdr_solve_mults(cov.dim)
-                return mvdr_correlator(cov, steering, win)
+        def train(training, steering, win):
+            cov = estimate_covariance(training, cfg.loading)
+            mults["covariance"] += counters.outer_product_mults(cov.dim, cov.n_t)
+            mults["solve"] += counters.mvdr_solve_mults(cov.dim)
+            return mvdr_correlator(cov, steering, win)
 
-        center: list = [None] * len(targets)
-        for b in range(cfg.subbands):
-            basis = to_basis(subbands[:, b])  # (rows, snapshots, pulses)
-            training = basis[:, :, : cfg.train_pulses].reshape(len(basis), -1)
-            steer = steering_matrix(*omegas[:, :, b].T, geom)
-            groups: dict = {}  # selector -> (rows, target ids, correlators)
-            for k in range(len(targets)):
-                win, rows, steering = select(k, b, steer[:, k])
-                corr = train(training[rows], steering, win)
-                ids, corrs = groups.setdefault(win, (rows, [], []))[1:]
-                ids.append(k)
-                corrs.append(corr)
-                if b == CENTER_BIN:
-                    center[k] = corr
-            # one product per group of targets that share their rows; on the
-            # antenna basis this gathers the strided subband for zgemm
-            for rows, ids, corrs in groups.values():
-                outputs[ids, b] = apply_correlator(corrs, basis[rows])
-                n_apply = basis[0].size
-                mults["apply"] += len(corrs) * counters.matvec_mults(corrs[0].dim, n_apply)
+    center: list = [None] * len(targets)
+    groups: list[dict] = []  # per subband: selector -> (rows, target ids, correlators)
+    for first, subbands in blocks:
+        with _stage("beamform", timings):
+            n_ant, n_sub, _, n_block = subbands.shape
+            if n_sub > 1:
+                mults["channelize"] += counters.channelize_mults(n_ant, n_snap * n_block, n_sub)
+            for b in range(n_sub):
+                basis = to_basis(subbands[:, b])  # (rows, snapshots, pulses)
+                if first == 0:
+                    training = basis[:, :, : cfg.train_pulses].reshape(len(basis), -1)
+                    steer = steering_matrix(*omegas[:, :, b].T, geom)
+                    groups.append({})
+                    for k in range(len(targets)):
+                        win, rows, steering = select(k, b, steer[:, k])
+                        corr = train(training[rows], steering, win)
+                        ids, corrs = groups[b].setdefault(win, (rows, [], []))[1:]
+                        ids.append(k)
+                        corrs.append(corr)
+                        if b == CENTER_BIN:
+                            center[k] = corr
+                # one product per group of targets that share their rows; on the
+                # antenna basis this gathers the block's strided subband for zgemm
+                for rows, ids, corrs in groups[b].values():
+                    outputs[ids, b, :, first : first + n_block] = apply_correlator(
+                        corrs, basis[rows]
+                    )
+                    n_apply = basis[0].size
+                    mults["apply"] += len(corrs) * counters.matvec_mults(corrs[0].dim, n_apply)
     return outputs, center, mults
 
 
@@ -477,29 +518,26 @@ def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> Pip
 
     Returns every output of the run and writes nothing; see
     :func:`write_reports` for the report files.  The cube is left as it was:
-    it is channelized into a fresh buffer, which is freed once beamforming
-    returns.
+    it is channelized a block of pulses at a time into one buffer of a
+    block's size, which is freed once beamforming returns.
     """
     cfg.validate()
     _check_inputs(cube, scenario, cfg)
     timings: dict = {}
-    # the subbands are never named here, so _beamform's return frees them
-    beams = _beamform(_channelize(cube, cfg, timings, overwrite=False), cfg, timings)
+    beams = _beamform(_channelize_blocks(cube, cfg, timings), cfg, timings)
     return _back_end(beams, cfg, timings)
 
 
 def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     """Simulate the configured scene and process it; see :func:`process_cube`.
 
-    The simulated cube is the run's own, so it is channelized in place, and
-    neither the cube nor its subbands outlive beamforming.
+    The simulated cube is the run's own, so it is channelized in place, as
+    one block, and neither the cube nor its subbands outlive beamforming.
     """
     cfg.validate()
     timings: dict = {}
     # neither the cube nor its subbands is named here, so _beamform's return frees them
-    beams = _beamform(
-        _channelize(_simulate(cfg, timings), cfg, timings, overwrite=True), cfg, timings
-    )
+    beams = _beamform(_channelize(_simulate(cfg, timings), cfg, timings), cfg, timings)
     return _back_end(beams, cfg, timings)
 
 
@@ -557,8 +595,9 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
     in place; the last point that reads it takes the buffer, so it is freed
     before that point's synthesis, and a point's result is freed once its
     rows are made.  So a sweep holds at most one cube and one result.  Each
-    row names its point (``loading=0.001``, ``scenario=A1``); a point that
-    fails is one ``failed: <message>`` row and the sweep goes on.
+    row names its point (``loading=0.001``; a scene by its label and seed,
+    ``scenario=A1 seed=1``, since seeds of one preset share its label); a
+    point that fails is one ``failed: <message>`` row and the sweep goes on.
     """
     names = tuple(f.name for f in fields(PipelineConfig))
     if axis not in names:
@@ -579,17 +618,19 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
     held: list = []  # the current cube's channelized buffer, until its last reader
     for i, (value, case) in enumerate(zip(values, cases)):
         label = case.scenario.label or "custom"
-        point = f"{axis}={label if axis == 'scenario' else value}"
+        point = f"{axis}={value}"
+        if axis == "scenario":
+            point = f"scenario={label} seed={case.scenario.seed}"
         try:
             if i in failed:
                 raise failed[i]
             timings: dict = {}
             if not held:
-                held.append(_channelize(_simulate(case, timings), case, timings, overwrite=True))
+                held += _channelize(_simulate(case, timings), case, timings)
             # neither the buffer its last reader takes nor the result is named,
             # so the buffer goes before synthesis and the result with its rows
             scores = _back_end(
-                _beamform(held.pop() if i in last else held[0], case, timings), case, timings
+                _beamform([held.pop() if i in last else held[0]], case, timings), case, timings
             ).scores
             rows += [{**_score_row(case, s), "point": point, "status": "ok"} for s in scores]
         except Exception as exc:  # record the failed point, keep sweeping

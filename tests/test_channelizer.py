@@ -15,6 +15,7 @@ from bsradar import (
     synthesize,
 )
 
+from bsradar.channelizer import channelize_into
 from conftest import random_complex
 
 
@@ -121,6 +122,24 @@ class TestOwnership:
         owned = channelize(make_cube(x.copy()), L, _overwrite=True)
         assert np.array_equal(owned, copying)
         assert rel_err(synthesize(owned), x) < 1e-12
+
+    @given(
+        half_L=st.integers(1, 8),
+        n_pulses=st.integers(2, 9),
+        size=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pulse_ranges_equal_the_whole_cube(self, half_L, n_pulses, size, seed):
+        # ranges of `size` pulses through one reused buffer, the last one short
+        L = 2 * half_L
+        x = random_complex(np.random.default_rng(seed), (4, 4 * L, n_pulses))
+        whole = channelize(make_cube(x), L)
+        buffer = np.empty(x[:, :, :size].size, dtype=complex)
+        for first in range(0, n_pulses, size):
+            block = x[:, :, first : first + size]
+            out = buffer[: block.size].reshape(block.shape)
+            assert np.array_equal(channelize_into(block, L, out), whole[..., first : first + size])
+        assert np.array_equal(channelize(make_cube(x), L), whole)
 
     @staticmethod
     def _peak_bytes(cube, L, overwrite):

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -629,6 +630,74 @@ class TestCubeOwnership:
         return calls
 
 
+class TestCallersCubeInBlocks:
+    """``process_cube`` channelizes a caller's cube a block of pulses at a
+    time into one reused buffer, trains on block 0 and applies every block;
+    its outputs, correlators and tallies are ``run_pipeline``'s bit for bit."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize(
+        "num_pulses,kw,blocks",
+        [
+            (16, dict(train_pulses=16), [16]),
+            (16, dict(train_pulses=1), [4, 4, 4, 4]),
+            (16, dict(train_pulses=5), [5, 5, 5, 1]),
+            (14, dict(train_pulses=3), [4, 4, 4, 2]),
+            (16, dict(train_pulses=3, subbands=1), [4, 4, 4, 4]),
+        ],
+        ids=["one-block", "one-training-pulse", "short-last", "short-cube", "one-subband"],
+    )
+    def test_equals_run_pipeline_bit_for_bit(
+        self, monkeypatch, method, num_pulses, kw, blocks
+    ):
+        geom, chirp, scenario = tiny_setup(num_pulses=num_pulses)
+        cfg = tiny_config(geom, chirp, scenario, method=method, **kw)
+        cube = synthesize_datacube(scenario, geom, chirp)
+        before = cube.samples.copy()
+        seen = []
+
+        def recording(samples, L, out, real=pipeline.channelize_into):
+            seen.append((samples.shape[-1], out is samples))
+            return real(samples, L, out)
+
+        monkeypatch.setattr(pipeline, "channelize_into", recording)
+        given = process_cube(cube, scenario, cfg)
+        monkeypatch.undo()
+        assert np.array_equal(cube.samples, before)
+        # a single subband reads views of the cube; more are written to a buffer
+        assert seen == [(n, cfg.subbands == 1) for n in blocks]
+
+        owned = run_pipeline(cfg)
+        assert np.array_equal(owned.subband_outputs, given.subband_outputs)
+        assert np.array_equal(owned.wideband_outputs, given.wideband_outputs)
+        for a, b in zip(owned.maps, given.maps, strict=True):
+            assert np.array_equal(a.power, b.power)
+        assert owned.detections == given.detections
+        assert owned.scores == given.scores
+        for a, b in zip(owned.center_correlators, given.center_correlators, strict=True):
+            assert np.array_equal(a.weights, b.weights)
+            assert a.window == b.window
+        assert owned.complexity.stage_mults == given.complexity.stage_mults
+
+    def test_holds_one_block_beside_the_callers_cube(self):
+        # 64 antennas and one target, so the cube dwarfs every output
+        geom = ArrayGeometry(4, 16, 10e9)
+        chirp = ChirpParams(pulse_samples=256, num_pulses=32, pri=2e-6, bandwidth=400e6)
+        scenario = replace(tiny_setup(n_targets=1)[2], noise_power=1.0)
+        cube = synthesize_datacube(scenario, geom, chirp)
+        block_bytes = cube.samples.nbytes // 4  # 32 pulses: blocks of 8
+        for method in METHODS:
+            cfg = tiny_config(geom, chirp, scenario, method=method, train_pulses=4)
+            tracemalloc.start()
+            try:
+                process_cube(cube, scenario, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # beside the block: the outputs, one subband's basis and a covariance
+            assert block_bytes <= peak < 1.5 * block_bytes, method
+
+
 def read_sweep(path) -> list[list[str]]:
     return list(csv.reader(path.read_text().splitlines()[2:]))
 
@@ -639,7 +708,9 @@ def own_reports(cfg, axis, values, tmp_path) -> list[list[str]]:
     expected = []
     for k, value in enumerate(values):
         case = replace(cfg, **{axis: value})
-        point = f"scenario={value.label}" if axis == "scenario" else f"{axis}={value}"
+        point = (
+            f"scenario={value.label} seed={value.seed}" if axis == "scenario" else f"{axis}={value}"
+        )
         try:
             case.validate()
         except ValueError as exc:
@@ -671,13 +742,16 @@ class TestBufferLifetime:
             refs.append(weakref.ref(cube))
             return cube
 
-        def channelizing(*args, real=pipeline.channelize, **kwargs):
-            sub = real(*args, **kwargs)
-            buffer = sub
-            while isinstance(buffer.base, np.ndarray):
-                buffer = buffer.base
-            refs.extend([weakref.ref(sub), weakref.ref(buffer)])
-            return sub
+        def watching(real):
+            def channelizing(*args, **kwargs):
+                sub = real(*args, **kwargs)
+                buffer = sub
+                while isinstance(buffer.base, np.ndarray):
+                    buffer = buffer.base
+                refs.extend([weakref.ref(sub), weakref.ref(buffer)])
+                return sub
+
+            return channelizing
 
         def synthesizing(*args, real=pipeline.synthesize, **kwargs):
             alive.append([ref() is not None for ref in refs])
@@ -690,7 +764,8 @@ class TestBufferLifetime:
             return result
 
         monkeypatch.setattr(pipeline, "synthesize_datacube", simulating)
-        monkeypatch.setattr(pipeline, "channelize", channelizing)
+        monkeypatch.setattr(pipeline, "channelize", watching(pipeline.channelize))
+        monkeypatch.setattr(pipeline, "channelize_into", watching(pipeline.channelize_into))
         monkeypatch.setattr(pipeline, "synthesize", synthesizing)
         monkeypatch.setattr(pipeline, "_back_end", finishing)
         return alive
@@ -709,7 +784,8 @@ class TestBufferLifetime:
         cube = synthesize_datacube(scenario, geom, chirp)
         alive = self.watch(monkeypatch)
         process_cube(cube, scenario, tiny_config(geom, chirp, scenario, method=method))
-        assert alive == [[False, False]]
+        # (subbands, buffer) per block: 16 pulses in blocks of the 8 training pulses
+        assert alive == [[False, False] * 2]
 
     @pytest.mark.parametrize(
         "axis,values,expected",
@@ -881,11 +957,27 @@ class TestSweep:
         for k, scenario in enumerate((first, second)):
             write_reports(run_pipeline(replace(cfg, scenario=scenario)), tmp_path / str(k))
             expected += (tmp_path / str(k) / "detections.csv").read_text().splitlines()[2:]
-        points = ["scenario=tiny"] * 2 + ["scenario=custom"]
+        points = ["scenario=tiny seed=5"] * 2 + ["scenario=custom seed=6"]
         assert swept == [line + f",{point},ok" for line, point in zip(expected, points)]
         assert [line.split(",")[0] for line in swept] == ["tiny", "tiny", "custom"]
         with pytest.raises(ValueError, match="^scenario: expected a Scenario"):
             sweep(cfg, "scenario", ["A1"])
+
+    def test_scenario_points_name_the_seed(self, tmp_path):
+        # two seeds of one scene share its label, which is all a report row names
+        geom, chirp, first = tiny_setup(n_targets=1)
+        second = tiny_setup(n_targets=1, seed=6)[2]
+        assert first.label == second.label and first.seed != second.seed
+        cfg = tiny_config(geom, chirp, None)
+        rows = sweep(cfg, "scenario", [first, second, first])
+        assert [r["point"] for r in rows] == [
+            "scenario=tiny seed=5",
+            "scenario=tiny seed=6",
+            "scenario=tiny seed=5",
+        ]
+        assert [r["scenario"] for r in rows] == ["tiny"] * 3
+        write_reports(run_pipeline(replace(cfg, scenario=second)), tmp_path)
+        assert (tmp_path / "detections.csv").read_bytes().startswith(REPORT_HEADER)
 
     def test_unknown_axis(self):
         geom, chirp, scenario = tiny_setup()

@@ -5,19 +5,24 @@ its ``window``, which carries its beam grid; :func:`lift_correlator` maps
 windowed weights back to the antennas.
 
 The correlator solving min w^H R w subject to w^H a = 1 is computed from a
-Hermitian positive-definite factorization (never an explicit inverse); a
-factorization failure raises with the smallest diagonal pivot named so the
-caller can judge the loading level.
+Hermitian positive-definite factorization (never an explicit inverse).  A
+:class:`CovarianceEstimate` is factored once, by the first solve against
+it, and every later steering vector solved against that estimate reuses
+the factor, one column at a time, so targets that train on the same rows
+share one covariance and one Cholesky factor and get the same bits as if
+each had its own.  A factorization failure raises with the leading minor
+at which the Cholesky found no positive pivot and the matrix's smallest
+eigenvalue named, so the caller can judge the loading level.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_solve, get_lapack_funcs
 from scipy.linalg.blas import zgemm
 
 from .beamspace import WindowSpec, adjoint_transform, scatter_window
@@ -26,15 +31,43 @@ from .geometry import ArrayGeometry, angle_frequencies, steering_matrix
 
 @dataclass
 class CovarianceEstimate:
-    """Sample covariance with the absolute diagonal load that was added."""
+    """Sample covariance with the absolute diagonal load that was added.
+
+    Its Cholesky factor is computed by the first solve against it and kept
+    for every later one; ``matrix`` must not change after that solve.
+    """
 
     matrix: np.ndarray
     n_t: int
     loading: float
+    _factor: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def factor(self) -> np.ndarray:
+        """Lower Cholesky factor of ``matrix``, computed on the first call.
+
+        Its strict upper triangle is left holding ``matrix``'s entries, which
+        ``cho_solve(..., lower=True)`` does not read.  Raises LinAlgError
+        naming the leading minor at which no positive pivot was found and the
+        smallest eigenvalue of ``matrix``.
+        """
+        if self._factor is None:
+            (potrf,) = get_lapack_funcs(("potrf",), (self.matrix,))
+            factor, info = potrf(self.matrix, lower=True, clean=False)
+            if info > 0:
+                smallest = float(np.min(np.linalg.eigvalsh(self.matrix)))
+                raise LinAlgError(
+                    f"covariance factorization failed: no positive pivot at leading "
+                    f"minor {info} of {self.dim} (smallest eigenvalue {smallest:.6e}); "
+                    "increase diagonal loading or the snapshot count"
+                )
+            if info < 0:
+                raise ValueError(f"potrf: illegal value in argument {-info}")
+            self._factor = factor
+        return self._factor
 
 
 @dataclass
@@ -82,26 +115,15 @@ def estimate_covariance(
     return CovarianceEstimate(r, n_t, loading)
 
 
-def _solve_hpd(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        factor = cho_factor(matrix, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        min_pivot = float(np.min(np.linalg.eigvalsh(matrix)))
-        raise LinAlgError(
-            f"covariance factorization failed (min pivot {min_pivot:.6e}); "
-            "increase diagonal loading or the snapshot count"
-        ) from exc
-    return cho_solve(factor, rhs, check_finite=False)
-
-
 def mvdr_correlator(
     cov: CovarianceEstimate, steering: np.ndarray, window: WindowSpec | None = None
 ) -> Correlator:
-    """Closed-form MVDR weights R^-1 a / (a^H R^-1 a)."""
+    """Closed-form MVDR weights R^-1 a / (a^H R^-1 a), solved against ``cov``'s
+    Cholesky factor, which the first solve computes."""
     a = np.asarray(steering)
     if a.shape[0] != cov.dim:
         raise ValueError(f"steering length {a.shape[0]} != covariance dim {cov.dim}")
-    x = _solve_hpd(cov.matrix, a)
+    x = cho_solve((cov.factor(), True), a, check_finite=False)
     denom = a.conj() @ x
     return Correlator(x / denom, window)
 

@@ -62,10 +62,15 @@ method              basis      selector          rule
 ``conventional``    antennas   every row         conventional
 ==================  =========  ================  ============
 
-Training is per target: each target accumulates its own covariance over
-its selected rows.  Application is one matrix product per group of targets
-that share their rows (all targets for the antenna basis, coinciding
-windows in beamspace).
+Training is shared by selector: in each subband, the covariance of a
+selector's rows of the training columns and its Cholesky factor are
+computed once, by the first target that reads them, and every target on
+those rows (all targets for the antenna basis, coinciding windows in
+beamspace) solves its own steering against that factor, one column at a
+time, getting the bits it would get from a covariance of its own.  The
+covariances and factors are dropped once the subband's targets are
+trained; only the correlators are kept.  Application is one matrix product
+per group of targets that share their rows.
 
 The kernels only compute; the pipeline tallies their complex multiplies.
 Beside each kernel call it adds that call's closed form from
@@ -80,7 +85,9 @@ on:
   pulses, so a cube's blocks sum to exactly the whole cube's figure;
 * each target's training is tallied in full: its own covariance over its
   rows, its own solve, and, in beamspace, its windowed steering, which
-  costs one full beamspace transform of the steering vector;
+  costs one full beamspace transform of the steering vector.  The
+  computation of a covariance and its factor is shared by the targets that
+  read them, but the tally is not: it stays the paper's per-target cost;
 * a group's application product is tallied per target and block, as that
   target's own W-by-snapshots product over the block's snapshots;
 * a single subband is the cube itself: channelize and synthesize pass it
@@ -403,7 +410,10 @@ def _beamform(
         def select(k, b, steering):
             return None, slice(None), steering
 
-    # rule
+    # rule; MVDR builds one covariance per selector in `shared`, factored by its
+    # first solve, and clears it once a subband is trained: the next subband's
+    # rows are other samples, and an antenna matrix and factor are 512 KB
+    shared: dict = {}
     if cfg.method == METHOD_CONVENTIONAL:
 
         def train(training, steering, win):
@@ -412,7 +422,9 @@ def _beamform(
     else:
 
         def train(training, steering, win):
-            cov = estimate_covariance(training, cfg.loading)
+            if win not in shared:
+                shared[win] = estimate_covariance(training, cfg.loading)
+            cov = shared[win]
             mults["covariance"] += counters.outer_product_mults(cov.dim, cov.n_t)
             mults["solve"] += counters.mvdr_solve_mults(cov.dim)
             return mvdr_correlator(cov, steering, win)
@@ -438,6 +450,7 @@ def _beamform(
                         corrs.append(corr)
                         if b == CENTER_BIN:
                             center[k] = corr
+                    shared.clear()
                 # one product per group of targets that share their rows; on the
                 # antenna basis this gathers the block's strided subband for zgemm
                 for rows, ids, corrs in groups[b].values():

@@ -146,6 +146,32 @@ class TestMvdrCorrelator:
         with pytest.raises(LinAlgError, match="pivot"):
             mvdr_correlator(cov, np.ones(4, dtype=complex))
 
+    def test_factorization_error_names_its_minor_and_smallest_eigenvalue(self, rng):
+        # a Hermitian matrix with one negative eigenvalue, in a random basis
+        basis, _ = np.linalg.qr(random_complex(rng, (6, 6)))
+        cov = estimate_covariance(np.zeros((6, 1)), 0.0)
+        cov.matrix = (basis * [4.0, 3.0, 2.0, 1.0, 0.5, -0.25]) @ basis.conj().T
+        with pytest.raises(LinAlgError) as failure:
+            mvdr_correlator(cov, np.ones(6, dtype=complex))
+        message = str(failure.value)
+
+        # the first leading minor that is not positive definite
+        minor = next(
+            k for k in range(1, 7) if np.linalg.eigvalsh(cov.matrix[:k, :k]).min() <= 0
+        )
+        assert f"no positive pivot at leading minor {minor} of 6" in message
+        printed = re.search(r"smallest eigenvalue (\S+)\)", message).group(1)
+        assert printed == f"{np.linalg.eigvalsh(cov.matrix).min():.6e}"
+
+    def test_one_factor_serves_every_solve_bit_for_bit(self, rng):
+        snaps = random_complex(rng, (5, 40))
+        shared = estimate_covariance(snaps, 1e-3)
+        for a in random_complex(rng, (3, 5)):
+            corr = mvdr_correlator(shared, a)
+            own = mvdr_correlator(estimate_covariance(snaps, 1e-3), a)
+            assert np.array_equal(corr.weights, own.weights)
+        assert shared.factor() is shared.factor()
+
     def test_dimension_mismatch(self, rng):
         cov = estimate_covariance(random_complex(rng, (4, 8)), 1e-2)
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from bsradar import (
     window_for,
     windowed_steering,
 )
-from bsradar import pipeline
+from bsradar import mvdr, pipeline
 from bsradar.cli import _write_beam_pattern
 from bsradar.cubeio import load_map, save_map
 from bsradar.counters import (
@@ -415,6 +415,67 @@ class TestOneBeamformingPath:
             assert len(set(wins)) == 3, b
             assert wins[0].center_row - wins[0].w_z // 2 < 0, b
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(method=METHOD_ANTENNA),
+            dict(method=METHOD_CONVENTIONAL),
+            dict(method=METHOD_BEAMSPACE),
+            dict(method=METHOD_BEAMSPACE, fft_size=(4, 16), window=(3, 5)),
+        ],
+        ids=["antenna", "conventional", "beamspace", "padded"],
+    )
+    def test_one_covariance_and_factor_per_subband_and_selector(
+        self, oracle_cube, monkeypatch, kw
+    ):
+        # every target of a subband solves against the covariance of its
+        # selector there: every row on the antennas, its window in beamspace
+        geom, chirp, scenario, cube = oracle_cube
+        cfg = tiny_config(geom, chirp, scenario, **kw)
+        made, solved, factored = [], [], []
+
+        def estimating(*args, real=pipeline.estimate_covariance):
+            made.append(real(*args))
+            return made[-1]
+
+        def solving(cov, *args, real=pipeline.mvdr_correlator):
+            solved.append(cov)
+            return real(cov, *args)
+
+        def lapack(names, arrays, real=mvdr.get_lapack_funcs):
+            (potrf,) = real(names, arrays)
+
+            def factoring(matrix, **kwargs):
+                factored.append(matrix)
+                return potrf(matrix, **kwargs)
+
+            return (factoring,)
+
+        monkeypatch.setattr(pipeline, "estimate_covariance", estimating)
+        monkeypatch.setattr(pipeline, "mvdr_correlator", solving)
+        monkeypatch.setattr(mvdr, "get_lapack_funcs", lapack)
+        process_cube(cube, scenario, cfg)
+
+        plan, n_targets = cfg.beamspace_plan(), len(scenario.targets)
+        selectors = [
+            {
+                window_for(spatial_frequencies(t.direction, freq, geom), plan, *cfg.window)
+                for t in scenario.targets
+            }
+            for freq in bin_center_frequencies(cfg.subbands, chirp)
+        ]
+        expected = {METHOD_ANTENNA: [1] * cfg.subbands, METHOD_CONVENTIONAL: []}.get(
+            cfg.method, [len(wins) for wins in selectors]
+        )
+        per_subband = [
+            list(dict.fromkeys(map(id, solved[i : i + n_targets])))
+            for i in range(0, len(solved), n_targets)
+        ]
+        assert [len(covs) for covs in per_subband] == expected
+        assert [id(cov) for cov in made] == [c for covs in per_subband for c in covs]
+        assert len(factored) == len(made)
+        assert all(m is cov.matrix for m, cov in zip(factored, made))
+
     def test_recentering_moves_a_window_on_the_padded_grid(self, oracle_cube):
         geom, chirp, scenario, _ = oracle_cube
         plan = tiny_config(geom, chirp, scenario, fft_size=(4, 16)).beamspace_plan()
@@ -786,6 +847,34 @@ class TestBufferLifetime:
         process_cube(cube, scenario, tiny_config(geom, chirp, scenario, method=method))
         # (subbands, buffer) per block: 16 pulses in blocks of the 8 training pulses
         assert alive == [[False, False] * 2]
+
+    def test_a_subbands_covariances_and_factors_go_once_it_is_trained(self, monkeypatch):
+        # an antenna covariance and its factor are 512 KB at N = 128: kept for
+        # every subband they would be 64 MB; only the correlators are kept
+        geom, chirp, scenario = oracle_setup()
+        cube = synthesize_datacube(scenario, geom, chirp)
+        refs, alive = [], []
+
+        def estimating(*args, real=pipeline.estimate_covariance):
+            alive.append([ref() is not None for ref in refs])
+            cov = real(*args)
+            refs.append(weakref.ref(cov))
+            return cov
+
+        def factoring(cov, real=mvdr.CovarianceEstimate.factor):
+            factor = real(cov)
+            refs.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(pipeline, "estimate_covariance", estimating)
+        monkeypatch.setattr(mvdr.CovarianceEstimate, "factor", factoring)
+        cfg = tiny_config(geom, chirp, scenario, method=METHOD_ANTENNA)
+        center = process_cube(cube, scenario, cfg).center_correlators
+        # one covariance per subband; each has one factor, read by 4 targets
+        assert len(alive) == cfg.subbands and len(refs) == cfg.subbands * 5
+        assert not any(any(state) for state in alive)
+        # while the correlators live, none of them holds a covariance or factor
+        assert not any(ref() is not None for ref in refs) and len(center) == 4
 
     @pytest.mark.parametrize(
         "axis,values,expected",

@@ -1,10 +1,10 @@
 """Arithmetic-cost scaling of full-dimension vs windowed-beamspace MVDR.
 
-The pipeline tallies the complex multiplications of each kernel call it
-makes; this script collects the per-(target, subband) training cost and
-the per-snapshot application cost as the array grows, holding the window
-at 2x4.  Full-dimension training follows the cubic trend while the reduced
-pipeline tracks the spatial-FFT cost.
+Each run's complexity report models the complex multiplications of every
+stage in closed form; this script collects the per-(target, subband)
+training cost and the per-snapshot application cost as the array grows,
+holding the window at 2x4.  Full-dimension training follows the cubic
+trend while the reduced pipeline tracks the spatial-FFT cost.
 """
 
 import numpy as np

@@ -3,7 +3,8 @@
 A numpy/scipy library covering the full chain: planar-array steering,
 synthetic scene simulation, FFT channelization, beamspace windowing,
 adaptive (MVDR) and conventional beamforming, range-Doppler/CFAR detection,
-and a pipeline harness that tallies each kernel call's arithmetic cost.
+and a pipeline harness whose complexity report models each stage's
+arithmetic cost in closed form.
 """
 
 from . import cubeio

@@ -1,11 +1,11 @@
 """Closed-form complex-multiplication counts of the processing kernels.
 
-The kernels only compute.  The pipeline tallies them: beside each kernel
-call it adds the closed form below at that call's own dimensions to the
-call's stage (see :mod:`bsradar.pipeline` for the accounting rule).  The
-tallies are therefore deterministic, machine independent, additive across
-stages, and reproducible run to run.  Real-by-complex scalings and
-additions are not counted.
+The kernels only compute.  The pipeline's complexity report is the cost
+model these closed forms make at a run's dimensions, one per stage (see
+:mod:`bsradar.pipeline` for the model).  The tallies are therefore a
+function of the config alone: deterministic, machine independent and
+additive across stages.  Real-by-complex scalings and additions are not
+counted.
 """
 
 from __future__ import annotations

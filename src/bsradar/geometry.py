@@ -24,11 +24,17 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 
 def check_finite(obj, *names: str) -> None:
-    """Reject the first named attribute of ``obj`` holding a NaN or an infinity
-    (every element of a sequence is checked), naming the field."""
+    """Reject the first named attribute of ``obj`` that is not a finite
+    number: a NaN, an infinity, a bool, a string or any other non-number
+    (every element of a sequence is checked; complex values are numbers),
+    naming the field."""
     for name in names:
         value = getattr(obj, name)
-        if not np.all(np.isfinite(value)):
+        items = value if isinstance(value, (tuple, list, np.ndarray)) else (value,)
+        if not all(
+            isinstance(v, numbers.Number) and not isinstance(v, bool) and np.isfinite(v)
+            for v in items
+        ):
             raise ValueError(f"{name}: {value!r} is not a finite number")
 
 
@@ -58,13 +64,14 @@ class ArrayGeometry:
         check_count(self, "n_z", "n_x")
         if self.n_z < 1 or self.n_x < 1:
             raise ValueError("element counts must be >= 1")
+        check_finite(self, "design_freq")
         if self.design_freq <= 0:
             raise ValueError("design_freq must be positive")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
-        elif self.spacing <= 0:
+        check_finite(self, "spacing")
+        if self.spacing <= 0:
             raise ValueError("spacing must be positive")
-        check_finite(self, "design_freq", "spacing")
 
     @property
     def n(self) -> int:

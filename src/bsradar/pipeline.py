@@ -72,26 +72,15 @@ covariances and factors are dropped once the subband's targets are
 trained; only the correlators are kept.  Application is one matrix product
 per group of targets that share their rows.
 
-The kernels only compute; the pipeline tallies their complex multiplies.
-Beside each kernel call it adds that call's closed form from
-:mod:`counters`, taken at the call's own dimensions, to the stage's total,
-so the tallies follow the calls actually made.  The accounting rule, which
-the report's per-pair training and per-snapshot application figures rest
-on:
-
-* the channelizer runs once per block and the beamspace FFT once per
-  subband and block, shared by every target, and each call is tallied
-  once, at its block's own dimensions; both closed forms are linear in the
-  pulses, so a cube's blocks sum to exactly the whole cube's figure;
-* each target's training is tallied in full: its own covariance over its
-  rows, its own solve, and, in beamspace, its windowed steering, which
-  costs one full beamspace transform of the steering vector.  The
-  computation of a covariance and its factor is shared by the targets that
-  read them, but the tally is not: it stays the paper's per-target cost;
-* a group's application product is tallied per target and block, as that
-  target's own W-by-snapshots product over the block's snapshots;
-* a single subband is the cube itself: channelize and synthesize pass it
-  through, and neither is tallied.
+The stages only compute.  The complexity report is the paper's cost model,
+a function of the config alone: each stage's closed form from
+:mod:`counters` at the run's dimensions.  Channelize and the beamspace FFT
+are tallied once per cube snapshot; each target's covariance, solve,
+windowed steering (one full beamspace transform) and application are
+tallied in full, as are its synthesis and range-Doppler map.  A stage is in
+the report exactly when the method runs it; channelize and synthesize only
+with more than one subband.  So blocks, shared covariances and factors, or
+a pruned transform change the computation, never the report.
 """
 
 from __future__ import annotations
@@ -100,7 +89,6 @@ import json
 import numbers
 import resource
 import time
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -364,7 +352,7 @@ def _channelize_blocks(
 
 def _beamform(
     blocks: Iterable[tuple[int, np.ndarray]], cfg: PipelineConfig, timings: dict
-) -> tuple[np.ndarray, list[Correlator], Counter]:
+) -> tuple[np.ndarray, list[Correlator]]:
     """Train and apply every target's beamformer, one subband at a time.
 
     ``blocks`` yields ``(first pulse, subbands)``: consecutive ranges of the
@@ -372,13 +360,11 @@ def _beamform(
     snapshots, pulses).  Block 0 holds the training pulses: on it every
     target is trained in every subband, and the weights found there are
     applied to every block.  Returns the outputs (target, subband, snapshot,
-    pulse), each target's correlator in the center subband, which carries
-    its window in beamspace, and the run's tallies.  This is the subbands'
-    last reader and keeps no reference to them, so a caller that passes
-    ``blocks`` without naming them frees the subband buffer when this
-    returns.
+    pulse) and each target's correlator in the center subband, which carries
+    its window in beamspace.  This is the subbands' last reader and keeps no
+    reference to them, so a caller that passes ``blocks`` without naming them
+    frees the subband buffer when this returns.
     """
-    mults: Counter = Counter()
     geom, chirp, targets = cfg.geometry, cfg.chirp, cfg.scenario.targets
     freqs = bin_center_frequencies(cfg.subbands, chirp)
     plan = cfg.beamspace_plan()
@@ -390,16 +376,13 @@ def _beamform(
 
     # basis and selector: the rows a target beamforms on, with its steering there
     if cfg.method == METHOD_BEAMSPACE:
-        transform_mults = counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x)
 
         def to_basis(snap):
             # reads the strided subband view in place
-            mults["beamspace_fft"] += snap[0].size * transform_mults
             return beamspace_transform(snap, plan)
 
         def select(k, b, steering):
             win = window_for(SpatialFrequencies(*omegas[k, :, b]), plan, *cfg.window)
-            mults["windowed_steering"] += transform_mults
             return win, window_rows(win), windowed_steering(steering, win)
 
     else:
@@ -424,19 +407,14 @@ def _beamform(
         def train(training, steering, win):
             if win not in shared:
                 shared[win] = estimate_covariance(training, cfg.loading)
-            cov = shared[win]
-            mults["covariance"] += counters.outer_product_mults(cov.dim, cov.n_t)
-            mults["solve"] += counters.mvdr_solve_mults(cov.dim)
-            return mvdr_correlator(cov, steering, win)
+            return mvdr_correlator(shared[win], steering, win)
 
     center: list = [None] * len(targets)
     groups: list[dict] = []  # per subband: selector -> (rows, target ids, correlators)
     for first, subbands in blocks:
         with _stage("beamform", timings):
-            n_ant, n_sub, _, n_block = subbands.shape
-            if n_sub > 1:
-                mults["channelize"] += counters.channelize_mults(n_ant, n_snap * n_block, n_sub)
-            for b in range(n_sub):
+            n_block = subbands.shape[-1]
+            for b in range(cfg.subbands):
                 basis = to_basis(subbands[:, b])  # (rows, snapshots, pulses)
                 if first == 0:
                     training = basis[:, :, : cfg.train_pulses].reshape(len(basis), -1)
@@ -457,33 +435,56 @@ def _beamform(
                     outputs[ids, b, :, first : first + n_block] = apply_correlator(
                         corrs, basis[rows]
                     )
-                    n_apply = basis[0].size
-                    mults["apply"] += len(corrs) * counters.matvec_mults(corrs[0].dim, n_apply)
-    return outputs, center, mults
+    return outputs, center
+
+
+def _complexity(cfg: PipelineConfig) -> ComplexityReport:
+    """The run's cost model: each stage's closed form from :mod:`counters` at
+    the config's dimensions, for the stages the method runs (see the module
+    docstring)."""
+    geom, chirp, n_sub = cfg.geometry, cfg.chirp, cfg.subbands
+    n_targets = len(cfg.scenario.targets)
+    pairs = n_targets * n_sub
+    n_fast, n_pulses = chirp.pulse_samples, chirp.num_pulses
+    n_train, n_apply = n_fast // n_sub * cfg.train_pulses, n_fast // n_sub * n_pulses
+    plan, (w_z, w_x) = cfg.beamspace_plan(), cfg.window
+    beamspace, adaptive = cfg.method == METHOD_BEAMSPACE, cfg.method != METHOD_CONVENTIONAL
+    dim = w_z * w_x if beamspace else geom.n  # the rows a target trains and applies on
+    transform = counters.beamspace_fft_mults(plan.n_x, plan.m_z, plan.m_x)
+    stages = {  # stage: (whether the method runs it, its tally)
+        "channelize": (n_sub > 1, counters.channelize_mults(geom.n, n_apply, n_sub)),
+        "beamspace_fft": (beamspace, n_sub * n_apply * transform),
+        "windowed_steering": (beamspace, pairs * transform),
+        "covariance": (adaptive, pairs * counters.outer_product_mults(dim, n_train)),
+        "solve": (adaptive, pairs * counters.mvdr_solve_mults(dim)),
+        "apply": (True, pairs * counters.matvec_mults(dim, n_apply)),
+        "synthesize": (n_sub > 1, n_targets * counters.synthesize_mults(n_apply, n_sub)),
+        "range_doppler": (True, n_targets * counters.range_doppler_mults(n_fast, n_pulses)),
+    }
+    return ComplexityReport(
+        method=cfg.method,
+        n_antennas=geom.n,
+        beam_points=plan.m,
+        window_dim=w_z * w_x,
+        n_targets=n_targets,
+        n_subbands=n_sub,
+        n_train_snapshots=n_train,
+        n_apply_snapshots=n_apply,
+        stage_mults={stage: n for stage, (runs, n) in stages.items() if runs},
+    )
 
 
 def _back_end(
-    beams: tuple[np.ndarray, list[Correlator], Counter],
-    cfg: PipelineConfig,
-    timings: dict,
+    beams: tuple[np.ndarray, list[Correlator]], cfg: PipelineConfig, timings: dict
 ) -> PipelineResult:
     """Synthesize, detect and score what :func:`_beamform` returned."""
-    outputs, center, mults = beams
-    geom, chirp, targets = cfg.geometry, cfg.chirp, cfg.scenario.targets
-    n_targets, n_sub, s_per_pulse, n_pulses = outputs.shape
-
+    outputs, center = beams
+    chirp, targets = cfg.chirp, cfg.scenario.targets
     with _stage("synthesize", timings):
         wideband = synthesize(outputs)
-    if n_sub > 1:
-        mults["synthesize"] += n_targets * counters.synthesize_mults(
-            s_per_pulse * n_pulses, n_sub
-        )
-
     replica = generate_chirp(chirp)
     with _stage("range_doppler", timings):
         maps = [range_doppler_map(series, replica, chirp) for series in wideband]
-    for series in wideband:
-        mults["range_doppler"] += counters.range_doppler_mults(*series.shape)
     with _stage("cfar", timings):
         detections_per_target = [
             cfar_detect(rd, cfg.cfar_threshold_db, cfg.cfar_guard_cells) for rd in maps
@@ -500,23 +501,10 @@ def _back_end(
                 score_detections(detections_per_target[k], truth_r, truth_v, maps[k], k)
             )
 
-    w_z, w_x = cfg.window
-    report = ComplexityReport(
-        method=cfg.method,
-        n_antennas=geom.n,
-        beam_points=cfg.beamspace_plan().m,
-        window_dim=w_z * w_x,
-        n_targets=len(targets),
-        n_subbands=cfg.subbands,
-        n_train_snapshots=s_per_pulse * cfg.train_pulses,
-        n_apply_snapshots=s_per_pulse * chirp.num_pulses,
-        stage_mults=dict(mults),
-    )
-
     return PipelineResult(
         config=cfg,
         scores=scores,
-        complexity=report,
+        complexity=_complexity(cfg),
         detections=detections_per_target,
         wideband_outputs=wideband,
         subband_outputs=outputs,

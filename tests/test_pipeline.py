@@ -923,13 +923,25 @@ class TestComplexityReport:
         with pytest.raises(TypeError, match=derived):
             ComplexityReport(**args, **{derived: 0})
 
-    @pytest.mark.parametrize("subbands", [16, 1])
-    @pytest.mark.parametrize("method", METHODS)
-    def test_tallies_match_closed_forms(self, method, subbands):
+    @pytest.mark.parametrize(
+        "method,subbands,kw",
+        [
+            pytest.param(method, subbands, kw, id=f"{method}-{subbands}{case}")
+            for method in METHODS
+            for subbands in (16, 1)
+            for case, kw in [
+                ("", {}),
+                ("-padded", dict(fft_size=(4, 16), window=(3, 5))),
+                ("-train-5", dict(train_pulses=5)),
+                ("-no-targets", dict(scenario=Scenario(noise_power=1e-2, seed=5))),
+            ]
+        ],
+    )
+    def test_tallies_match_closed_forms(self, method, subbands, kw):
         geom, chirp, scenario = tiny_setup()
-        cfg = tiny_config(geom, chirp, scenario, method=method, subbands=subbands)
+        cfg = replace(tiny_config(geom, chirp, scenario, method=method, subbands=subbands), **kw)
         report = run_pipeline(cfg).complexity
-        k, n = len(scenario.targets), geom.n
+        k, n = len(cfg.scenario.targets), geom.n
         pairs = k * subbands
         s = chirp.pulse_samples // subbands
         n_t = s * cfg.train_pulses
@@ -954,6 +966,8 @@ class TestComplexityReport:
             training += outer_product_mults(dim, n_t) + mvdr_solve_mults(dim)
         expected["apply"] = pairs * matvec_mults(dim, n_apply)
         assert report.stage_mults == expected
+        if not k:  # no pair trains or applies; the transform still runs
+            training = dim = 0
         assert report.training_mults_per_pair == training
         assert report.application_mults_per_snapshot == transform + dim
 

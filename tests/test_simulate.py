@@ -557,3 +557,25 @@ SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# one constructor per number field, building it with the value given
+NUMBER_FIELDS = {
+    "noise_power": lambda v: Scenario(noise_power=v),
+    "power": lambda v: InterfererSpec(EAST, power=v),
+    "bandwidth_fraction": lambda v: InterfererSpec(EAST, bandwidth_fraction=v),
+    "position": lambda v: TargetSpec((v, 50.0, 0.0)),
+    "radial_velocity": lambda v: TargetSpec((1.0, 50.0, 0.0), v),
+    "amplitude": lambda v: TargetSpec((1.0, 50.0, 0.0), 0.0, v),
+    "design_freq": lambda v: ArrayGeometry(4, 32, v),
+    "spacing": lambda v: ArrayGeometry(4, 32, 10e9, v),
+    "pri": lambda v: ChirpParams(pri=v),
+}
+
+
+@pytest.mark.parametrize("bad", [True, "1"], ids=["bool", "str"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_numbers_reject_bools_and_strings(field, bad):
+    # as a config file does; a complex amplitude stays a number
+    with pytest.raises(ValueError, match=f"^{field}: .* is not a finite number"):
+        NUMBER_FIELDS[field](bad)

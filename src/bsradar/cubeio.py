@@ -7,7 +7,8 @@ offset size   field
 ====== ====== ===========================================================
 0      8      magic ``b"BSRCUBE\\0"``
 8      4      format version (u32, currently 1)
-12     4      flags (u32): bit0 = complex payload, bit1 = range-Doppler map
+12     4      flags (u32): 1 = complex cube payload, 2 = real range-Doppler
+              map; a file holds exactly one of the two
 16     16     dims (4 x u32): cubes (n_z, n_x, fast, pulses);
               maps (range bins, velocity bins, 1, 1)
 32     8      sample rate in Hz (f64)
@@ -45,6 +46,7 @@ MAGIC = b"BSRCUBE\x00"
 VERSION = 1
 FLAG_COMPLEX = 1
 FLAG_MAP = 2
+_KINDS = {FLAG_COMPLEX: "an IQ cube", FLAG_MAP: "a real power map"}
 
 _HEADER = struct.Struct("<8sII4Idxxxxxxxxxxxxxxxxxxxxxxxx")
 assert _HEADER.size == 64
@@ -66,6 +68,13 @@ def _read_header(handle) -> tuple[int, tuple[int, int, int, int], float]:
     return flags, (d0, d1, d2, d3), fs
 
 
+def _check_flags(flags: int, expected: int) -> None:
+    """Reject a file whose flags are not exactly those of the kind asked for."""
+    if flags != expected:
+        held = _KINDS.get(flags, "no known kind of file")
+        raise ValueError(f"flags: {flags} marks {held}, expected {expected} ({_KINDS[expected]})")
+
+
 def save_cube(path, cube: DataCube) -> None:
     """Write a data cube as float32 IQ pairs behind the fixed header."""
     geom = cube.geometry
@@ -81,14 +90,13 @@ def save_cube(path, cube: DataCube) -> None:
 def load_cube(path, geometry: ArrayGeometry, chirp: ChirpParams) -> DataCube:
     """Read a cube file back; geometry/chirp supply the radio metadata.
 
-    The header stores only dimensions and sample rate, and both must match
-    the given geometry and chirp.  The payload is read one antenna row at a
-    time into a reused float32 buffer.
+    The header must carry the complex flag alone, and its dimensions and
+    sample rate must match the given geometry and chirp.  The payload is
+    read one antenna row at a time into a reused float32 buffer.
     """
     with open(path, "rb") as handle:
         flags, (n_z, n_x, n_fast, n_pulses), fs = _read_header(handle)
-        if not flags & FLAG_COMPLEX:
-            raise ValueError("file holds a real payload, not an IQ cube")
+        _check_flags(flags, FLAG_COMPLEX)
         if (geometry.n_z, geometry.n_x) != (n_z, n_x):
             raise ValueError("geometry does not match the stored dimensions")
         if (chirp.pulse_samples, chirp.num_pulses) != (n_fast, n_pulses):
@@ -123,11 +131,15 @@ def save_map(path, power: np.ndarray, sample_rate: float) -> None:
 
 
 def load_map(path) -> np.ndarray:
+    """Read a power map back; its header must carry the map flag alone and
+    dims (rows, cols, 1, 1)."""
     with open(path, "rb") as handle:
-        flags, (rows, cols, _, _), _fs = _read_header(handle)
+        flags, dims, _fs = _read_header(handle)
+        _check_flags(flags, FLAG_MAP)
+        if dims[2:] != (1, 1):
+            raise ValueError(f"dims: {dims} are not a map's (rows, cols, 1, 1)")
         raw = np.frombuffer(handle.read(), dtype="<f4")
-    if flags & FLAG_COMPLEX:
-        raise ValueError("file holds an IQ cube, not a power map")
+    rows, cols = dims[:2]
     if raw.size != rows * cols:
         raise ValueError(f"payload holds {raw.size} floats, expected {rows * cols}")
     return raw.reshape(rows, cols).astype(np.float64)

@@ -62,15 +62,15 @@ method              basis      selector          rule
 ``conventional``    antennas   every row         conventional
 ==================  =========  ================  ============
 
-Training is shared by selector: in each subband, the covariance of a
-selector's rows of the training columns and its Cholesky factor are
-computed once, by the first target that reads them, and every target on
-those rows (all targets for the antenna basis, coinciding windows in
-beamspace) solves its own steering against that factor, one column at a
-time, getting the bits it would get from a covariance of its own.  The
-covariances and factors are dropped once the subband's targets are
-trained; only the correlators are kept.  Application is one matrix product
-per group of targets that share their rows.
+Targets are grouped by selector before they are trained: in each subband,
+the targets on the same rows (all targets for the antenna basis,
+coinciding windows in beamspace) form one group.  MVDR computes the
+covariance of a group's rows of the training columns and its Cholesky
+factor once per group, and every target of the group solves its own
+steering against that factor, one column at a time, getting the bits it
+would get from a covariance of its own.  A group's covariance and factor live only
+while its subband is trained; only the correlators are kept.  Application
+is one matrix product per group.
 
 The stages only compute.  The complexity report is the paper's cost model,
 a function of the config alone: each stage's closed form from
@@ -350,6 +350,40 @@ def _channelize_blocks(
         yield first, subbands
 
 
+def _train(
+    training: np.ndarray, omegas: np.ndarray, cfg: PipelineConfig, plan: BeamspacePlan
+) -> list[tuple[np.ndarray | slice, list[int], list[Correlator]]]:
+    """Train every target in one subband, grouped by selector.
+
+    ``training`` is the subband's training columns in the method's basis
+    (rows, snapshots) and ``omegas`` each target's (omega_z, omega_x) at the
+    subband's center.  A target's selector is its window in beamspace, or
+    None for every antenna.  Returns one ``(rows, target ids, correlators)``
+    per distinct selector, in first-target order; an MVDR group's targets
+    solve against one covariance of its rows, which is dropped on return.
+    """
+    steer = steering_matrix(*omegas.T, cfg.geometry)
+    beamspace = cfg.method == METHOD_BEAMSPACE
+    selectors = [
+        window_for(SpatialFrequencies(*omega), plan, *cfg.window) if beamspace else None
+        for omega in omegas
+    ]
+    groups = []
+    for win in dict.fromkeys(selectors):
+        ids = [k for k, selector in enumerate(selectors) if selector == win]
+        rows = slice(None) if win is None else window_rows(win)
+        steerings = [steer[:, k] for k in ids]
+        if win is not None:
+            steerings = [windowed_steering(a, win) for a in steerings]
+        if cfg.method == METHOD_CONVENTIONAL:
+            corrs = [conventional_correlator(a, win) for a in steerings]
+        else:
+            cov = estimate_covariance(training[rows], cfg.loading)
+            corrs = [mvdr_correlator(cov, a, win) for a in steerings]
+        groups.append((rows, ids, corrs))
+    return groups
+
+
 def _beamform(
     blocks: Iterable[tuple[int, np.ndarray]], cfg: PipelineConfig, timings: dict
 ) -> tuple[np.ndarray, list[Correlator]]:
@@ -357,85 +391,42 @@ def _beamform(
 
     ``blocks`` yields ``(first pulse, subbands)``: consecutive ranges of the
     cube's pulses from pulse 0, each channelized to (antennas, subbands,
-    snapshots, pulses).  Block 0 holds the training pulses: on it every
-    target is trained in every subband, and the weights found there are
-    applied to every block.  Returns the outputs (target, subband, snapshot,
-    pulse) and each target's correlator in the center subband, which carries
-    its window in beamspace.  This is the subbands' last reader and keeps no
-    reference to them, so a caller that passes ``blocks`` without naming them
-    frees the subband buffer when this returns.
+    snapshots, pulses).  Block 0 holds the training pulses: on it
+    :func:`_train` groups the targets of every subband by selector and
+    trains them, and each group's weights are applied to every block in one
+    product.  Returns the outputs (target, subband, snapshot, pulse) and
+    each target's correlator in the center subband, which carries its
+    window in beamspace.  This is the subbands' last reader and keeps no
+    reference to them, so a caller that passes ``blocks`` without naming
+    them frees the subband buffer when this returns.
     """
     geom, chirp, targets = cfg.geometry, cfg.chirp, cfg.scenario.targets
     freqs = bin_center_frequencies(cfg.subbands, chirp)
     plan = cfg.beamspace_plan()
+    beamspace = cfg.method == METHOD_BEAMSPACE
     n_snap = chirp.pulse_samples // cfg.subbands
     outputs = np.empty((len(targets), cfg.subbands, n_snap, chirp.num_pulses), dtype=complex)
     # (target, axis, subband): each target's spatial frequencies at every subband center
     omegas = np.array([spatial_frequencies(t.direction, freqs, geom) for t in targets])
     omegas = omegas.reshape(len(targets), 2, len(freqs))
 
-    # basis and selector: the rows a target beamforms on, with its steering there
-    if cfg.method == METHOD_BEAMSPACE:
-
-        def to_basis(snap):
-            # reads the strided subband view in place
-            return beamspace_transform(snap, plan)
-
-        def select(k, b, steering):
-            win = window_for(SpatialFrequencies(*omegas[k, :, b]), plan, *cfg.window)
-            return win, window_rows(win), windowed_steering(steering, win)
-
-    else:
-
-        def to_basis(snap):
-            return snap
-
-        def select(k, b, steering):
-            return None, slice(None), steering
-
-    # rule; MVDR builds one covariance per selector in `shared`, factored by its
-    # first solve, and clears it once a subband is trained: the next subband's
-    # rows are other samples, and an antenna matrix and factor are 512 KB
-    shared: dict = {}
-    if cfg.method == METHOD_CONVENTIONAL:
-
-        def train(training, steering, win):
-            return conventional_correlator(steering, win)
-
-    else:
-
-        def train(training, steering, win):
-            if win not in shared:
-                shared[win] = estimate_covariance(training, cfg.loading)
-            return mvdr_correlator(shared[win], steering, win)
-
-    center: list = [None] * len(targets)
-    groups: list[dict] = []  # per subband: selector -> (rows, target ids, correlators)
+    groups: list[list] = []  # per subband: [(rows, target ids, correlators)]
     for first, subbands in blocks:
         with _stage("beamform", timings):
             n_block = subbands.shape[-1]
             for b in range(cfg.subbands):
-                basis = to_basis(subbands[:, b])  # (rows, snapshots, pulses)
+                # (rows, snapshots, pulses); the transform reads the strided view in place
+                basis = beamspace_transform(subbands[:, b], plan) if beamspace else subbands[:, b]
                 if first == 0:
                     training = basis[:, :, : cfg.train_pulses].reshape(len(basis), -1)
-                    steer = steering_matrix(*omegas[:, :, b].T, geom)
-                    groups.append({})
-                    for k in range(len(targets)):
-                        win, rows, steering = select(k, b, steer[:, k])
-                        corr = train(training[rows], steering, win)
-                        ids, corrs = groups[b].setdefault(win, (rows, [], []))[1:]
-                        ids.append(k)
-                        corrs.append(corr)
-                        if b == CENTER_BIN:
-                            center[k] = corr
-                    shared.clear()
-                # one product per group of targets that share their rows; on the
-                # antenna basis this gathers the block's strided subband for zgemm
-                for rows, ids, corrs in groups[b].values():
+                    groups.append(_train(training, omegas[:, :, b], cfg, plan))
+                # on the antenna basis this gathers the block's strided subband for zgemm
+                for rows, ids, corrs in groups[b]:
                     outputs[ids, b, :, first : first + n_block] = apply_correlator(
                         corrs, basis[rows]
                     )
-    return outputs, center
+    center = {k: corr for _, ids, corrs in groups[CENTER_BIN] for k, corr in zip(ids, corrs)}
+    return outputs, [center[k] for k in range(len(targets))]
 
 
 def _complexity(cfg: PipelineConfig) -> ComplexityReport:

@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -133,6 +134,36 @@ class TestBinaryMap:
         save_cube(path, cube)
         with pytest.raises(ValueError, match="cube"):
             load_map(path)
+
+
+def _header(flags, dims, fs=500e6):
+    """A format-1 header as written by hand, not by save_cube or save_map."""
+    return struct.pack("<8sII4Id24x", b"BSRCUBE\0", 1, flags, *dims, fs)
+
+
+class TestHeaderFlags:
+    @pytest.mark.parametrize("flags", [0, 1, 3])
+    def test_map_needs_the_map_flag_alone(self, tmp_path, flags):
+        path = tmp_path / "map.bin"
+        path.write_bytes(_header(flags, (2, 3, 1, 1)) + np.zeros(6, "<f4").tobytes())
+        with pytest.raises(ValueError, match=f"^flags: {flags} marks .*, expected 2 "):
+            load_map(path)
+
+    def test_map_needs_unit_trailing_dims(self, tmp_path):
+        path = tmp_path / "map.bin"
+        path.write_bytes(_header(2, (2, 3, 5, 7)) + np.zeros(6, "<f4").tobytes())
+        with pytest.raises(ValueError, match=r"^dims: \(2, 3, 5, 7\) are not a map's"):
+            load_map(path)
+
+    @pytest.mark.parametrize("flags", [0, 2, 3])
+    def test_cube_needs_the_complex_flag_alone(self, tmp_path, cube, flags):
+        path = tmp_path / "cube.bin"
+        save_cube(path, cube)
+        raw = bytearray(path.read_bytes())
+        raw[12:16] = flags.to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^flags: {flags} marks .*, expected 1 "):
+            load_cube(path, cube.geometry, cube.chirp)
 
 
 class TestScenarioJson:

@@ -476,6 +476,36 @@ class TestOneBeamformingPath:
         assert len(factored) == len(made)
         assert all(m is cov.matrix for m, cov in zip(factored, made))
 
+    @pytest.mark.parametrize(
+        "kw,sizes",
+        [
+            (dict(method=METHOD_ANTENNA), [4]),
+            (dict(method=METHOD_CONVENTIONAL), [4]),
+            (dict(method=METHOD_BEAMSPACE), [1, 2, 1]),
+            (dict(method=METHOD_BEAMSPACE, fft_size=(4, 16), window=(3, 5)), [1, 2, 1]),
+        ],
+        ids=["antenna", "conventional", "beamspace", "padded"],
+    )
+    def test_one_product_per_group(self, oracle_cube, monkeypatch, kw, sizes):
+        # targets 1 and 2 share every window, so beamspace applies three
+        # groups per (block, subband) and the antenna basis one
+        geom, chirp, scenario, cube = oracle_cube
+        cfg = tiny_config(geom, chirp, scenario, **kw)
+        calls = []
+
+        def applying(corrs, snapshots, real=pipeline.apply_correlator):
+            calls.append((len(corrs), snapshots.shape[-1]))
+            return real(corrs, snapshots)
+
+        monkeypatch.setattr(pipeline, "apply_correlator", applying)
+        process_cube(cube, scenario, cfg)
+
+        n_blocks = 2  # 16 pulses, a block of at least the 8 training pulses
+        width = len(sizes)
+        per_subband = [[n for n, _ in calls[i : i + width]] for i in range(0, len(calls), width)]
+        assert per_subband == [sizes] * (n_blocks * cfg.subbands)
+        assert {pulses for _, pulses in calls} == {chirp.num_pulses // n_blocks}
+
     def test_recentering_moves_a_window_on_the_padded_grid(self, oracle_cube):
         geom, chirp, scenario, _ = oracle_cube
         plan = tiny_config(geom, chirp, scenario, fft_size=(4, 16)).beamspace_plan()

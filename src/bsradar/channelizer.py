@@ -10,8 +10,9 @@ total energy by exactly L and the round trip is lossless.
 
 Every length-L block lies within one pulse, so pulses channelize independently:
 :func:`channelize_into` writes any range of a cube's pulses into a buffer of
-that range's size, and :func:`channelize` is that loop over every pulse,
-into a fresh buffer or over the cube's own samples.
+that range's size, or over the range's own samples, and :func:`channelize`
+writes every pulse into a fresh buffer.  Which cube may be written over is
+the caller's to decide (the pipeline writes over the cubes it made itself).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _half_bin_ramp(L: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(L) / L)
 
 
-def channelize(cube: DataCube, L: int, *, _overwrite: bool = False) -> np.ndarray:
+def channelize(cube: DataCube, L: int) -> np.ndarray:
     """Split the cube's fast-time axis into L critically sampled subbands.
 
     L must divide the pulse length and be even; L == 1 passes the cube
@@ -49,15 +50,15 @@ def channelize(cube: DataCube, L: int, *, _overwrite: bool = False) -> np.ndarra
     subbands, snapshots per pulse, pulses), the layout :func:`synthesize`
     takes: :func:`channelize_into` over every pulse of the cube.
 
-    By default the subbands are written into a fresh buffer, so the cube is
-    left as it was and the caller holds two cube-sized arrays.
-    ``_overwrite`` is for a caller that owns a complex128 cube and will not
-    read it again: the subbands are then written over the cube's own
-    samples, so no second cube-sized array is made.  With a single subband
-    the result is always a view of the cube's samples, to be read only.
+    The subbands are written into a fresh buffer, so the cube is left as it
+    was and the caller holds two cube-sized arrays; a caller that owns its
+    cube and will not read it again calls ``channelize_into(samples, L,
+    samples)`` instead, which writes them over the cube's own samples.  With
+    a single subband the result is a view of the cube's samples, to be read
+    only.
     """
     samples = cube.samples
-    out = samples if _overwrite or L == 1 else np.empty(samples.shape, dtype=complex)
+    out = samples if L == 1 else np.empty(samples.shape, dtype=complex)
     return channelize_into(samples, L, out)
 
 

@@ -23,15 +23,17 @@ runs); past channelization every stage reads the geometry, chirp, subband
 count and scene from the config alone, so :func:`process_cube` first
 checks that its cube and scenario are the config's.
 
-A run holds at most one cube and one block of subbands while it
-beamforms.  The channelizer hands beamforming plain (antennas, subbands,
-snapshots, pulses) arrays, one per block of consecutive pulses from pulse
-0, and beamforming trains every target on block 0 and applies the weights
-to each block in turn.  A cube the pipeline made itself (in
-:func:`run_pipeline`, and in a :func:`sweep`, whose consecutive points
-share one cube while the scenario, geometry, chirp and subband count are
-unchanged) is one block: the subbands are written over its own samples, so
-the array is a strided view of the cube's buffer.  A caller's cube given to
+A run holds at most one cube and one block of subbands while it beamforms.
+One generator makes every block: it hands beamforming plain (antennas,
+subbands, snapshots, pulses) arrays, one per block of consecutive pulses
+from pulse 0, and beamforming trains every target on block 0 and applies
+the weights to each block in turn.  It alone knows who owns the cube.  A
+cube the pipeline made itself (in :func:`run_pipeline`, and in a
+:func:`sweep`, whose consecutive points share one cube while the scenario,
+geometry, chirp and subband count are unchanged) is one block of every
+pulse: the subbands are written over its own samples, so the array is a
+strided view of the cube's buffer; quarter blocks written in place
+measured slower in both channelize and beamform.  A caller's cube given to
 :func:`process_cube` is never written: it is channelized a block at a time
 into one reused buffer of a block's size.  A block is a quarter of the
 pulses, rounded up, or the training pulses if they are more, so block 0
@@ -105,7 +107,7 @@ from .beamspace import (
     window_rows,
     windowed_steering,
 )
-from .channelizer import bin_center_frequencies, channelize, channelize_into, synthesize
+from .channelizer import bin_center_frequencies, channelize_into, synthesize
 from .detection import (
     REPORT_COLUMNS,
     Detection,
@@ -319,29 +321,23 @@ def _simulate(cfg: PipelineConfig, timings: dict) -> DataCube:
 
 
 def _channelize(
-    cube: DataCube, cfg: PipelineConfig, timings: dict
-) -> list[tuple[int, np.ndarray]]:
-    """A cube the pipeline made itself, as one block channelized in place:
-    the subbands are written over the cube's samples, which nothing reads
-    again."""
-    with _stage("channelize", timings):
-        return [(0, channelize(cube, cfg.subbands, _overwrite=True))]
-
-
-def _channelize_blocks(
-    cube: DataCube, cfg: PipelineConfig, timings: dict
+    cube: DataCube, cfg: PipelineConfig, timings: dict, owned: bool
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield a caller's cube a block of pulses at a time, as ``(first pulse,
-    subbands)``, each block channelized into one reused buffer of a block's
-    size.  A block is a quarter of the pulses, rounded up, or the training
-    pulses if they are more, so block 0 holds them all.  A block's subbands
-    are overwritten by the next block's, so each is read before the next is
-    asked for.  With a single subband each block is a view of the cube's
-    samples and no buffer is made."""
+    """Yield the cube a block of pulses at a time, as ``(first pulse,
+    subbands)``.  An ``owned`` cube, one the pipeline made itself, is one
+    block of every pulse, channelized over its own samples, which nothing
+    reads again.  A caller's cube is never written: a block is a quarter of the
+    pulses, rounded up, or the training pulses if they are more, so block 0
+    holds them all, and each is channelized into one reused buffer of a
+    block's size, so it is read before the next is asked for.  With a
+    single subband each block is a view of the cube's samples and no buffer
+    is made."""
     samples = cube.samples
     n_ant, n_fast, n_pulses = samples.shape
-    size = max(cfg.train_pulses, -(-n_pulses // 4))
-    buffer = np.empty(n_ant * n_fast * size, dtype=complex) if cfg.subbands > 1 else None
+    size = n_pulses if owned else max(cfg.train_pulses, -(-n_pulses // 4))
+    buffer = None
+    if not owned and cfg.subbands > 1:
+        buffer = np.empty(n_ant * n_fast * size, dtype=complex)
     for first in range(0, n_pulses, size):
         block = samples[:, :, first : first + size]
         out = block if buffer is None else buffer[: block.size].reshape(block.shape)
@@ -516,7 +512,7 @@ def process_cube(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> Pip
     cfg.validate()
     _check_inputs(cube, scenario, cfg)
     timings: dict = {}
-    beams = _beamform(_channelize_blocks(cube, cfg, timings), cfg, timings)
+    beams = _beamform(_channelize(cube, cfg, timings, owned=False), cfg, timings)
     return _back_end(beams, cfg, timings)
 
 
@@ -529,7 +525,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineResult:
     cfg.validate()
     timings: dict = {}
     # neither the cube nor its subbands is named here, so _beamform's return frees them
-    beams = _beamform(_channelize(_simulate(cfg, timings), cfg, timings), cfg, timings)
+    beams = _beamform(_channelize(_simulate(cfg, timings), cfg, timings, owned=True), cfg, timings)
     return _back_end(beams, cfg, timings)
 
 
@@ -618,7 +614,7 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
                 raise failed[i]
             timings: dict = {}
             if not held:
-                held += _channelize(_simulate(case, timings), case, timings)
+                held += _channelize(_simulate(case, timings), case, timings, owned=True)
             # neither the buffer its last reader takes nor the result is named,
             # so the buffer goes before synthesis and the result with its rows
             scores = _back_end(

@@ -23,6 +23,7 @@ roundoff: the sources share one product and one inverse transform.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,6 +109,8 @@ class TargetSpec:
 
     def __post_init__(self) -> None:
         check_finite(self, *vars(self))  # every field is a number
+        if not isinstance(self.position, (tuple, list, np.ndarray)) or len(self.position) != 3:
+            raise ValueError(f"position: {self.position!r} is not an (x, y, z) triple")
         try:
             self.direction
         except ValueError as exc:
@@ -142,6 +145,8 @@ class InterfererSpec:
     bandwidth_fraction: float = 0.8
 
     def __post_init__(self) -> None:
+        if not isinstance(self.direction, Direction):
+            raise ValueError(f"direction: {self.direction!r} is not a Direction")
         check_finite(self, "power", "bandwidth_fraction")
         if self.power <= 0:
             raise ValueError("interferer power must be positive")
@@ -168,8 +173,15 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "interferers", tuple(self.interferers))
+        for name, kind in (("targets", TargetSpec), ("interferers", InterfererSpec)):
+            specs = tuple(getattr(self, name))
+            object.__setattr__(self, name, specs)
+            for i, spec in enumerate(specs):
+                if not isinstance(spec, kind):
+                    raise ValueError(
+                        f"{name}[{i}]: {spec!r} has type {type(spec).__name__}, "
+                        f"not {kind.__name__}"
+                    )
         check_finite(self, "noise_power")
         if self.noise_power < 0:
             raise ValueError("noise_power must be >= 0")
@@ -523,6 +535,9 @@ def scenario_preset(
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     _check_seed(seed)  # before it seeds the layout
+    real = isinstance(snr_db, numbers.Real) and not isinstance(snr_db, bool)
+    if snr_db is not None and not (real and np.isfinite(snr_db)):
+        raise ValueError(f"snr_db: {snr_db!r} is not a finite number")
     if name == "noninterferer":
         if snr_db is None:
             snr_db = EASY_MODE_SNR_DB

@@ -713,18 +713,19 @@ class TestCubeOwnership:
         """The subband count of every channelization from now on."""
         calls = []
 
-        def counting(*args, real=pipeline.channelize, **kwargs):
+        def counting(*args, real=pipeline.channelize_into, **kwargs):
             calls.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "channelize", counting)
+        monkeypatch.setattr(pipeline, "channelize_into", counting)
         return calls
 
 
 class TestCallersCubeInBlocks:
     """``process_cube`` channelizes a caller's cube a block of pulses at a
     time into one reused buffer, trains on block 0 and applies every block;
-    its outputs, correlators and tallies are ``run_pipeline``'s bit for bit."""
+    its outputs, correlators and tallies are ``run_pipeline``'s bit for bit,
+    where the run's own cube is one block channelized in place."""
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize(
@@ -753,12 +754,15 @@ class TestCallersCubeInBlocks:
 
         monkeypatch.setattr(pipeline, "channelize_into", recording)
         given = process_cube(cube, scenario, cfg)
-        monkeypatch.undo()
         assert np.array_equal(cube.samples, before)
         # a single subband reads views of the cube; more are written to a buffer
         assert seen == [(n, cfg.subbands == 1) for n in blocks]
 
+        seen.clear()
         owned = run_pipeline(cfg)
+        monkeypatch.undo()
+        # the run's own cube is one block of every pulse, written over itself
+        assert seen == [(num_pulses, True)]
         assert np.array_equal(owned.subband_outputs, given.subband_outputs)
         assert np.array_equal(owned.wideband_outputs, given.wideband_outputs)
         for a, b in zip(owned.maps, given.maps, strict=True):
@@ -855,7 +859,6 @@ class TestBufferLifetime:
             return result
 
         monkeypatch.setattr(pipeline, "synthesize_datacube", simulating)
-        monkeypatch.setattr(pipeline, "channelize", watching(pipeline.channelize))
         monkeypatch.setattr(pipeline, "channelize_into", watching(pipeline.channelize_into))
         monkeypatch.setattr(pipeline, "synthesize", synthesizing)
         monkeypatch.setattr(pipeline, "_back_end", finishing)

@@ -530,6 +530,20 @@ SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
             lambda: TargetSpec((0.0, -100.0, 0.0)),
             r"^position: \(0.0, -100.0, 0.0\): direction .* outside the front hemisphere",
         ),
+        (lambda: TargetSpec((1.0, 2.0)), r"^position: \(1.0, 2.0\) is not an \(x, y, z\) triple"),
+        (lambda: TargetSpec(500.0), r"^position: 500.0 is not an \(x, y, z\) triple"),
+        (lambda: InterfererSpec((0.1, 0.2)), r"^direction: \(0.1, 0.2\) is not a Direction"),
+        (
+            lambda: Scenario(targets=[TargetSpec((1.0, 500.0, 0.0)), (1.0, 500.0, 0.0)]),
+            r"^targets\[1\]: \(1.0, 500.0, 0.0\) has type tuple, not TargetSpec",
+        ),
+        (
+            lambda: Scenario(interferers=[EAST]),
+            r"^interferers\[0\]: Direction\(.*\) has type Direction, not InterfererSpec",
+        ),
+        (lambda: scenario_preset("A1", snr_db="3"), "^snr_db: '3' is not a finite number"),
+        (lambda: scenario_preset("A1", snr_db=np.nan), "^snr_db: nan is not a finite number"),
+        (lambda: scenario_preset("A1", snr_db=True), "^snr_db: True is not a finite number"),
     ],
     ids=[
         "negative-bandwidth",
@@ -552,6 +566,14 @@ SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
         "label-int",
         "target-at-origin",
         "target-behind-array",
+        "target-position-pair",
+        "target-position-scalar",
+        "interferer-direction-tuple",
+        "scenario-target-tuple",
+        "scenario-interferer-direction",
+        "preset-snr-str",
+        "preset-snr-nan",
+        "preset-snr-bool",
     ],
 )
 def test_input_checks(call, match):

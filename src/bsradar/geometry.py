@@ -26,11 +26,13 @@ SPEED_OF_LIGHT = 299_792_458.0
 def check_finite(obj, *names: str) -> None:
     """Reject the first named attribute of ``obj`` that is not a finite
     number: a NaN, an infinity, a bool, a string or any other non-number
-    (every element of a sequence is checked; complex values are numbers),
-    naming the field."""
+    (every element of a sequence or array is checked; complex values are
+    numbers), naming the field."""
     for name in names:
         value = getattr(obj, name)
-        items = value if isinstance(value, (tuple, list, np.ndarray)) else (value,)
+        items = value if isinstance(value, (tuple, list)) else (value,)
+        if isinstance(value, np.ndarray):  # of any rank, 0-d included
+            items = value.ravel()
         if not all(
             isinstance(v, numbers.Number) and not isinstance(v, bool) and np.isfinite(v)
             for v in items

@@ -2,7 +2,8 @@
 
 A :class:`Correlator`'s weights apply on the antennas, or on the bins of
 its ``window``, which carries its beam grid; :func:`lift_correlator` maps
-windowed weights back to the antennas.
+windowed weights back to the antennas, a group of them on one grid in one
+adjoint transform.
 
 The correlator solving min w^H R w subject to w^H a = 1 is computed from a
 Hermitian positive-definite factorization (never an explicit inverse).  A
@@ -136,16 +137,28 @@ def conventional_correlator(
     return Correlator(a / (np.linalg.norm(a) ** 2), window)
 
 
-def lift_correlator(corr: Correlator) -> Correlator:
+def lift_correlator(
+    corr: Correlator | Sequence[Correlator],
+) -> Correlator | list[Correlator]:
     """Map windowed-beamspace weights to the equivalent antenna-space weights.
 
     Applying the lifted weights to raw snapshots reproduces the windowed
-    beamspace output exactly (adjoint of transform-then-window).
+    beamspace output exactly (adjoint of transform-then-window).  ``corr``
+    is one correlator, or a sequence of correlators on one beam grid lifted
+    in one adjoint transform, giving one antenna correlator each.
     """
-    if corr.window is None:
+    group = not isinstance(corr, Correlator)
+    corrs = list(corr) if group else [corr]
+    if any(c.window is None for c in corrs):
         raise ValueError("can only lift windowed-beamspace correlators, got an antenna one")
-    full = scatter_window(corr.weights, corr.window)
-    return Correlator(adjoint_transform(full, corr.window.plan))
+    plans = {c.window.plan for c in corrs}
+    if len(plans) > 1:
+        raise ValueError(f"can only lift correlators on one beam grid, got {len(plans)}")
+    if not corrs:
+        return []
+    full = np.stack([scatter_window(c.weights, c.window) for c in corrs], axis=1)
+    lifted = [Correlator(w) for w in adjoint_transform(full, plans.pop()).T]
+    return lifted if group else lifted[0]
 
 
 def apply_correlator(
@@ -154,16 +167,22 @@ def apply_correlator(
     """Beamformer output series w^H y[n] for column snapshot(s).
 
     ``corr`` is one correlator, or a sequence of correlators of one
-    dimension applied in one matrix product, giving one output row each.
+    dimension applied in one matrix product, giving one output row each (no
+    row for an empty sequence).
     """
     group = not isinstance(corr, Correlator)
-    weights = np.array([c.weights for c in corr] if group else [corr.weights])
-    n_corr, dim = weights.shape
+    corrs = list(corr) if group else [corr]
     arr = np.asarray(snapshots)
-    if arr.shape[0] != dim:
-        raise ValueError(f"snapshot length {arr.shape[0]} != correlator dim {dim}")
-    out = zgemm(1.0, np.conj(weights), arr.reshape(dim, -1))
-    out = out.reshape(n_corr, *arr.shape[1:])
+    dim = arr.shape[0]
+    for c in corrs:
+        if c.dim != dim:
+            raise ValueError(f"snapshot length {dim} != correlator dim {c.dim}")
+    weights = np.array([c.weights for c in corrs], dtype=complex).reshape(len(corrs), dim)
+    # (y^T conj(W)^T)^T: the snapshots' C-ordered (dim, n) matrix, a copy only
+    # if they are strided, and the weights enter as Fortran-ordered transposes,
+    # so the BLAS wrapper copies neither
+    out = zgemm(1.0, arr.reshape(dim, -1).T, weights.conj().T).T
+    out = out.reshape(len(corrs), *arr.shape[1:])
     return out if group else out[0]
 
 

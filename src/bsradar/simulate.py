@@ -109,8 +109,9 @@ class TargetSpec:
 
     def __post_init__(self) -> None:
         check_finite(self, *vars(self))  # every field is a number
-        if not isinstance(self.position, (tuple, list, np.ndarray)) or len(self.position) != 3:
-            raise ValueError(f"position: {self.position!r} is not an (x, y, z) triple")
+        position = self.position
+        if not isinstance(position, (tuple, list, np.ndarray)) or np.shape(position) != (3,):
+            raise ValueError(f"position: {position!r} is not an (x, y, z) triple")
         try:
             self.direction
         except ValueError as exc:
@@ -174,7 +175,12 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for name, kind in (("targets", TargetSpec), ("interferers", InterfererSpec)):
-            specs = tuple(getattr(self, name))
+            try:
+                specs = tuple(getattr(self, name))
+            except TypeError:
+                raise ValueError(
+                    f"{name}: {getattr(self, name)!r} is not a sequence of {kind.__name__}"
+                ) from None
             object.__setattr__(self, name, specs)
             for i, spec in enumerate(specs):
                 if not isinstance(spec, kind):

@@ -303,6 +303,20 @@ class TestLiftCorrelator:
         with pytest.raises(ValueError, match="^can only lift windowed-beamspace"):
             lift_correlator(Correlator(np.ones(geom.n)))
 
+    def test_group_is_each_correlator_in_one_transform(self, geom, rng):
+        plan = BeamspacePlan(8, 64, geom.n_z, geom.n_x)
+        wins = [WindowSpec(plan, 2, 4, 1, 9), WindowSpec(plan, 3, 5, 0, 63)] * 2
+        corrs = [Correlator(random_complex(rng, win.w), win) for win in wins]
+        lifted = lift_correlator(corrs)
+        assert len(lifted) == len(corrs)
+        for group, corr in zip(lifted, corrs):
+            assert group.window is None
+            assert np.array_equal(group.weights, lift_correlator(corr).weights)
+        assert lift_correlator([]) == []
+        other = Correlator(np.ones(8), WindowSpec(BeamspacePlan.for_geometry(geom), 2, 4, 0, 0))
+        with pytest.raises(ValueError, match="^can only lift correlators on one beam grid, got 2"):
+            lift_correlator([corrs[0], other])
+
     def test_weights_must_match_their_window(self, geom):
         win = WindowSpec(BeamspacePlan.for_geometry(geom), 2, 4, 0, 0)
         with pytest.raises(ValueError, match=r"^weights length 9 != window size 8"):
@@ -331,6 +345,7 @@ class TestApplyCorrelator:
         for row, corr in zip(out, corrs):
             assert np.array_equal(row, apply_correlator(corr, snaps))
         assert apply_correlator(corrs, snaps[:, 0]).shape == (3,)
+        assert apply_correlator([], snaps).shape == (0, 40)
         with pytest.raises(ValueError, match="snapshot length"):
             apply_correlator(corrs, snaps[:5])
 

@@ -191,6 +191,12 @@ def tiny_config(geom, chirp, scenario, **kw):
 A1 = scenario_preset("A1")
 
 
+def assert_within_roundoff(got, want):
+    """The bound beamspace's lifted weights keep: max|got - want| <= 1e-12 max|want|."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+
 class TestConfigValidation:
     def test_requires_scene(self):
         for scenario in (None, "A1"):
@@ -355,8 +361,9 @@ class TestScenarioContract:
 
 
 class TestOneBeamformingPath:
-    """Every method's outputs, tallies and center correlators equal the old
-    two-branch loop bit for bit."""
+    """Every method's tallies and center correlators equal the old two-branch
+    loop bit for bit, and so do its outputs, but for beamspace, whose lifted
+    weights give the old loop's windowed outputs to within roundoff."""
 
     @pytest.fixture(scope="class")
     def oracle_cube(self):
@@ -392,7 +399,10 @@ class TestOneBeamformingPath:
             )
         )
 
-        assert np.array_equal(result.subband_outputs, outputs)
+        if cfg.method == METHOD_BEAMSPACE:
+            assert_within_roundoff(result.subband_outputs, outputs)
+        else:
+            assert np.array_equal(result.subband_outputs, outputs)
         mults = result.complexity.stage_mults
         assert {stage: mults[stage] for stage in tallies} == tallies
         assert set(mults) - set(tallies) == {"synthesize", "range_doppler"}
@@ -477,34 +487,72 @@ class TestOneBeamformingPath:
         assert all(m is cov.matrix for m, cov in zip(factored, made))
 
     @pytest.mark.parametrize(
-        "kw,sizes",
+        "kw",
         [
-            (dict(method=METHOD_ANTENNA), [4]),
-            (dict(method=METHOD_CONVENTIONAL), [4]),
-            (dict(method=METHOD_BEAMSPACE), [1, 2, 1]),
-            (dict(method=METHOD_BEAMSPACE, fft_size=(4, 16), window=(3, 5)), [1, 2, 1]),
+            dict(method=METHOD_ANTENNA),
+            dict(method=METHOD_CONVENTIONAL),
+            dict(method=METHOD_BEAMSPACE),
+            dict(method=METHOD_BEAMSPACE, fft_size=(4, 16), window=(3, 5)),
         ],
         ids=["antenna", "conventional", "beamspace", "padded"],
     )
-    def test_one_product_per_group(self, oracle_cube, monkeypatch, kw, sizes):
-        # targets 1 and 2 share every window, so beamspace applies three
-        # groups per (block, subband) and the antenna basis one
+    def test_one_product_per_group(self, oracle_cube, monkeypatch, kw):
+        # groups matter only in training: beamspace's three windows per subband
+        # are lifted to the antennas, so every method applies all four targets
+        # of a (block, subband) in one product on the antenna snapshots
         geom, chirp, scenario, cube = oracle_cube
         cfg = tiny_config(geom, chirp, scenario, **kw)
         calls = []
 
         def applying(corrs, snapshots, real=pipeline.apply_correlator):
-            calls.append((len(corrs), snapshots.shape[-1]))
+            calls.append((len(corrs), snapshots.shape))
             return real(corrs, snapshots)
 
         monkeypatch.setattr(pipeline, "apply_correlator", applying)
         process_cube(cube, scenario, cfg)
 
         n_blocks = 2  # 16 pulses, a block of at least the 8 training pulses
-        width = len(sizes)
-        per_subband = [[n for n, _ in calls[i : i + width]] for i in range(0, len(calls), width)]
-        assert per_subband == [sizes] * (n_blocks * cfg.subbands)
-        assert {pulses for _, pulses in calls} == {chirp.num_pulses // n_blocks}
+        n_snap = chirp.pulse_samples // cfg.subbands
+        shape = (geom.n, n_snap, chirp.num_pulses // n_blocks)
+        assert [n for n, _ in calls] == [len(scenario.targets)] * (n_blocks * cfg.subbands)
+        assert {snapshots for _, snapshots in calls} == {shape}
+
+    @pytest.mark.parametrize("owned", [False, True], ids=["callers-cube", "own-cube"])
+    @pytest.mark.parametrize(
+        "kw", [{}, dict(fft_size=(4, 16), window=(3, 5))], ids=["beamspace", "padded"]
+    )
+    def test_only_training_columns_enter_beamspace(self, oracle_cube, monkeypatch, kw, owned):
+        # on block 0 each subband's training columns are transformed, one call
+        # a subband in order; no later block is transformed at all (the
+        # targets' steering vectors, (antennas, targets), are not a subband)
+        geom, chirp, scenario, cube = oracle_cube
+        cfg = tiny_config(geom, chirp, scenario, **kw)
+        events = []
+
+        def channelizing(*args, real=pipeline.channelize_into):
+            events.append("block")
+            return real(*args)
+
+        def transforming(y, plan, real=pipeline.beamspace_transform):
+            if y.ndim == 3:  # (antennas, snapshots, pulses)
+                events.append(np.array(y))
+            return real(y, plan)
+
+        monkeypatch.setattr(pipeline, "channelize_into", channelizing)
+        monkeypatch.setattr(pipeline, "beamspace_transform", transforming)
+        if owned:
+            run_pipeline(cfg)
+        else:
+            process_cube(cube, scenario, cfg)
+        monkeypatch.undo()
+
+        sub = channelize(cube, cfg.subbands)
+        reads, later = events[1 : 1 + cfg.subbands], events[1 + cfg.subbands :]
+        assert isinstance(events[0], str) and all(isinstance(e, np.ndarray) for e in reads)
+        assert all(isinstance(e, str) for e in later) and len(later) == (0 if owned else 1)
+        for b, columns in enumerate(reads):
+            assert columns.shape == (geom.n, sub.shape[2], cfg.train_pulses)
+            assert np.array_equal(columns, sub[:, b, :, : cfg.train_pulses])
 
     def test_recentering_moves_a_window_on_the_padded_grid(self, oracle_cube):
         geom, chirp, scenario, _ = oracle_cube
@@ -548,6 +596,18 @@ class TestEndToEnd:
         assert [s.range_error_bins for s in res_a.scores] == [
             s.range_error_bins for s in res_b.scores
         ]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_callers_cube_without_targets(self, method):
+        geom, chirp, _ = tiny_setup()
+        scenario = Scenario(noise_power=1e-2, seed=5)
+        cfg = tiny_config(geom, chirp, scenario, method=method)
+        result = process_cube(synthesize_datacube(scenario, geom, chirp), scenario, cfg)
+        n_snap = chirp.pulse_samples // cfg.subbands
+        assert result.subband_outputs.shape == (0, cfg.subbands, n_snap, chirp.num_pulses)
+        assert result.wideband_outputs.shape == (0, chirp.pulse_samples, chirp.num_pulses)
+        assert result.center_correlators == result.maps == result.detections == []
+        assert result.scores == [] and result.detection_count == 0
 
     def test_report_headers_are_stored_bytes(self, tmp_path):
         geom, chirp, scenario = tiny_setup(n_targets=1)

@@ -532,11 +532,16 @@ SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
         ),
         (lambda: TargetSpec((1.0, 2.0)), r"^position: \(1.0, 2.0\) is not an \(x, y, z\) triple"),
         (lambda: TargetSpec(500.0), r"^position: 500.0 is not an \(x, y, z\) triple"),
+        (
+            lambda: TargetSpec(np.array(5.0)),
+            r"^position: array\(5\.\) is not an \(x, y, z\) triple",
+        ),
         (lambda: InterfererSpec((0.1, 0.2)), r"^direction: \(0.1, 0.2\) is not a Direction"),
         (
             lambda: Scenario(targets=[TargetSpec((1.0, 500.0, 0.0)), (1.0, 500.0, 0.0)]),
             r"^targets\[1\]: \(1.0, 500.0, 0.0\) has type tuple, not TargetSpec",
         ),
+        (lambda: Scenario(targets=5), "^targets: 5 is not a sequence of TargetSpec"),
         (
             lambda: Scenario(interferers=[EAST]),
             r"^interferers\[0\]: Direction\(.*\) has type Direction, not InterfererSpec",
@@ -568,8 +573,10 @@ SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
         "target-behind-array",
         "target-position-pair",
         "target-position-scalar",
+        "target-position-0d-array",
         "interferer-direction-tuple",
         "scenario-target-tuple",
+        "scenario-targets-int",
         "scenario-interferer-direction",
         "preset-snr-str",
         "preset-snr-nan",

@@ -93,7 +93,7 @@ def _cmd_run(args) -> int:
     result = run_pipeline(cfg)
     detected = result.detection_count
     total = len(result.scores)
-    print(f"method={cfg.method} scenario={cfg.scenario.label or 'custom'}")
+    print(f"method={cfg.method} scenario={cfg.scenario.name}")
     print(f"detected {detected}/{total} targets")
     for score in result.scores:
         if score.detected:

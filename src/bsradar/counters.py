@@ -64,15 +64,11 @@ def mvdr_solve_mults(d: int) -> int:
 
 def channelize_mults(n_streams: int, n_blocks: int, subbands: int) -> int:
     """Half-bin modulation plus one subband FFT per fast-time block."""
-    if subbands <= 1:
-        return 0
     return n_streams * n_blocks * (subbands + fft_mults(subbands))
 
 
 def synthesize_mults(n_blocks: int, subbands: int) -> int:
     """Inverse of :func:`channelize_mults` for one output stream."""
-    if subbands <= 1:
-        return 0
     return n_blocks * (fft_mults(subbands) + subbands)
 
 

@@ -3,23 +3,24 @@
 The matched filter is circular in fast time, consistent with the
 simulator's integer-sample delay model, so a target at delay d peaks in
 range bin d exactly.  The slow-time DFT is FFT-shifted so zero velocity
-sits in the center column and closing targets land above it.
+sits in the center column, :attr:`RangeDopplerMap.zero_velocity_bin`, and
+closing targets land above it.
 
-The CFAR runs down each velocity column: the noise floor for a cell is the
-median of that column excluding the cell itself and ``guard`` cells on each
+The CFAR runs down each velocity column: a cell's noise floor is the
+median of its column without the cell itself and ``guard`` cells on each
 side, and a cell fires when its power reaches the floor plus the threshold
-in dB.  Firing cells are then thinned to 3x3 local maxima so one physical
-target yields one detection.  The median, an order statistic, keeps the
-floor robust when targets or interference share a column with the cell
-under test.
+in dB and it is a 3x3 local maximum, so one physical target yields one
+detection.  The median, an order statistic, keeps the floor robust when
+targets or interference share a column with the cell under test.
 
+No floor is computed for the whole map, only at the cells that can fire.
 Each column is sorted once.  Removing a guard band never lowers an order
 statistic, so the column's sorted value at the smallest median rank bounds
 every floor in it from below; only positive 3x3 local maxima that clear
-that bound times the threshold can fire, and the exact floor is computed
-at those cells alone, a few hundred of a map's quarter million.  At a cell
-whose band holds ``w`` cells, the k-th smallest of the rest is the sorted
-value at the smallest position ``p`` in ``k ... k + w`` with
+that bound times the threshold are candidates, a few hundred of a map's
+quarter million, and the exact floor is computed at those cells alone.  At
+a candidate whose band holds ``w`` cells, the k-th smallest of the rest is
+the sorted value at the smallest position ``p`` in ``k ... k + w`` with
 ``p - #{band <= sorted[p]} >= k``, which is exact under ties.
 """
 
@@ -64,6 +65,7 @@ class RangeDopplerMap:
 
     @property
     def zero_velocity_bin(self) -> int:
+        """The column of zero radial velocity, where fftshift puts it."""
         return self.power.shape[1] // 2
 
 
@@ -180,18 +182,6 @@ def _local_maxima(power: np.ndarray) -> np.ndarray:
         keep[a] &= power[a] >= power[b]
         keep[b] &= power[b] >= power[a]
     return keep
-
-
-def cfar_noise_floor(power: np.ndarray, guard_cells: int = 4) -> np.ndarray:
-    """Per-cell median noise floor for every velocity column of a power map.
-
-    Each column needs more than ``2 * guard_cells + 1`` rows, so that every
-    cell keeps at least one cell outside its guard band.
-    """
-    power = _check_map(power, guard_cells)
-    rows, cols = np.indices(power.shape).reshape(2, -1)
-    floor = _floor_at(power, _sorted_columns(power), rows, cols, guard_cells)
-    return np.ascontiguousarray(floor.reshape(power.shape), dtype=float)
 
 
 def cfar_detect(

@@ -326,8 +326,8 @@ def _check_inputs(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> No
     if scenario is not cfg.scenario and scenario != cfg.scenario:
         given, own = scenario, cfg.scenario
         raise ValueError(
-            f"scenario: the given scenario ({given.label or 'custom'!r}, seed {given.seed}) "
-            f"is not the config's ({own.label or 'custom'!r}, seed {own.seed})"
+            f"scenario: the given scenario ({given.name!r}, seed {given.seed}) "
+            f"is not the config's ({own.name!r}, seed {own.seed})"
         )
 
 
@@ -509,7 +509,7 @@ def _back_end(
             truth_r = target.delay_samples(chirp)
             truth_v = (
                 int(round(target.radial_velocity / chirp.velocity_resolution))
-                + chirp.num_pulses // 2
+                + maps[k].zero_velocity_bin
             ) % chirp.num_pulses
             scores.append(
                 score_detections(detections_per_target[k], truth_r, truth_v, maps[k], k)
@@ -561,7 +561,7 @@ def _score_row(cfg: PipelineConfig, score: DetectionScore) -> dict:
     plan = cfg.beamspace_plan()
     beamspace = cfg.method == METHOD_BEAMSPACE
     return {
-        "scenario": cfg.scenario.label or "custom",
+        "scenario": cfg.scenario.name,
         "target_id": score.target_id,
         "method": cfg.method,
         "w_z": w_z if beamspace else "",
@@ -632,7 +632,7 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
     rows: list[dict] = []
     held: list = []  # the current cube's channelized buffer, until its last reader
     for i, (value, case) in enumerate(zip(values, cases)):
-        label = case.scenario.label or "custom"
+        label = case.scenario.name
         point = f"{axis}={value}"
         if axis == "scenario":
             point = f"scenario={label} seed={case.scenario.seed}"

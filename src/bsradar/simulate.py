@@ -195,6 +195,11 @@ class Scenario:
         if not isinstance(self.label, str):
             raise ValueError(f"label: {self.label!r} is not a str")
 
+    @property
+    def name(self) -> str:
+        """What reports and messages call the scene: its label, or "custom"."""
+        return self.label or "custom"
+
 
 @dataclass
 class DataCube:

@@ -17,7 +17,16 @@ from bsradar import (
     synthesize_datacube,
     write_detection_report,
 )
-from bsradar.detection import cfar_noise_floor
+from bsradar.detection import _check_map, _floor_at, _sorted_columns
+
+
+def cfar_noise_floor(power, guard_cells=4):
+    """The median floor at every cell of a map, built from what
+    ``cfar_detect`` runs at its candidate cells."""
+    power = _check_map(power, guard_cells)
+    rows, cols = np.indices(power.shape).reshape(2, -1)
+    floor = _floor_at(power, _sorted_columns(power), rows, cols, guard_cells)
+    return floor.reshape(power.shape)
 
 
 def reference_median_column(column, guard):

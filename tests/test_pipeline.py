@@ -578,6 +578,23 @@ class TestEndToEnd:
             assert score.range_error_bins <= 1
             assert score.velocity_error_bins <= 1
 
+    @pytest.mark.parametrize(
+        "bins", [-8, -3, 0, 5, 8], ids=["-vmax", "-3 bins", "zero", "+5 bins", "+vmax"]
+    )
+    def test_truth_cell_is_the_detected_cell(self, bins):
+        # 16 pulses: +-8 bins is +-max_unambiguous_velocity, which both wrap
+        # to column 0; a zero column off by one would score one bin of error
+        geom, chirp, _ = tiny_setup()
+        velocity = bins * chirp.velocity_resolution
+        if abs(bins) == 8:
+            assert abs(velocity) == chirp.max_unambiguous_velocity
+        target = TargetSpec((6.0, 40.0, 2.0), velocity)
+        scenario = Scenario(targets=(target,), noise_power=1e-4, seed=3)
+        cfg = tiny_config(geom, chirp, scenario, method=METHOD_CONVENTIONAL)
+        [score] = run_pipeline(cfg).scores
+        assert score.detected
+        assert score.range_error_bins == score.velocity_error_bins == 0
+
     def test_full_window_beamspace_equals_antenna(self):
         # m = n, W = M, loading 0: unitary equivalence end to end
         geom, chirp, scenario = tiny_setup(noise_power=1.0)

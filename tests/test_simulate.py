@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -476,6 +476,15 @@ class TestPresets:
         a = scenario_preset("C1", seed=42)
         b = scenario_preset("C1", seed=42)
         assert a == b
+
+    def test_name_is_the_label_or_custom(self):
+        labelled = scenario_preset("A1")
+        unlabelled = replace(labelled, label="")
+        assert (labelled.name, unlabelled.name) == ("A1", "custom")
+        # a property, not a field: equality and hashing still read the label
+        assert unlabelled != labelled and unlabelled == replace(labelled, label="")
+        assert hash(unlabelled) == hash(replace(labelled, label=""))
+        assert "name" not in {f.name for f in fields(Scenario)}
 
     def test_nested_interferer_layout(self):
         a = scenario_preset("A1")

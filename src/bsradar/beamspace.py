@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from .geometry import ArrayGeometry, SpatialFrequencies
+from .geometry import ArrayGeometry, SpatialFrequencies, check_count
 
 TWO_PI = 2.0 * np.pi
 
@@ -43,6 +43,7 @@ class BeamspacePlan:
     n_x: int
 
     def __post_init__(self) -> None:
+        check_count(self, *vars(self))
         if self.n_z < 1 or self.n_x < 1:
             raise ValueError("array dims must be >= 1")
         if self.m_z < self.n_z or self.m_x < self.n_x:
@@ -79,6 +80,7 @@ class WindowSpec:
     center_col: int
 
     def __post_init__(self) -> None:
+        check_count(self, "w_z", "w_x", "center_row", "center_col")
         m_z, m_x = self.plan.m_z, self.plan.m_x
         if self.w_z < 1 or self.w_x < 1:
             raise ValueError("window dims must be >= 1")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 import os
 import struct
 import typing
@@ -32,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import ArrayGeometry, Direction
+from .geometry import ArrayGeometry, Direction, is_count, is_real
 from .pipeline import PipelineConfig
 from .simulate import (
     ChirpParams,
@@ -210,7 +209,7 @@ def _read(section: str, data, keys: dict, required=()) -> dict:
 
 def _int(value) -> int:
     """A JSON integer as is; a float, a bool or any other value is rejected."""
-    if type(value) is not int:
+    if not is_count(value):
         raise ValueError(f"{value!r} is not an integer")
     return value
 
@@ -224,7 +223,7 @@ def _str(value) -> str:
 
 def _real(value) -> float:
     """A JSON number as a float; a bool, a string or any other value is rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
 

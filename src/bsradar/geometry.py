@@ -3,6 +3,17 @@
 This module is the one array manifold: every other module turns a
 direction and a frequency into element phases through it.
 
+It is also the one home of the number contract every input is built
+under.  A count is a Python ``int`` and not a bool; a NumPy int is not a
+count, since a config file cannot store one and the cost tallies call
+``int.bit_length``.  A real is a finite ``numbers.Real`` and not a bool,
+NumPy's floats included.  A field of several reals (a target's position)
+is a tuple, list or array of them; any other field holds one.  A complex
+number is accepted only where a field asks for one, a target's amplitude.
+Constructors check their fields with :func:`check_count` and
+:func:`check_finite`, which name the field; a file reader or a function
+argument tests a value with :func:`is_count` and :func:`is_real`.
+
 Conventions (fixed across the whole package):
 
 * the array broadside points along +y; azimuth is measured from the y-axis
@@ -23,30 +34,38 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0
 
 
-def check_finite(obj, *names: str) -> None:
-    """Reject the first named attribute of ``obj`` that is not a finite
-    number: a NaN, an infinity, a bool, a string or any other non-number
-    (every element of a sequence or array is checked; complex values are
-    numbers), naming the field."""
+def is_count(value) -> bool:
+    """Whether ``value`` is a count: a Python int and not a bool."""
+    return type(value) is int
+
+
+def is_real(value, complex_ok: bool = False) -> bool:
+    """Whether ``value`` is a real (NumPy's included), or with ``complex_ok``
+    a complex number, and not a bool; NaN and the infinities are reals."""
+    kind = numbers.Complex if complex_ok else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_finite(obj, *names: str, each: bool = False, complex_ok: bool = False) -> None:
+    """Reject the first named attribute of ``obj`` that is not a finite real
+    (see :func:`is_real`), naming the field.  With ``each``, a tuple, list
+    or array of any rank is checked element by element."""
     for name in names:
         value = getattr(obj, name)
-        items = value if isinstance(value, (tuple, list)) else (value,)
-        if isinstance(value, np.ndarray):  # of any rank, 0-d included
+        items = value if each and isinstance(value, (tuple, list)) else (value,)
+        if each and isinstance(value, np.ndarray):  # of any rank, 0-d included
             items = value.ravel()
-        if not all(
-            isinstance(v, numbers.Number) and not isinstance(v, bool) and np.isfinite(v)
-            for v in items
-        ):
+        if not all(is_real(v, complex_ok) and np.isfinite(v) for v in items):
             raise ValueError(f"{name}: {value!r} is not a finite number")
 
 
-def check_count(obj, *names: str) -> None:
-    """Reject the first named attribute of ``obj`` that is not an integer (a
-    Python or NumPy int; a bool or a float is rejected), naming the field."""
+def check_count(obj, *names: str, noun: str = "an integer") -> None:
+    """Reject the first named attribute of ``obj`` that is not a count (see
+    :func:`is_count`), naming the field: "<name>: <value> is not <noun>"."""
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name}: {value!r} is not an integer")
+        if not is_count(value):
+            raise ValueError(f"{name}: {value!r} is not {noun}")
 
 
 @dataclass(frozen=True)
@@ -92,6 +111,7 @@ class Direction:
     elevation: float
 
     def __post_init__(self) -> None:
+        check_finite(self, "azimuth", "elevation")
         half = np.pi / 2
         if not (abs(self.azimuth) < half and abs(self.elevation) < half):
             raise ValueError(

@@ -105,7 +105,6 @@ snapshot, then a W-dim product per target.
 from __future__ import annotations
 
 import json
-import numbers
 import resource
 import time
 from contextlib import contextmanager
@@ -135,6 +134,7 @@ from .detection import (
     write_detection_report,
 )
 from .geometry import ArrayGeometry, SpatialFrequencies, spatial_frequencies, steering_matrix
+from .geometry import check_count, check_finite, is_count  # the number contract
 from .mvdr import (
     Correlator,
     apply_correlator,
@@ -181,17 +181,11 @@ class PipelineConfig:
         _require_scenario(self.scenario)
         for name in ("window", "fft_size"):
             value = getattr(self, name)
-            ints = isinstance(value, tuple) and all(type(v) is int for v in value)
-            if not ((ints and len(value) == 2) or (name == "fft_size" and value is None)):
+            pair = isinstance(value, tuple) and len(value) == 2 and all(map(is_count, value))
+            if not (pair or (name == "fft_size" and value is None)):
                 raise ValueError(f"{name}: {value!r} is not a pair of ints")
-        for name in ("subbands", "train_pulses", "cfar_guard_cells"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name}: {getattr(self, name)!r} is not an int")
-        for name in ("loading", "cfar_threshold_db"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and np.isfinite(value)):
-                raise ValueError(f"{name}: {value!r} is not a finite number")
+        check_count(self, "subbands", "train_pulses", "cfar_guard_cells", noun="an int")
+        check_finite(self, "loading", "cfar_threshold_db")
         if self.subbands < 1:
             raise ValueError(f"subbands: {self.subbands} must be >= 1")
         if self.chirp.pulse_samples % self.subbands != 0:

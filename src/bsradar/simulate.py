@@ -23,7 +23,6 @@ roundoff: the sources share one product and one inverse transform.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +34,8 @@ from .geometry import (
     Direction,
     check_count,
     check_finite,
+    is_count,
+    is_real,
     spatial_frequencies,
     steering_matrix,
     steering_vector,
@@ -108,10 +109,13 @@ class TargetSpec:
     amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self) -> None:
-        check_finite(self, *vars(self))  # every field is a number
-        position = self.position
-        if not isinstance(position, (tuple, list, np.ndarray)) or np.shape(position) != (3,):
-            raise ValueError(f"position: {position!r} is not an (x, y, z) triple")
+        check_finite(self, "position", each=True)
+        check_finite(self, "radial_velocity")
+        check_finite(self, "amplitude", complex_ok=True)
+        if np.shape(self.position) != (3,):  # a finite scalar has shape ()
+            raise ValueError(f"position: {self.position!r} is not an (x, y, z) triple")
+        # stored as a tuple of floats, so equal positions compare and hash alike
+        object.__setattr__(self, "position", tuple(map(float, self.position)))
         try:
             self.direction
         except ValueError as exc:
@@ -159,7 +163,7 @@ class InterfererSpec:
 
 def _check_seed(seed) -> None:
     """A seed is a non-negative Python int, as a scenario file stores it."""
-    if type(seed) is not int or seed < 0:
+    if not is_count(seed) or seed < 0:
         raise ValueError(f"seed: {seed!r} is not a non-negative int")
 
 
@@ -490,7 +494,7 @@ def _preset_targets(mode: int, seed: int, snr_db: float) -> tuple[TargetSpec, ..
         # the target's own motion makes up the difference.
         targets.append(
             TargetSpec(
-                position=(float(x), float(y), float(z)),
+                position=(x, y, z),
                 radial_velocity=float(closing[k]),
                 amplitude=complex(amp * np.exp(1j * phases[k])),
             )
@@ -546,8 +550,7 @@ def scenario_preset(
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     _check_seed(seed)  # before it seeds the layout
-    real = isinstance(snr_db, numbers.Real) and not isinstance(snr_db, bool)
-    if snr_db is not None and not (real and np.isfinite(snr_db)):
+    if snr_db is not None and not (is_real(snr_db) and np.isfinite(snr_db)):
         raise ValueError(f"snr_db: {snr_db!r} is not a finite number")
     if name == "noninterferer":
         if snr_db is None:

@@ -349,8 +349,14 @@ WIN_2x4 = WindowSpec(PLAN_2x8, 2, 4, 0, 0)
     [
         (lambda: BeamspacePlan(4, 4, 0, 4), "^array dims must be >= 1"),
         (lambda: BeamspacePlan(4, 4, 4, 0), "^array dims must be >= 1"),
+        (lambda: BeamspacePlan(4, 32.0, 4, 32), "^m_x: 32.0 is not an integer"),
+        (lambda: BeamspacePlan(4, 32, 4.0, 32), "^n_z: 4.0 is not an integer"),
         (lambda: WindowSpec(PLAN_2x8, 0, 2, 0, 0), "^window dims must be >= 1"),
         (lambda: WindowSpec(PLAN_2x8, 2, 0, 0, 0), "^window dims must be >= 1"),
+        (lambda: WindowSpec(PLAN_2x8, 2.0, 4, 0, 0), "^w_z: 2.0 is not an integer"),
+        (lambda: WindowSpec(PLAN_2x8, 2, np.int64(4), 0, 0), "^w_x: .*4.* is not an integer"),
+        (lambda: WindowSpec(PLAN_2x8, 2, 4, 1.5, 0), "^center_row: 1.5 is not an integer"),
+        (lambda: WindowSpec(PLAN_2x8, 2, 4, 0, True), "^center_col: True is not an integer"),
         (
             lambda: WindowSpec(PLAN_2x8, 3, 4, 0, 0),
             r"^window \(3, 4\) exceeds beam grid \(2, 8\)",
@@ -379,8 +385,14 @@ WIN_2x4 = WindowSpec(PLAN_2x8, 2, 4, 0, 0)
     ids=[
         "plan-n_z",
         "plan-n_x",
+        "plan-m_x-float",
+        "plan-n_z-float",
         "window-w_z",
         "window-w_x",
+        "window-w_z-float",
+        "window-w_x-numpy",
+        "window-row-float",
+        "window-col-bool",
         "window-wider-than-grid",
         "window-row-off-grid",
         "window-col-off-grid",

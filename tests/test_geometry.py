@@ -241,6 +241,13 @@ class TestOneManifold:
         (lambda: ArrayGeometry(2.5, 4, 10e9), "^n_z: 2.5 is not an integer"),
         (lambda: ArrayGeometry(True, 4, 10e9), "^n_z: True is not an integer"),
         (lambda: ArrayGeometry(2, 4.0, 10e9), "^n_x: 4.0 is not an integer"),
+        # a count is a Python int, as a config file stores it and the tallies need
+        (lambda: ArrayGeometry(np.int64(2), 4, 10e9), "^n_z: .*2.* is not an integer"),
+        (lambda: ArrayGeometry(2, np.int64(4), 10e9), "^n_x: .*4.* is not an integer"),
+        (lambda: Direction(True, 0.0), "^azimuth: True is not a finite number"),
+        (lambda: Direction(0.5j, 0.0), r"^azimuth: 0.5j is not a finite number"),
+        (lambda: Direction("a", 0.0), "^azimuth: 'a' is not a finite number"),
+        (lambda: Direction(0.0, 1 + 0j), r"^elevation: \(1\+0j\) is not a finite number"),
     ],
     ids=[
         "zero-design-freq",
@@ -250,6 +257,12 @@ class TestOneManifold:
         "n-z-float",
         "n-z-bool",
         "n-x-float",
+        "n-z-numpy",
+        "n-x-numpy",
+        "direction-bool",
+        "direction-complex",
+        "direction-str",
+        "direction-elevation-complex",
     ],
 )
 def test_input_checks(call, match):

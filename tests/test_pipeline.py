@@ -205,14 +205,30 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("window", 5), ("window", (2.0, 4)), ("fft_size", (4,))],
+        [
+            ("window", 5),
+            ("window", (2.0, 4)),
+            ("fft_size", (4,)),
+            ("window", (np.int64(2), 4)),
+            ("window", (2, np.int64(4))),
+            ("fft_size", (np.int64(4), 32)),
+            ("fft_size", (4, np.int64(32))),
+        ],
     )
     def test_pairs_must_be_int_pairs(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: .* is not a pair of ints"):
             PipelineConfig(scenario=A1, **{field: value}).validate()
 
     @pytest.mark.parametrize(
-        "field,value", [("subbands", 16.0), ("train_pulses", True), ("cfar_guard_cells", 4.0)]
+        "field,value",
+        [
+            ("subbands", 16.0),
+            ("train_pulses", True),
+            ("cfar_guard_cells", 4.0),
+            ("subbands", np.int64(128)),
+            ("train_pulses", np.int64(8)),
+            ("cfar_guard_cells", np.int64(4)),
+        ],
     )
     def test_counts_must_be_ints(self, field, value):
         with pytest.raises(ValueError, match=f"^{field}: .* is not an int"):
@@ -358,6 +374,25 @@ class TestScenarioContract:
         assert copy is not scenario
         result = process_cube(cube, copy, tiny_config(geom, chirp, scenario))
         assert result.detection_count == 1
+
+    def test_positions_given_as_arrays_or_lists_are_equal(self):
+        # a target stores its position as a tuple of floats, whatever it was given as
+        assert TargetSpec(np.array([1.0, 500.0, 0.0])) == TargetSpec((1.0, 500.0, 0.0))
+        geom, chirp, scenario = tiny_setup(n_targets=2)
+        targets = scenario.targets
+        copies = [
+            replace(scenario, targets=[replace(t, position=kind(t.position)) for t in targets])
+            for kind in (np.array, list)
+        ]
+        for copy in copies:
+            assert copy == scenario and hash(copy) == hash(scenario)
+            assert all(type(x) is float for t in copy.targets for x in t.position)
+        cube = synthesize_datacube(scenario, geom, chirp)
+        cfg = tiny_config(geom, chirp, scenario)
+        want = process_cube(cube, scenario, cfg)
+        got = process_cube(cube, copies[0], cfg)
+        assert got.scores == want.scores
+        assert np.array_equal(got.subband_outputs, want.subband_outputs)
 
 
 class TestOneBeamformingPath:

@@ -6,13 +6,12 @@ the steering vectors.  With the 1/sqrt(m_z m_x) scaling the transform is an
 isometry for any m >= n: columns of the implied matrix are orthonormal, so
 snapshot energy is preserved exactly (not merely up to a ratio).
 
-Both directions run as per-axis ``scipy.fft`` transforms on a reshaped view
-of their input, so a subband's strided (antennas, snapshots, pulses) view
-of the channelizer's buffer is read in place, never gathered first.  The
-second stage overwrites the first stage's result, and the scaling is done
-in place, so a call allocates its result plus, when the x axis is padded,
-the first stage.  (``channelizer`` and ``simulate`` keep ``np.fft``: they
-write into preallocated buffers with ``out=``, which ``scipy.fft`` lacks.)
+Both directions run as per-axis ``numpy.fft`` transforms, the package's one
+FFT library, on a reshaped view of their input, and scale in place.  The
+forward transform writes its first stage into its result, zero-padded
+along x, and runs the second stage there (``out=``), so it allocates its
+result alone; ``numpy.fft``'s own padding (``n=``) of that strided outer
+axis measured slower.  The adjoint's second stage writes over its first.
 
 A window is a rectangle of bins on one plan's grid and carries that plan,
 so it is checked against its grid once, when it is built, and the functions
@@ -26,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .geometry import ArrayGeometry, SpatialFrequencies, check_count
 
@@ -99,20 +97,20 @@ def beamspace_transform(y: np.ndarray, plan: BeamspacePlan) -> np.ndarray:
     """Project antenna snapshot(s) onto the beam grid.
 
     ``y`` is a length-N vector or an (N, ...) batch of snapshots, such as a
-    subband's (antennas, snapshots, pulses) view; the result has length
-    m_z*m_x per snapshot, x-major / z-fastest, over the same trailing axes.
-    Implemented as a zero-padded two-stage FFT that reads ``y`` in place
-    (any strides) and allocates little beyond its result; identical to the
-    dense transform matrix product to floating-point roundoff.
+    subband's (antennas, training columns); the result has length m_z*m_x
+    per snapshot, x-major / z-fastest, over the same trailing axes.
+    Implemented as a zero-padded two-stage FFT that allocates little beyond
+    its result; identical to the dense transform matrix product to
+    floating-point roundoff.
     """
     arr = np.asarray(y)
     if arr.shape[0] != plan.n:
         raise ValueError(f"snapshot length {arr.shape[0]} != array size {plan.n}")
     snaps = arr.shape[1:]
 
-    grid = arr.reshape(plan.n_x, plan.n_z, *snaps)
-    stage_z = scipy.fft.fft(grid, n=plan.m_z, axis=1)
-    out = scipy.fft.fft(stage_z, n=plan.m_x, axis=0, overwrite_x=True)
+    out = np.zeros((plan.m_x, plan.m_z, *snaps), dtype=complex)  # the x axis zero-padded
+    np.fft.fft(arr.reshape(plan.n_x, plan.n_z, *snaps), n=plan.m_z, axis=1, out=out[: plan.n_x])
+    np.fft.fft(out, axis=0, out=out)
     out /= np.sqrt(plan.m)
     return out.reshape(plan.m, *snaps)
 
@@ -124,10 +122,9 @@ def adjoint_transform(x: np.ndarray, plan: BeamspacePlan) -> np.ndarray:
         raise ValueError(f"beam vector length {arr.shape[0]} != grid size {plan.m}")
     snaps = arr.shape[1:]
 
-    grid = arr.reshape(plan.m_x, plan.m_z, *snaps)
-    stage_x = scipy.fft.ifft(grid, axis=0)[: plan.n_x]
+    stage_x = np.fft.ifft(arr.reshape(plan.m_x, plan.m_z, *snaps), axis=0)[: plan.n_x]
     stage_x *= plan.m_x
-    stage_z = scipy.fft.ifft(stage_x, axis=1, overwrite_x=True)[:, : plan.n_z]
+    stage_z = np.fft.ifft(stage_x, axis=1, out=stage_x)[:, : plan.n_z]
     stage_z *= plan.m_z
     out = stage_z.reshape(plan.n, *snaps)
     out /= np.sqrt(plan.m)

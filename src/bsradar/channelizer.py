@@ -73,11 +73,10 @@ def channelize_into(samples: np.ndarray, L: int, out: np.ndarray) -> np.ndarray:
     subbands, pulses), the order the per-block DFT writes it in, so
     ``result.transpose(0, 2, 1, 3)`` is laid out like ``out``, and a
     subband ``result[:, b]`` is a strided (antennas, snapshots, pulses)
-    view that the beamspace transform reads in place.  Each fast-time
-    block's DFT reads one pulse's samples only, so channelizing a cube a
-    range of pulses at a time gives the same bits as channelizing it
-    whole.  With L == 1 the result is a view of ``samples`` and ``out`` is
-    not written.
+    view.  Each fast-time block's DFT reads one pulse's samples only, so
+    channelizing a cube a range of pulses at a time gives the same bits as
+    channelizing it whole.  With L == 1 the result is a view of ``samples``
+    and ``out`` is not written.
     """
     n_ant, n_fast, n_pulses = samples.shape
     if n_fast % L != 0:

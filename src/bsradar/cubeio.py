@@ -199,7 +199,7 @@ def _read(section: str, data, keys: dict, required=()) -> dict:
             values[name] = convert(value)
         except _SectionError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an int beyond float range
             raise _SectionError(f"{section}: {key}: {exc}") from exc
     for key in required:
         if key not in data:

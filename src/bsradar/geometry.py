@@ -7,12 +7,14 @@ It is also the one home of the number contract every input is built
 under.  A count is a Python ``int`` and not a bool; a NumPy int is not a
 count, since a config file cannot store one and the cost tallies call
 ``int.bit_length``.  A real is a finite ``numbers.Real`` and not a bool,
-NumPy's floats included.  A field of several reals (a target's position)
-is a tuple, list or array of them; any other field holds one.  A complex
-number is accepted only where a field asks for one, a target's amplitude.
+NumPy's floats included; a Python int beyond float range is not finite.
+A field of several reals (a target's position) is a tuple, list or array
+of them; any other field holds one.  A complex number is accepted only
+where a field asks for one, a target's amplitude.
 Constructors check their fields with :func:`check_count` and
 :func:`check_finite`, which name the field; a file reader or a function
-argument tests a value with :func:`is_count` and :func:`is_real`.
+argument tests a value with :func:`is_count`, :func:`is_real` and
+:func:`is_finite`.
 
 Conventions (fixed across the whole package):
 
@@ -46,26 +48,36 @@ def is_real(value, complex_ok: bool = False) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def is_finite(value, complex_ok: bool = False) -> bool:
+    """Whether ``value`` is a finite real (see :func:`is_real`), or with
+    ``complex_ok`` a finite complex number; a Python int beyond float range
+    is not finite, since no float can hold it."""
+    try:
+        return is_real(value, complex_ok) and bool(np.isfinite(complex(value)))
+    except OverflowError:
+        return False
+
+
 def check_finite(obj, *names: str, each: bool = False, complex_ok: bool = False) -> None:
     """Reject the first named attribute of ``obj`` that is not a finite real
-    (see :func:`is_real`), naming the field.  With ``each``, a tuple, list
+    (see :func:`is_finite`), naming the field.  With ``each``, a tuple, list
     or array of any rank is checked element by element."""
     for name in names:
         value = getattr(obj, name)
         items = value if each and isinstance(value, (tuple, list)) else (value,)
         if each and isinstance(value, np.ndarray):  # of any rank, 0-d included
             items = value.ravel()
-        if not all(is_real(v, complex_ok) and np.isfinite(v) for v in items):
+        if not all(is_finite(v, complex_ok) for v in items):
             raise ValueError(f"{name}: {value!r} is not a finite number")
 
 
-def check_count(obj, *names: str, noun: str = "an integer") -> None:
+def check_count(obj, *names: str) -> None:
     """Reject the first named attribute of ``obj`` that is not a count (see
-    :func:`is_count`), naming the field: "<name>: <value> is not <noun>"."""
+    :func:`is_count`), naming the field: "<name>: <value> is not an integer"."""
     for name in names:
         value = getattr(obj, name)
         if not is_count(value):
-            raise ValueError(f"{name}: {value!r} is not {noun}")
+            raise ValueError(f"{name}: {value!r} is not an integer")
 
 
 @dataclass(frozen=True)

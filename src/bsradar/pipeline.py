@@ -39,9 +39,10 @@ into one reused buffer of a block's size.  A block is a quarter of the
 pulses, rounded up, or the training pulses if they are more, so block 0
 holds them all and the buffer is a quarter of the cube unless training
 needs more; with a single subband each block is a view of the cube and no
-buffer is made.  Beamforming is the subbands' last reader: on block 0 the
-beamspace transform reads each subband's training columns as a strided
-view in place, and each block's subband is gathered once for its product.
+buffer is made.  Beamforming is the subbands' last reader: on block 0
+every method gathers each subband's training columns once, into an
+(antennas, snapshots) matrix that beamspace alone then transforms, and
+each block's subband is gathered once for its product.
 No entry point keeps a name for the subbands or the simulated cube past its
 last reader's beamforming, so the buffer is freed then, and synthesis and
 detection run beside the outputs alone.  A sweep keeps a buffer only
@@ -184,7 +185,7 @@ class PipelineConfig:
             pair = isinstance(value, tuple) and len(value) == 2 and all(map(is_count, value))
             if not (pair or (name == "fft_size" and value is None)):
                 raise ValueError(f"{name}: {value!r} is not a pair of ints")
-        check_count(self, "subbands", "train_pulses", "cfar_guard_cells", noun="an int")
+        check_count(self, "subbands", "train_pulses", "cfar_guard_cells")
         check_finite(self, "loading", "cfar_threshold_db")
         if self.subbands < 1:
             raise ValueError(f"subbands: {self.subbands} must be >= 1")
@@ -362,18 +363,20 @@ def _train(
 ) -> list[Correlator]:
     """Train every target in one subband, grouped by selector.
 
-    ``training`` is the subband's training columns in the method's basis
-    (rows, snapshots) and ``omegas`` each target's (omega_z, omega_x) at the
-    subband's center.  A target's selector is its window in beamspace, or
-    None for every antenna; the targets of one selector form a group, taken
+    ``training`` is the subband's training columns gathered on the antennas
+    (antennas, snapshots) and ``omegas`` each target's (omega_z, omega_x) at
+    the subband's center.  In beamspace the columns and the targets'
+    steering vectors are put on the beam grid, and nothing else is
+    transformed.  A target's selector is its window in beamspace, or None
+    for every antenna; the targets of one selector form a group, taken
     in first-target order, and an MVDR group's targets solve against one
     covariance of its rows, which is dropped on return.  Returns each
     target's correlator in the basis, in target order.
     """
     steer = steering_matrix(*omegas.T, cfg.geometry)
     beamspace = cfg.method == METHOD_BEAMSPACE
-    if beamspace:  # every target's steering on the beam grid, in one transform
-        steer = beamspace_transform(steer, plan)
+    if beamspace:  # the columns, then every target's steering, each in one transform
+        training, steer = beamspace_transform(training, plan), beamspace_transform(steer, plan)
     selectors = [
         window_for(SpatialFrequencies(*omega), plan, *cfg.window) if beamspace else None
         for omega in omegas
@@ -401,16 +404,15 @@ def _beamform(
     ``blocks`` yields ``(first pulse, subbands)``: consecutive ranges of the
     cube's pulses from pulse 0, each channelized to (antennas, subbands,
     snapshots, pulses).  Block 0 holds the training pulses: on it each
-    subband's training columns, and only those, are put in the method's
-    basis and :func:`_train` trains its targets, every subband before any
-    is applied.  A beamspace correlator is then lifted to the antennas, where
-    the others already are, so each subband of each block is applied to
-    every target in one product.  Returns the outputs (target, subband,
-    snapshot, pulse) and each target's correlator in the center subband as
-    trained, which carries its window in beamspace.  This is the subbands'
-    last reader and keeps no reference to them, so a caller that passes
-    ``blocks`` without naming them frees the subband buffer when this
-    returns.
+    subband's training columns are gathered once and :func:`_train` trains
+    its targets on them, every subband before any is applied.  A beamspace
+    correlator is then lifted to the antennas, where the others already
+    are, so each subband of each block is applied to every target in one
+    product.  Returns the outputs (target, subband, snapshot, pulse) and
+    each target's correlator in the center subband as trained, which
+    carries its window in beamspace.  This is the subbands' last reader and
+    keeps no reference to them, so a caller that passes ``blocks`` without
+    naming them frees the subband buffer when this returns.
     """
     geom, chirp, targets = cfg.geometry, cfg.chirp, cfg.scenario.targets
     freqs = bin_center_frequencies(cfg.subbands, chirp)
@@ -431,10 +433,8 @@ def _beamform(
                 # between products keeps the idle BLAS threads spinning
                 trained = []
                 for b in range(cfg.subbands):
-                    training = subbands[:, b, :, : cfg.train_pulses]
-                    if beamspace:  # reads the strided view in place
-                        training = beamspace_transform(training, plan)
-                    training = training.reshape(len(training), -1)
+                    # every method gathers the training columns once
+                    training = subbands[:, b, :, : cfg.train_pulses].reshape(geom.n, -1)
                     trained.append(_train(training, omegas[:, :, b], cfg, plan))
                 center = trained[CENTER_BIN]
                 weights = [lift_correlator(corrs) if beamspace else corrs for corrs in trained]

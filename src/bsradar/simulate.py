@@ -35,7 +35,7 @@ from .geometry import (
     check_count,
     check_finite,
     is_count,
-    is_real,
+    is_finite,
     spatial_frequencies,
     steering_matrix,
     steering_vector,
@@ -550,7 +550,7 @@ def scenario_preset(
     if name not in PRESET_NAMES:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     _check_seed(seed)  # before it seeds the layout
-    if snr_db is not None and not (is_real(snr_db) and np.isfinite(snr_db)):
+    if snr_db is not None and not is_finite(snr_db):
         raise ValueError(f"snr_db: {snr_db!r} is not a finite number")
     if name == "noninterferer":
         if snr_db is None:

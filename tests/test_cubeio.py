@@ -313,6 +313,18 @@ def _version_2(path, cube):
             lambda p, c: config_from_dict("chirp"),
             "^config: expected a JSON object, got str",
         ),
+        (
+            lambda p, c: None,
+            lambda p, c: config_from_dict({"chirp": {"pri": 10**400}}),
+            "^chirp: pri: int too large to convert to float",
+        ),
+        (
+            lambda p, c: None,
+            lambda p, c: scenario_from_dict(
+                {"targets": [{"position_m": [0.0, 50.0, 0.0], "amplitude": [10**400, 0]}]}
+            ),
+            r"^scenario.targets\[0\]: amplitude: int too large to convert to float",
+        ),
     ],
     ids=[
         "short-header",
@@ -322,6 +334,8 @@ def _version_2(path, cube):
         "map-payload",
         "section-not-object",
         "config-not-object",
+        "real-int-beyond-float",
+        "amplitude-int-beyond-float",
     ],
 )
 def test_input_checks(tmp_path, cube, write, read, match):

@@ -248,6 +248,9 @@ class TestOneManifold:
         (lambda: Direction(0.5j, 0.0), r"^azimuth: 0.5j is not a finite number"),
         (lambda: Direction("a", 0.0), "^azimuth: 'a' is not a finite number"),
         (lambda: Direction(0.0, 1 + 0j), r"^elevation: \(1\+0j\) is not a finite number"),
+        # a Python int beyond float range is no float field's value
+        (lambda: ArrayGeometry(4, 32, 10**400), "^design_freq: 10* is not a finite number"),
+        (lambda: Direction(-(10**400), 0.0), "^azimuth: -10* is not a finite number"),
     ],
     ids=[
         "zero-design-freq",
@@ -263,8 +266,15 @@ class TestOneManifold:
         "direction-complex",
         "direction-str",
         "direction-elevation-complex",
+        "design-freq-int-beyond-float",
+        "direction-int-beyond-float",
     ],
 )
 def test_input_checks(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_a_python_int_within_float_range_is_a_finite_real():
+    # beyond int64, where np.isfinite cannot take it, but a float holds it
+    assert ArrayGeometry(4, 32, 2**64).design_freq == 2**64

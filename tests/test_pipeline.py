@@ -557,11 +557,13 @@ class TestOneBeamformingPath:
         "kw", [{}, dict(fft_size=(4, 16), window=(3, 5))], ids=["beamspace", "padded"]
     )
     def test_only_training_columns_enter_beamspace(self, oracle_cube, monkeypatch, kw, owned):
-        # on block 0 each subband's training columns are transformed, one call
-        # a subband in order; no later block is transformed at all (the
-        # targets' steering vectors, (antennas, targets), are not a subband)
+        # on block 0 each subband's gathered training columns are transformed,
+        # one call a subband in order; no later block is transformed at all
+        # (the targets' steering vectors, (antennas, targets), are not training)
         geom, chirp, scenario, cube = oracle_cube
         cfg = tiny_config(geom, chirp, scenario, **kw)
+        n_snap = chirp.pulse_samples // cfg.subbands
+        assert len(scenario.targets) != n_snap * cfg.train_pulses
         events = []
 
         def channelizing(*args, real=pipeline.channelize_into):
@@ -569,7 +571,7 @@ class TestOneBeamformingPath:
             return real(*args)
 
         def transforming(y, plan, real=pipeline.beamspace_transform):
-            if y.ndim == 3:  # (antennas, snapshots, pulses)
+            if y.shape == (geom.n, n_snap * cfg.train_pulses):  # (antennas, training columns)
                 events.append(np.array(y))
             return real(y, plan)
 
@@ -583,11 +585,11 @@ class TestOneBeamformingPath:
 
         sub = channelize(cube, cfg.subbands)
         reads, later = events[1 : 1 + cfg.subbands], events[1 + cfg.subbands :]
+        assert sum(isinstance(e, np.ndarray) for e in events) == cfg.subbands
         assert isinstance(events[0], str) and all(isinstance(e, np.ndarray) for e in reads)
         assert all(isinstance(e, str) for e in later) and len(later) == (0 if owned else 1)
         for b, columns in enumerate(reads):
-            assert columns.shape == (geom.n, sub.shape[2], cfg.train_pulses)
-            assert np.array_equal(columns, sub[:, b, :, : cfg.train_pulses])
+            assert np.array_equal(columns, sub[:, b, :, : cfg.train_pulses].reshape(geom.n, -1))
 
     def test_recentering_moves_a_window_on_the_padded_grid(self, oracle_cube):
         geom, chirp, scenario, _ = oracle_cube

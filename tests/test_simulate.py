@@ -564,6 +564,7 @@ SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
         (lambda: scenario_preset("A1", snr_db="3"), "^snr_db: '3' is not a finite number"),
         (lambda: scenario_preset("A1", snr_db=np.nan), "^snr_db: nan is not a finite number"),
         (lambda: scenario_preset("A1", snr_db=True), "^snr_db: True is not a finite number"),
+        (lambda: scenario_preset("A1", snr_db=10**400), "^snr_db: 10* is not a finite number"),
     ],
     ids=[
         "negative-bandwidth",
@@ -598,6 +599,7 @@ SMALL_CHIRP = ChirpParams(pulse_samples=64, num_pulses=4, pri=1e-6)
         "preset-snr-str",
         "preset-snr-nan",
         "preset-snr-bool",
+        "preset-snr-int-beyond-float",
     ],
 )
 def test_input_checks(call, match):
@@ -619,7 +621,11 @@ NUMBER_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("bad", [True, "1", 1j, [1.0]], ids=["bool", "str", "complex", "list"])
+@pytest.mark.parametrize(
+    "bad",
+    [True, "1", 1j, [1.0], 10**400],
+    ids=["bool", "str", "complex", "list", "int-beyond-float"],
+)
 @pytest.mark.parametrize("field", NUMBER_FIELDS)
 def test_numbers_reject_bools_and_strings(field, bad):
     # as a config file does; a complex amplitude stays a number

@@ -13,6 +13,11 @@ Every length-L block lies within one pulse, so pulses channelize independently:
 that range's size, or over the range's own samples, and :func:`channelize`
 writes every pulse into a fresh buffer.  Which cube may be written over is
 the caller's to decide (the pipeline writes over the cubes it made itself).
+
+:func:`check_subbands` is the one statement of which subband counts a
+pulse admits; the channelizer applies it to every call, and
+``PipelineConfig.validate`` asks it of a run's ``subbands`` before any
+stage runs, so both reject a count with the same message.
 """
 
 from __future__ import annotations
@@ -38,6 +43,17 @@ def bin_center_frequencies(L: int, chirp: ChirpParams) -> np.ndarray:
     return subband_center_freq(l, L, chirp.carrier_freq, chirp.sample_rate)
 
 
+def check_subbands(L: int, pulse_samples: int) -> None:
+    """Reject a subband count the channelizer cannot run: it is at least 1,
+    divides the pulse, and is even unless it is 1 (a passthrough)."""
+    if L < 1:
+        raise ValueError(f"subbands: {L} must be >= 1")
+    if pulse_samples % L != 0:
+        raise ValueError(f"subbands: {L} does not divide pulse_samples {pulse_samples}")
+    if L != 1 and L % 2 != 0:
+        raise ValueError(f"subbands: {L} must be even (or 1)")
+
+
 def _half_bin_ramp(L: int) -> np.ndarray:
     return np.exp(1j * np.pi * np.arange(L) / L)
 
@@ -45,8 +61,8 @@ def _half_bin_ramp(L: int) -> np.ndarray:
 def channelize(cube: DataCube, L: int) -> np.ndarray:
     """Split the cube's fast-time axis into L critically sampled subbands.
 
-    L must divide the pulse length and be even; L == 1 passes the cube
-    through as a single band.  Returns the subbands, shape (antennas,
+    L must pass :func:`check_subbands`; L == 1 passes the cube through as
+    a single band.  Returns the subbands, shape (antennas,
     subbands, snapshots per pulse, pulses), the layout :func:`synthesize`
     takes: :func:`channelize_into` over every pulse of the cube.
 
@@ -76,15 +92,13 @@ def channelize_into(samples: np.ndarray, L: int, out: np.ndarray) -> np.ndarray:
     view.  Each fast-time block's DFT reads one pulse's samples only, so
     channelizing a cube a range of pulses at a time gives the same bits as
     channelizing it whole.  With L == 1 the result is a view of ``samples``
-    and ``out`` is not written.
+    and ``out`` is not written.  A count :func:`check_subbands` rejects
+    raises its ``ValueError`` before anything is written.
     """
     n_ant, n_fast, n_pulses = samples.shape
-    if n_fast % L != 0:
-        raise ValueError(f"subband count {L} does not divide pulse_samples {n_fast}")
+    check_subbands(L, n_fast)
     if L == 1:
         return samples[:, None, :, :]
-    if L % 2 != 0:
-        raise ValueError(f"subband count {L} must be even (or 1 for passthrough)")
 
     n_snap = n_fast // L
     blocks = samples.reshape(n_ant, n_snap, L, n_pulses)

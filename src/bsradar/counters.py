@@ -11,12 +11,6 @@ counted.
 from __future__ import annotations
 
 
-def _log2_ceil(n: int) -> int:
-    if n <= 1:
-        return 0
-    return (n - 1).bit_length()
-
-
 def fft_mults(n: int) -> int:
     """Twiddle multiplies of a radix-2 FFT of length ``n``: (n/2) log2 n.
 
@@ -25,7 +19,7 @@ def fft_mults(n: int) -> int:
     """
     if n <= 1:
         return 0
-    return (n * _log2_ceil(n)) // 2
+    return (n * (n - 1).bit_length()) // 2  # (n - 1).bit_length() is ceil(log2 n)
 
 
 def beamspace_fft_mults(n_x: int, m_z: int, m_x: int) -> int:

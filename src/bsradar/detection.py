@@ -22,6 +22,12 @@ quarter million, and the exact floor is computed at those cells alone.  At
 a candidate whose band holds ``w`` cells, the k-th smallest of the rest is
 the sorted value at the smallest position ``p`` in ``k ... k + w`` with
 ``p - #{band <= sorted[p]} >= k``, which is exact under ties.
+
+The CFAR's two dials have one rule each, stated here: :func:`check_guard`
+(a guard band leaves reference cells) and :func:`check_threshold` (a finite
+threshold in dB).  :func:`cfar_detect` applies both to every call, and
+``PipelineConfig.validate`` asks both of a run's config, so a bad value
+reads the same, naming the config field, from a run and from a direct call.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .geometry import is_finite
 from .simulate import ChirpParams
 
 #: A detection scores its target within this many range and velocity bins.
@@ -108,19 +115,31 @@ def range_doppler_map(
     )
 
 
-def _check_map(power: np.ndarray, guard_cells: int) -> np.ndarray:
-    """A 2-D power map whose columns keep a reference cell outside every
-    guard band, i.e. more than ``2 * guard_cells + 1`` rows."""
+def check_guard(guard_cells: int, pulse_samples: int) -> None:
+    """Reject a guard band the CFAR cannot run: at least 0 cells, and a
+    column of ``pulse_samples`` range bins keeps a reference cell outside
+    every band, i.e. more than ``2 * guard_cells + 1`` rows."""
     if guard_cells < 0:
-        raise ValueError(f"guard_cells: {guard_cells} must be >= 0")
+        raise ValueError(f"cfar_guard_cells: {guard_cells} must be >= 0")
+    if pulse_samples <= 2 * guard_cells + 1:
+        raise ValueError(
+            f"cfar_guard_cells: a guard band of {guard_cells} leaves no reference cells "
+            f"in pulse_samples {pulse_samples} (needs more than {2 * guard_cells + 1})"
+        )
+
+
+def check_threshold(threshold_db: float) -> None:
+    """Reject a CFAR threshold that is not a finite real number of dB."""
+    if not is_finite(threshold_db):
+        raise ValueError(f"cfar_threshold_db: {threshold_db!r} is not a finite number")
+
+
+def _check_map(power: np.ndarray, guard_cells: int) -> np.ndarray:
+    """A 2-D power map whose range columns pass :func:`check_guard`."""
     power = np.asarray(power)
     if power.ndim != 2:
         raise ValueError(f"expected a (range, velocity) power map, got {power.shape}")
-    if power.shape[0] <= 2 * guard_cells + 1:
-        raise ValueError(
-            f"guard_cells: a guard band of {guard_cells} leaves no reference cells "
-            f"in {power.shape[0]} rows (needs more than {2 * guard_cells + 1})"
-        )
+    check_guard(guard_cells, power.shape[0])
     return power
 
 
@@ -195,11 +214,14 @@ def cfar_detect(
     reach their column's lowest possible floor times the threshold; no
     other cell can fire.  Scaling the whole map by a positive constant
     leaves the detection set unchanged (the median floor is
-    scale-equivariant).
+    scale-equivariant).  A threshold or guard band that
+    :func:`check_threshold` or :func:`check_guard` rejects raises its
+    ``ValueError``.
     """
     power = rd_map.power
     if power.size == 0:
         raise ValueError("empty range-Doppler map")
+    check_threshold(threshold_db)
     power = _check_map(power, guard_cells)
     columns = _sorted_columns(power)
     k_lo, _ = _median_ranks(np.arange(power.shape[0]), power.shape[0], guard_cells)

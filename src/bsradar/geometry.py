@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -133,11 +134,14 @@ class Direction:
 
     @classmethod
     def from_degrees(cls, azimuth_deg: float, elevation_deg: float) -> "Direction":
+        angles = SimpleNamespace(azimuth_deg=azimuth_deg, elevation_deg=elevation_deg)
+        check_finite(angles, "azimuth_deg", "elevation_deg")
         return cls(np.deg2rad(azimuth_deg), np.deg2rad(elevation_deg))
 
     @classmethod
     def from_position(cls, x: float, y: float, z: float) -> "Direction":
         """Direction of a point in array coordinates (+y broadside)."""
+        check_finite(SimpleNamespace(x=x, y=y, z=z), "x", "y", "z")
         rng = float(np.sqrt(x * x + y * y + z * z))
         if rng == 0.0:
             raise ValueError("position coincides with the array origin")

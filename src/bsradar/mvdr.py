@@ -14,6 +14,11 @@ share one covariance and one Cholesky factor and get the same bits as if
 each had its own.  A factorization failure raises with the leading minor
 at which the Cholesky found no positive pivot and the matrix's smallest
 eigenvalue named, so the caller can judge the loading level.
+
+:func:`check_loading` is the one statement of which loads are valid, a
+finite relative load of at least 0; :func:`estimate_covariance` applies it
+to every call, and ``PipelineConfig.validate`` asks it of a run's
+``loading``, so both reject a load with the same message.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from scipy.linalg import LinAlgError, cho_solve, get_lapack_funcs
 from scipy.linalg.blas import zgemm
 
 from .beamspace import WindowSpec, adjoint_transform, scatter_window
-from .geometry import ArrayGeometry, angle_frequencies, steering_matrix
+from .geometry import ArrayGeometry, angle_frequencies, is_finite, steering_matrix
 
 
 @dataclass
@@ -87,6 +92,14 @@ class Correlator:
         return self.weights.shape[0]
 
 
+def check_loading(loading_factor: float) -> None:
+    """Reject a relative diagonal load that is not a finite real >= 0."""
+    if not is_finite(loading_factor):
+        raise ValueError(f"loading: {loading_factor!r} is not a finite number")
+    if loading_factor < 0:
+        raise ValueError("loading: must be >= 0")
+
+
 def estimate_covariance(
     snapshots: np.ndarray, loading_factor: float = 0.0
 ) -> CovarianceEstimate:
@@ -94,8 +107,10 @@ def estimate_covariance(
 
     ``snapshots`` is a (dim, n_t) array of column snapshots.  The load added
     is loading_factor * trace(R)/dim, which keeps the estimate invertible
-    when n_t < dim and is invariant under unitary changes of basis.
+    when n_t < dim and is invariant under unitary changes of basis; a
+    ``loading_factor`` :func:`check_loading` rejects raises its error.
     """
+    check_loading(loading_factor)
     arr = np.asarray(snapshots)
     if arr.ndim != 2:
         raise ValueError(f"expected (dim, n_t) snapshots, got shape {arr.shape}")

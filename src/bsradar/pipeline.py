@@ -21,7 +21,14 @@ A run checks its config once, where it enters (:func:`run_pipeline`,
 :func:`process_cube`, or each point of a :func:`sweep`, before any point
 runs); past channelization every stage reads the geometry, chirp, subband
 count and scene from the config alone, so :func:`process_cube` first
-checks that its cube and scenario are the config's.
+checks that its cube and scenario are the config's.  The check holds the
+pipeline's own rules (the method, the scene, the pairs, the number
+contract and the training pulses) and asks each kernel for the rule on its
+one dial: the channelizer for ``subbands``, the CFAR for
+``cfar_guard_cells`` and ``cfar_threshold_db``, and the covariance
+estimator for ``loading``, as it asks :class:`BeamspacePlan` and
+:class:`WindowSpec` for ``fft_size`` and ``window``.  A kernel rejects a
+bad value with the same message whether a run or a direct call gives it.
 
 A run holds at most one cube and one block of subbands while it beamforms.
 One generator makes every block: it hands beamforming plain (antennas,
@@ -115,7 +122,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import counters
+from . import channelizer, counters, detection, mvdr
 from .beamspace import (
     BeamspacePlan,
     WindowSpec,
@@ -135,7 +142,7 @@ from .detection import (
     write_detection_report,
 )
 from .geometry import ArrayGeometry, SpatialFrequencies, spatial_frequencies, steering_matrix
-from .geometry import check_count, check_finite, is_count  # the number contract
+from .geometry import check_count, is_count  # the number contract
 from .mvdr import (
     Correlator,
     apply_correlator,
@@ -186,30 +193,16 @@ class PipelineConfig:
             if not (pair or (name == "fft_size" and value is None)):
                 raise ValueError(f"{name}: {value!r} is not a pair of ints")
         check_count(self, "subbands", "train_pulses", "cfar_guard_cells")
-        check_finite(self, "loading", "cfar_threshold_db")
-        if self.subbands < 1:
-            raise ValueError(f"subbands: {self.subbands} must be >= 1")
-        if self.chirp.pulse_samples % self.subbands != 0:
-            raise ValueError(
-                f"subbands: {self.subbands} does not divide "
-                f"pulse_samples {self.chirp.pulse_samples}"
-            )
-        if self.subbands != 1 and self.subbands % 2 != 0:
-            raise ValueError(f"subbands: {self.subbands} must be even (or 1)")
+        # each kernel's own rule, so a run rejects what a direct call would
+        mvdr.check_loading(self.loading)
+        detection.check_threshold(self.cfar_threshold_db)
+        channelizer.check_subbands(self.subbands, self.chirp.pulse_samples)
         if not 1 <= self.train_pulses <= self.chirp.num_pulses:
             raise ValueError(
                 f"train_pulses: {self.train_pulses} outside "
                 f"[1, {self.chirp.num_pulses}]"
             )
-        if self.loading < 0:
-            raise ValueError("loading: must be >= 0")
-        if self.cfar_guard_cells < 0:
-            raise ValueError(f"cfar_guard_cells: {self.cfar_guard_cells} must be >= 0")
-        if self.chirp.pulse_samples <= 2 * self.cfar_guard_cells + 1:
-            raise ValueError(
-                f"cfar_guard_cells: a guard band of {self.cfar_guard_cells} leaves no "
-                f"reference cells in pulse_samples {self.chirp.pulse_samples}"
-            )
+        detection.check_guard(self.cfar_guard_cells, self.chirp.pulse_samples)
         try:
             plan = self.beamspace_plan()
         except ValueError as exc:
@@ -296,8 +289,6 @@ def _stage(name: str, timings: dict):
     start = time.perf_counter()
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(f"stage '{name}': {exc}") from exc
     record = timings.setdefault(name, {"wall_s": 0.0})

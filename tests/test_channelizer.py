@@ -100,6 +100,11 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             channelize(cube, 3)
 
+    def test_zero_subbands_rejected_by_name(self, rng):
+        samples = random_complex(rng, (1, 96, 2))
+        with pytest.raises(ValueError, match="^subbands: 0 must be >= 1"):
+            channelize_into(samples, 0, np.empty_like(samples))
+
     def test_synthesize_shape_validation(self):
         with pytest.raises(ValueError):
             synthesize(np.zeros((8, 4)))

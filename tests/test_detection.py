@@ -284,6 +284,14 @@ class TestFloorInputContract:
         with pytest.raises(ValueError, match="guard_cells"):
             cfar_detect(rd, guard_cells=4)
 
+    @pytest.mark.parametrize("threshold_db", [float("nan"), float("inf"), -float("inf")])
+    def test_threshold_must_be_finite(self, rng, threshold_db):
+        # nan and +inf fired nowhere, -inf at every positive local maximum
+        rd = RangeDopplerMap(rng.exponential(1.0, (64, 8)), 0.3, 2.0)
+        match = f"^cfar_threshold_db: {threshold_db!r} is not a finite number"
+        with pytest.raises(ValueError, match=match):
+            cfar_detect(rd, threshold_db, guard_cells=2)
+
     def test_map_must_be_two_dimensional(self, rng):
         with pytest.raises(ValueError, match="power map"):
             cfar_noise_floor(rng.exponential(1.0, 64), 2)

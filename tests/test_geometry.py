@@ -251,6 +251,8 @@ class TestOneManifold:
         # a Python int beyond float range is no float field's value
         (lambda: ArrayGeometry(4, 32, 10**400), "^design_freq: 10* is not a finite number"),
         (lambda: Direction(-(10**400), 0.0), "^azimuth: -10* is not a finite number"),
+        (lambda: Direction.from_degrees(10**400, 0.0), "^azimuth_deg: 10* is not a finite number"),
+        (lambda: Direction.from_position(10**400, 1.0, 0.0), "^x: 10* is not a finite number"),
     ],
     ids=[
         "zero-design-freq",
@@ -268,6 +270,8 @@ class TestOneManifold:
         "direction-elevation-complex",
         "design-freq-int-beyond-float",
         "direction-int-beyond-float",
+        "from-degrees-int-beyond-float",
+        "from-position-int-beyond-float",
     ],
 )
 def test_input_checks(call, match):

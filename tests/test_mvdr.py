@@ -71,6 +71,18 @@ class TestEstimateCovariance:
         with pytest.raises(ValueError):
             estimate_covariance(np.zeros((4, 0)))
 
+    @pytest.mark.parametrize(
+        "loading,match",
+        [
+            (float("nan"), "^loading: nan is not a finite number"),
+            (float("inf"), "^loading: inf is not a finite number"),
+            (-1e-3, "^loading: must be >= 0"),
+        ],
+    )
+    def test_load_must_be_finite_and_nonnegative(self, rng, loading, match):
+        with pytest.raises(ValueError, match=match):
+            estimate_covariance(random_complex(rng, (4, 8)), loading)
+
     @pytest.mark.parametrize("shape", [(6,), (2, 3, 4), ()])
     def test_only_dim_by_snapshot_arrays_accepted(self, rng, shape):
         with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}"):

@@ -12,11 +12,13 @@ from bsradar import (
     ArrayGeometry,
     ChirpParams,
     PipelineConfig,
+    RangeDopplerMap,
     Scenario,
     TargetSpec,
     apply_correlator,
     beamspace_transform,
     bin_center_frequencies,
+    cfar_detect,
     channelize,
     conventional_correlator,
     estimate_covariance,
@@ -34,6 +36,7 @@ from bsradar import (
     windowed_steering,
 )
 from bsradar import mvdr, pipeline
+from bsradar.channelizer import channelize_into
 from bsradar.cli import _write_beam_pattern
 from bsradar.cubeio import load_map, save_map
 from bsradar.counters import (
@@ -308,6 +311,37 @@ class TestConfigValidation:
     def test_input_checks(self, kw, match):
         with pytest.raises(ValueError, match=match):
             PipelineConfig(scenario=A1, **kw).validate()
+
+    # each kernel on the bad value, with pulses of n samples
+    KERNELS = {
+        "subbands": lambda value, n: channelize_into(
+            np.zeros((1, n, 1), complex), value, np.zeros((1, n, 1), complex)
+        ),
+        "cfar_guard_cells": lambda value, n: cfar_detect(
+            RangeDopplerMap(np.ones((n, 4)), 1.0, 1.0), guard_cells=value
+        ),
+        "loading": lambda value, n: estimate_covariance(np.ones((2, 4), complex), value),
+    }
+
+    @pytest.mark.parametrize(
+        "field,value,pulse_samples",
+        [
+            ("subbands", 0, 4096),
+            ("subbands", 3, 96),
+            ("subbands", 100, 4096),
+            ("cfar_guard_cells", -1, 4096),
+            ("cfar_guard_cells", 32, 64),
+            ("loading", -1e-3, 4096),
+        ],
+    )
+    def test_run_and_kernel_reject_alike(self, field, value, pulse_samples):
+        chirp = ChirpParams(pulse_samples=pulse_samples, num_pulses=16, pri=1e-4)
+        cfg = PipelineConfig(scenario=A1, chirp=chirp, **{"subbands": 8, field: value})
+        with pytest.raises(ValueError, match=f"^{field}: ") as run:
+            cfg.validate()
+        with pytest.raises(ValueError) as kernel:
+            self.KERNELS[field](value, pulse_samples)
+        assert str(kernel.value) == str(run.value)
 
     def test_each_run_validates_once(self, monkeypatch):
         geom, chirp, scenario = tiny_setup(n_targets=1)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import subband_center_freq
+from .geometry import is_count, subband_center_freq
 from .simulate import ChirpParams, DataCube
 
 
@@ -36,7 +36,10 @@ def subband_index_for_bin(bins, L: int):
 
 
 def bin_center_frequencies(L: int, chirp: ChirpParams) -> np.ndarray:
-    """Subband center frequency for every DFT bin, in bin order."""
+    """Subband center frequency for every DFT bin, in bin order.
+
+    L must pass :func:`check_subbands` for the chirp's pulse."""
+    check_subbands(L, chirp.pulse_samples)
     if L == 1:
         return np.array([chirp.carrier_freq])
     l = subband_index_for_bin(np.arange(L), L)
@@ -44,8 +47,10 @@ def bin_center_frequencies(L: int, chirp: ChirpParams) -> np.ndarray:
 
 
 def check_subbands(L: int, pulse_samples: int) -> None:
-    """Reject a subband count the channelizer cannot run: it is at least 1,
-    divides the pulse, and is even unless it is 1 (a passthrough)."""
+    """Reject a subband count the channelizer cannot run: it is an int, at
+    least 1, divides the pulse, and is even unless it is 1 (a passthrough)."""
+    if not is_count(L):
+        raise ValueError(f"subbands: {L!r} is not an integer")
     if L < 1:
         raise ValueError(f"subbands: {L} must be >= 1")
     if pulse_samples % L != 0:

@@ -38,7 +38,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import is_finite
+from .geometry import is_count, is_finite
 from .simulate import ChirpParams
 
 #: A detection scores its target within this many range and velocity bins.
@@ -116,9 +116,11 @@ def range_doppler_map(
 
 
 def check_guard(guard_cells: int, pulse_samples: int) -> None:
-    """Reject a guard band the CFAR cannot run: at least 0 cells, and a
-    column of ``pulse_samples`` range bins keeps a reference cell outside
-    every band, i.e. more than ``2 * guard_cells + 1`` rows."""
+    """Reject a guard band the CFAR cannot run: an int of at least 0 cells,
+    and a column of ``pulse_samples`` range bins keeps a reference cell
+    outside every band, i.e. more than ``2 * guard_cells + 1`` rows."""
+    if not is_count(guard_cells):
+        raise ValueError(f"cfar_guard_cells: {guard_cells!r} is not an integer")
     if guard_cells < 0:
         raise ValueError(f"cfar_guard_cells: {guard_cells} must be >= 0")
     if pulse_samples <= 2 * guard_cells + 1:

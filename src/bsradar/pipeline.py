@@ -192,7 +192,7 @@ class PipelineConfig:
             pair = isinstance(value, tuple) and len(value) == 2 and all(map(is_count, value))
             if not (pair or (name == "fft_size" and value is None)):
                 raise ValueError(f"{name}: {value!r} is not a pair of ints")
-        check_count(self, "subbands", "train_pulses", "cfar_guard_cells")
+        check_count(self, "train_pulses")
         # each kernel's own rule, so a run rejects what a direct call would
         mvdr.check_loading(self.loading)
         detection.check_threshold(self.cfar_threshold_db)

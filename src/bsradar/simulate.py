@@ -10,9 +10,21 @@ Every wideband source is summed in the spectrum: a wideband-noise
 interferer by its random spectrum, a target by its steering weighted with
 ``amplitude * fft(delayed chirp)`` and its Doppler ramp across pulses.
 One small per-frequency matrix product (antennas x sources times sources
-x pulses) fills the cube, which is inverse-transformed once.  Narrowband
-tones and thermal noise are then accumulated in place in the time domain,
-an antenna row at a time, so no cube-sized temporary is ever allocated.
+x pulses) is written straight into the cube.  One pass over the antenna
+rows then finishes each row while it is in cache: its inverse transform,
+the narrowband tones, and the real part of its thermal noise; the
+imaginary parts of the noise are added after.  No cube-sized temporary is
+ever allocated.
+
+The thermal-noise stream is drawn on one worker thread while the main
+thread renders: it fills a ring of ``_NOISE_RING`` row-sized buffers with
+the scaled draws, in the order one ``standard_normal`` call per part would
+take them (every row's real part, then every row's imaginary part), and
+the row pass adds each buffer as it comes.  Every FFT and matrix product
+stays on the main thread, and every sample sees the same operations in the
+same order as a single-threaded render, so the cube's bits do not depend
+on the thread or the BLAS thread count.  The worker is joined before
+``synthesize_datacube`` returns or raises.
 
 Generation is reproducible: a scenario carries its own seed, and identical
 (scenario, geometry, chirp) inputs yield bit-identical cubes.  Target
@@ -23,6 +35,9 @@ roundoff: the sources share one product and one inverse transform.
 
 from __future__ import annotations
 
+import queue
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -219,7 +234,8 @@ class DataCube:
             raise ValueError(
                 f"cube shape {self.samples.shape} does not match geometry/chirp {expected}"
             )
-        if not np.all(np.isfinite(self.samples)):
+        # a row at a time, so the check holds one row's bools, not the cube's
+        if not all(np.isfinite(row).all() for row in self.samples):
             raise ValueError("cube contains non-finite samples")
 
 
@@ -254,6 +270,9 @@ def _noise_rng(seed: int) -> np.random.Generator:
 
 #: Byte budget of one frequency chunk of the wideband spectrum product.
 _CHUNK_BYTES = 1 << 25
+
+#: Row buffers the thermal-noise worker may fill ahead of the row pass.
+_NOISE_RING = 4
 
 
 def _noise_interferer_spectrum(
@@ -306,20 +325,18 @@ def _render_wideband(
     geom: ArrayGeometry,
     chirp: ChirpParams,
 ) -> None:
-    """Overwrite ``out`` with the summed time-domain field of wideband sources.
+    """Overwrite ``out`` with the summed spectrum of wideband sources.
 
     A source is ``(direction, weight, spectrum)``: at frequency f its array
     field is ``steering(f) * weight[f]`` (antennas) times ``spectrum[f]``
     (pulses); noise emitters carry their waveform in the spectrum and have
     no weight.  Per frequency the field is ``steering (N, S) @ spectra
-    (S, P)``; the products fill ``out`` in frequency chunks through one
-    reused buffer, then each antenna's slab is inverse-transformed once,
-    in place, along fast time.
+    (S, P)``, computed in frequency chunks straight into ``out`` along its
+    fast-time axis; the caller inverse-transforms each antenna row.
     """
     n_fast, n_pulses = chirp.pulse_samples, chirp.num_pulses
     rf = chirp.carrier_freq + np.fft.fftfreq(n_fast, 1.0 / chirp.sample_rate)
     chunk = max(1, _CHUNK_BYTES // (out.itemsize * geom.n * n_pulses))
-    prod = np.empty((min(chunk, n_fast), geom.n, n_pulses), dtype=complex)
     for f0 in range(0, n_fast, chunk):
         f1 = min(n_fast, f0 + chunk)
         columns = []
@@ -328,11 +345,7 @@ def _render_wideband(
             columns.append(steer if weight is None else steer * weight[f0:f1])
         steer = np.stack(columns, axis=-1)
         spectra = np.stack([spectrum[f0:f1] for _, _, spectrum in sources], axis=1)
-        part = prod[: f1 - f0]
-        np.matmul(steer.transpose(1, 0, 2), spectra, out=part)
-        out[:, f0:f1, :] = part.transpose(1, 0, 2)
-    for slab in out:
-        np.fft.ifft(slab, axis=0, out=slab)
+        np.matmul(steer.transpose(1, 0, 2), spectra, out=out[:, f0:f1, :].transpose(1, 0, 2))
 
 
 def _tone_waveform(
@@ -359,19 +372,51 @@ def _tone_waveform(
     return steer, tone
 
 
-def _add_thermal_noise(out: np.ndarray, noise_power: float, rng: np.random.Generator) -> None:
-    """Add circular Gaussian noise: all real parts, then all imaginary parts.
+@contextmanager
+def _thermal_noise(
+    shape: tuple[int, ...], rows: int, noise_power: float, rng: np.random.Generator
+):
+    """Draw circular Gaussian noise on a worker thread; yield ``add(part)``.
 
-    The draws fill one antenna-sized buffer at a time, in the order of one
-    ``rng.standard_normal(out.shape)`` call per part.
+    The worker fills a ring of ``_NOISE_RING`` buffers of ``shape`` with
+    ``2 * rows`` draws scaled by sqrt(noise_power / 2), in the order of one
+    ``rng.standard_normal`` call per part: every row's real part, then
+    every row's imaginary part.  Each ``add(part)`` adds the next draw to
+    ``part`` (a row's ``.real`` or ``.imag``) and hands its buffer back.
+    The worker starts on entry and is joined on exit, whether the block
+    finishes or raises.
     """
     sigma = np.sqrt(noise_power / 2.0)
-    draw = np.empty(out.shape[1:])
-    for part in ("real", "imag"):
-        for row in out:
-            rng.standard_normal(out=draw)
-            draw *= sigma
-            getattr(row, part)[...] += draw
+    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(_NOISE_RING):
+        free.put(np.empty(shape))
+
+    def draw() -> None:
+        try:
+            for _ in range(2 * rows):
+                buf = free.get()
+                if buf is None:  # the block exited early
+                    return
+                rng.standard_normal(out=buf)
+                buf *= sigma
+                ready.put(buf)
+        finally:
+            ready.put(None)  # so add() never waits on a worker that stopped
+
+    def add(part: np.ndarray) -> None:
+        buf = ready.get()
+        if buf is None:
+            raise RuntimeError("the thermal-noise worker stopped before its last draw")
+        part += buf
+        free.put(buf)
+
+    worker = threading.Thread(target=draw, name="bsradar-thermal-noise")
+    worker.start()
+    try:
+        yield add
+    finally:
+        free.put(None)
+        worker.join()
 
 
 def synthesize_datacube(
@@ -388,11 +433,20 @@ def synthesize_datacube(
     variance ``noise_power``.
 
     Targets and wideband-noise interferers are summed in the spectrum, one
-    per-frequency (antennas x sources) @ (sources x pulses) product, and
-    the cube is inverse-transformed once; tones and thermal noise are then
-    accumulated in place, one antenna row at a time, so no cube-sized
-    temporary is allocated.  A target whose delay falls outside the pulse
-    window is rejected before the cube is allocated.
+    per-frequency (antennas x sources) @ (sources x pulses) product written
+    straight into the cube.  One pass over the antenna rows then
+    inverse-transforms each row, adds the tones, and adds the row's
+    real-part thermal noise; the imaginary parts follow.  The noise is drawn
+    ahead on one worker thread into a ring of ``_NOISE_RING`` row buffers
+    (8 MiB at the default sizes), which starts once the cube is allocated
+    (not at all when ``noise_power`` is 0) and is joined before this
+    returns or raises.  The worker takes the noise stream in the order of
+    one ``standard_normal`` call per part and runs no FFT or BLAS call, and
+    every sample sees the same operations in the same order as in a
+    single-threaded render, so the cube is bit-identical at any thread
+    count.  No cube-sized temporary is allocated.  A target whose delay
+    falls outside the pulse window is rejected before the cube is
+    allocated.
     """
     for target in scenario.targets:
         delay = target.delay_samples(chirp)
@@ -402,30 +456,40 @@ def synthesize_datacube(
                 f"beyond the {chirp.pulse_samples}-sample pulse window"
             )
     out = np.zeros((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
-
-    ref_power = scenario.noise_power if scenario.noise_power > 0 else 1.0
-    sources, tones = [], []
-    for idx, spec in enumerate(scenario.interferers):
-        rng = _interferer_rng(scenario.seed, idx)
-        if spec.waveform_kind == "wideband-noise":
-            spectrum = _noise_interferer_spectrum(spec, chirp, ref_power, rng)
-            sources.append((spec.direction, None, spectrum))
-        else:
-            tones.append(_tone_waveform(spec, geom, chirp, ref_power, rng))
-    pulse = generate_chirp(chirp)
-    sources += [_target_source(target, chirp, pulse) for target in scenario.targets]
-    if sources:
-        _render_wideband(out, sources, geom, chirp)
-    del sources  # the spectra are not needed past this point
-
-    row_buf = np.empty(out.shape[1:], dtype=complex)
-    for steer, tone in tones:
-        for n, row in enumerate(out):
-            np.multiply(steer[n], tone, out=row_buf)
-            row += row_buf
-
+    noise = nullcontext()
     if scenario.noise_power > 0:
-        _add_thermal_noise(out, scenario.noise_power, _noise_rng(scenario.seed))
+        noise_rng = _noise_rng(scenario.seed)
+        noise = _thermal_noise(out.shape[1:], geom.n, scenario.noise_power, noise_rng)
+
+    with noise as add_noise:
+        ref_power = scenario.noise_power if scenario.noise_power > 0 else 1.0
+        sources, tones = [], []
+        for idx, spec in enumerate(scenario.interferers):
+            rng = _interferer_rng(scenario.seed, idx)
+            if spec.waveform_kind == "wideband-noise":
+                spectrum = _noise_interferer_spectrum(spec, chirp, ref_power, rng)
+                sources.append((spec.direction, None, spectrum))
+            else:
+                tones.append(_tone_waveform(spec, geom, chirp, ref_power, rng))
+        pulse = generate_chirp(chirp)
+        sources += [_target_source(target, chirp, pulse) for target in scenario.targets]
+        rendered = bool(sources)
+        if rendered:
+            _render_wideband(out, sources, geom, chirp)
+        del sources  # the spectra are not needed past this point
+
+        row_buf = np.empty(out.shape[1:], dtype=complex)
+        for n, row in enumerate(out):
+            if rendered:
+                np.fft.ifft(row, axis=0, out=row)
+            for steer, tone in tones:
+                np.multiply(steer[n], tone, out=row_buf)
+                row += row_buf
+            if add_noise:
+                add_noise(row.real)
+        if add_noise:
+            for row in out:
+                add_noise(row.imag)
 
     return DataCube(out, geom, chirp)
 

@@ -264,3 +264,16 @@ class TestMetadata:
         l = subband_index_for_bin(np.arange(8), 8)
         expected = subband_center_freq(l, 8, chirp.carrier_freq, chirp.sample_rate)
         assert np.array_equal(freqs, expected)
+
+    @pytest.mark.parametrize(
+        "L,match",
+        [
+            (3, r"^subbands: 3 must be even \(or 1\)$"),
+            (0, "^subbands: 0 must be >= 1$"),
+            (2.0, "^subbands: 2.0 is not an integer$"),
+        ],
+    )
+    def test_bin_center_frequencies_reject_as_the_channelizer(self, L, match):
+        chirp = ChirpParams(pulse_samples=96, num_pulses=2, pri=2e-6)
+        with pytest.raises(ValueError, match=match):
+            bin_center_frequencies(L, chirp)

@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -329,8 +332,10 @@ class TestConfigValidation:
             ("subbands", 0, 4096),
             ("subbands", 3, 96),
             ("subbands", 100, 4096),
+            ("subbands", 2.0, 4096),
             ("cfar_guard_cells", -1, 4096),
             ("cfar_guard_cells", 32, 64),
+            ("cfar_guard_cells", 2.0, 4096),
             ("loading", -1e-3, 4096),
         ],
     )
@@ -1268,3 +1273,56 @@ class TestSweep:
         cfg = tiny_config(geom, chirp, scenario)
         with pytest.raises(ValueError, match="^axis 'fft-size' not one of .*'fft_size'"):
             sweep(cfg, "fft-size", [(2, 8)])
+
+
+#: One small scene with interference, synthesized and run by both MVDR
+#: methods; saves the cube, the outputs and the detection cells to argv[1].
+THREAD_COUNT_RUN = """
+import sys
+import numpy as np
+from bsradar import (ArrayGeometry, ChirpParams, Direction, InterfererSpec, PipelineConfig,
+                     Scenario, TargetSpec, process_cube, synthesize_datacube)
+
+geom = ArrayGeometry(4, 8, 10e9)
+chirp = ChirpParams(pulse_samples=256, num_pulses=16, pri=2e-6)
+targets = tuple(
+    TargetSpec((4.0 * k - 5.0, 30.0 + 9.0 * k, 1.0 - k), -20.0 + 15.0 * k, 1.0 + 0.5j)
+    for k in range(3)
+)
+interferers = (
+    InterfererSpec(Direction.from_degrees(-30.0, -20.0), power=1e3),
+    InterfererSpec(Direction.from_degrees(25.0, -15.0), 1e2, "narrowband-tone"),
+)
+scenario = Scenario(targets=targets, interferers=interferers, noise_power=1e-2, seed=9)
+cube = synthesize_datacube(scenario, geom, chirp)
+saved = {"cube": cube.samples}
+for method in ("beamspace-mvdr", "antenna-mvdr"):
+    cfg = PipelineConfig(scenario=scenario, geometry=geom, chirp=chirp, subbands=16,
+                         window=(2, 4), train_pulses=8, method=method)
+    result = process_cube(cube, scenario, cfg)
+    saved[method] = result.wideband_outputs
+    cells = [(k, d.range_bin, d.velocity_bin)
+             for k, found in enumerate(result.detections) for d in found]
+    saved[method + " cells"] = np.array(cells, dtype=int).reshape(-1, 3)
+np.savez(sys.argv[1], **saved)
+"""
+
+
+def test_blas_thread_count_moves_antenna_mvdr_at_roundoff_only(tmp_path):
+    # the cube and beamspace outputs keep their bits at 1 and 2 BLAS threads;
+    # LAPACK's Cholesky of a full antenna covariance may not
+    runs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-c", THREAD_COUNT_RUN, str(path)], env=env, check=True, timeout=300
+        )
+        runs.append(np.load(path))
+    one, two = runs
+    assert np.array_equal(one["cube"], two["cube"])
+    assert np.array_equal(one["beamspace-mvdr"], two["beamspace-mvdr"])
+    assert_within_roundoff(two["antenna-mvdr"], one["antenna-mvdr"])
+    for method in ("beamspace-mvdr", "antenna-mvdr"):
+        assert len(one[method + " cells"]) > 0
+        assert np.array_equal(one[method + " cells"], two[method + " cells"])

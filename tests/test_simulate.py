@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,11 +21,12 @@ from bsradar import (
     synthesize_datacube,
 )
 from bsradar.simulate import (
-    _add_thermal_noise,
+    _NOISE_RING,
     _doppler_phases,
     _ground_elevation,
     _interferer_rng,
     _noise_rng,
+    _thermal_noise,
 )
 
 
@@ -416,14 +420,96 @@ class TestReferenceSynthesis:
         assert_within_roundoff(got, reference_datacube(sc, geom, cp))
 
     def test_chunked_noise_draw_reproduces_one_draw(self):
+        # the worker's row draws, handed over in order through its ring
         out = np.zeros((3, 5, 4), dtype=complex)
-        _add_thermal_noise(out, 3.0, np.random.default_rng(8))
+        assert 2 * len(out) > _NOISE_RING  # so the ring's buffers are reused
+        with _thermal_noise(out.shape[1:], len(out), 3.0, np.random.default_rng(8)) as add:
+            for part in ("real", "imag"):
+                for row in out:
+                    add(getattr(row, part))
         rng = np.random.default_rng(8)
         sigma = np.sqrt(3.0 / 2.0)
         real = sigma * rng.standard_normal(out.shape)
         imag = sigma * rng.standard_normal(out.shape)
         assert np.array_equal(out.real, real)
         assert np.array_equal(out.imag, imag)
+
+
+def _noisy_scene(seed):
+    """Targets, a tone and a noise emitter over thermal noise: every kind of source."""
+    return _small_scene((NOISE, TONE), noise_power=0.7, seed=seed)
+
+
+class TestNoiseWorker:
+    GEOM = ArrayGeometry(2, 4, 10e9)  # 8 rows: 16 draws, more than the ring holds
+    CHIRP = tiny_chirp(pulse_samples=512, num_pulses=8)
+
+    @pytest.mark.parametrize("noise_power", [0.7, 0.0])
+    def test_no_thread_outlives_synthesis(self, monkeypatch, noise_power):
+        import bsradar.simulate as simulate
+
+        if noise_power == 0:
+            # a noise-free scene has no worker to start
+            monkeypatch.setattr(simulate, "_thermal_noise", None)
+        before = threading.active_count()
+        synthesize_datacube(replace(_noisy_scene(seed=4), noise_power=noise_power),
+                            self.GEOM, self.CHIRP)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_failed_render(self, monkeypatch):
+        import bsradar.simulate as simulate
+
+        def failing_render(*args):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(simulate, "_render_wideband", failing_render)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as failed:
+            synthesize_datacube(_noisy_scene(seed=4), self.GEOM, self.CHIRP)
+        # ``failed`` still holds the call's frame, so only a worker joined
+        # inside the call is gone by now
+        assert threading.active_count() == before
+        assert failed.value.args == ("render failed",)
+
+    def test_concurrent_calls_match_sequential_calls(self):
+        # more callers than cores, switching often, each with its own worker
+        scenes = [_noisy_scene(seed=seed) for seed in (11, 12, 13)]
+        want = [synthesize_datacube(sc, self.GEOM, self.CHIRP).samples for sc in scenes]
+        got = [None] * len(scenes)
+
+        def render(k):
+            got[k] = synthesize_datacube(scenes[k], self.GEOM, self.CHIRP).samples
+
+        callers = [threading.Thread(target=render, args=(k,)) for k in range(len(scenes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(len(scenes)):
+            assert np.array_equal(got[k], want[k])
+
+
+def test_cube_check_holds_one_row_of_bools():
+    geom = ArrayGeometry(4, 8, 10e9)
+    chirp = tiny_chirp(pulse_samples=2048, num_pulses=16)
+    samples = np.zeros((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
+    row_bools = chirp.pulse_samples * chirp.num_pulses  # 32 KiB against the cube's 1 MiB
+    tracemalloc.start()
+    try:
+        DataCube(samples, geom, chirp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= row_bools + 4096
+    samples[-1, -1, -1] = np.inf  # the last row is checked too
+    with pytest.raises(ValueError, match="non-finite"):
+        DataCube(samples, geom, chirp)
 
 
 class TestPresets:

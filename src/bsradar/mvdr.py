@@ -13,7 +13,10 @@ the factor, one column at a time, so targets that train on the same rows
 share one covariance and one Cholesky factor and get the same bits as if
 each had its own.  A factorization failure raises with the leading minor
 at which the Cholesky found no positive pivot and the matrix's smallest
-eigenvalue named, so the caller can judge the loading level.
+eigenvalue named, so the caller can judge the loading level; a zero
+covariance (snapshots zero or underflowed) is named as such, since no
+trace-relative load lifts it.  Snapshots whose outer products overflow are
+rejected when the estimate is built.
 
 :func:`check_loading` is the one statement of which loads are valid, a
 finite relative load of at least 0; :func:`estimate_covariance` applies it
@@ -58,17 +61,24 @@ class CovarianceEstimate:
         Its strict upper triangle is left holding ``matrix``'s entries, which
         ``cho_solve(..., lower=True)`` does not read.  Raises LinAlgError
         naming the leading minor at which no positive pivot was found and the
-        smallest eigenvalue of ``matrix``.
+        smallest eigenvalue of ``matrix``, and saying that the covariance
+        is zero, not under-loaded, when ``matrix`` is all zeros.
         """
         if self._factor is None:
             (potrf,) = get_lapack_funcs(("potrf",), (self.matrix,))
             factor, info = potrf(self.matrix, lower=True, clean=False)
             if info > 0:
                 smallest = float(np.min(np.linalg.eigvalsh(self.matrix)))
+                # a relative load cannot lift a zero matrix
+                cure = (
+                    "the covariance is zero: its snapshots are zero or underflowed"
+                    if not self.matrix.any()
+                    else "increase diagonal loading or the snapshot count"
+                )
                 raise LinAlgError(
                     f"covariance factorization failed: no positive pivot at leading "
                     f"minor {info} of {self.dim} (smallest eigenvalue {smallest:.6e}); "
-                    "increase diagonal loading or the snapshot count"
+                    + cure
                 )
             if info < 0:
                 raise ValueError(f"potrf: illegal value in argument {-info}")
@@ -107,8 +117,11 @@ def estimate_covariance(
 
     ``snapshots`` is a (dim, n_t) array of column snapshots.  The load added
     is loading_factor * trace(R)/dim, which keeps the estimate invertible
-    when n_t < dim and is invariant under unitary changes of basis; a
-    ``loading_factor`` :func:`check_loading` rejects raises its error.
+    when n_t < dim and is invariant under unitary changes of basis and
+    power-of-two scalings of the snapshots; a ``loading_factor``
+    :func:`check_loading` rejects raises its error, and snapshots whose
+    covariance trace is not finite (overflowed outer products) raise a
+    ``ValueError`` that says so.
     """
     check_loading(loading_factor)
     arr = np.asarray(snapshots)
@@ -124,9 +137,15 @@ def estimate_covariance(
     # loop makes their idle spinners fight for cores
     r = zgemm(1.0 / n_t, arr, arr, trans_b=2)
 
+    trace = float(np.trace(r).real)
+    if not np.isfinite(trace):
+        raise ValueError(
+            f"covariance trace is {trace}: the snapshots' outer products overflow "
+            "or the snapshots are not finite"
+        )
     loading = 0.0
     if loading_factor:
-        loading = loading_factor * float(np.trace(r).real) / dim
+        loading = loading_factor * trace / dim
         r = r + loading * np.eye(dim)
     return CovarianceEstimate(r, n_t, loading)
 

@@ -16,15 +16,16 @@ the narrowband tones, and the real part of its thermal noise; the
 imaginary parts of the noise are added after.  No cube-sized temporary is
 ever allocated.
 
-The thermal-noise stream is drawn on one worker thread while the main
-thread renders: it fills a ring of ``_NOISE_RING`` row-sized buffers with
-the scaled draws, in the order one ``standard_normal`` call per part would
-take them (every row's real part, then every row's imaginary part), and
-the row pass adds each buffer as it comes.  Every FFT and matrix product
-stays on the main thread, and every sample sees the same operations in the
-same order as a single-threaded render, so the cube's bits do not depend
-on the thread or the BLAS thread count.  The worker is joined before
-``synthesize_datacube`` returns or raises.
+The thermal-noise stream is drawn on one executor thread while the main
+thread renders: it takes the scaled row draws at most ``_NOISE_RING``
+ahead of the row pass, in the order one ``standard_normal`` call per part
+would take them (every row's real part, then every row's imaginary part),
+and the row pass adds each draw as it comes.  A failed draw raises its own
+error in the caller, draws not yet started are cancelled, and the thread
+is joined before ``synthesize_datacube`` returns or raises.  Every FFT and
+matrix product stays on the main thread, and every sample sees the same
+operations in the same order as a single-threaded render, so the cube's
+bits do not depend on the thread or the BLAS thread count.
 
 Generation is reproducible: a scenario carries its own seed, and identical
 (scenario, geometry, chirp) inputs yield bit-identical cubes.  Target
@@ -35,10 +36,11 @@ roundoff: the sources share one product and one inverse transform.
 
 from __future__ import annotations
 
-import queue
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -271,7 +273,7 @@ def _noise_rng(seed: int) -> np.random.Generator:
 #: Byte budget of one frequency chunk of the wideband spectrum product.
 _CHUNK_BYTES = 1 << 25
 
-#: Row buffers the thermal-noise worker may fill ahead of the row pass.
+#: Thermal-noise draws the executor thread may take ahead of the row pass.
 _NOISE_RING = 4
 
 
@@ -376,47 +378,39 @@ def _tone_waveform(
 def _thermal_noise(
     shape: tuple[int, ...], rows: int, noise_power: float, rng: np.random.Generator
 ):
-    """Draw circular Gaussian noise on a worker thread; yield ``add(part)``.
+    """Draw circular Gaussian noise on one executor thread; yield ``add(part)``.
 
-    The worker fills a ring of ``_NOISE_RING`` buffers of ``shape`` with
-    ``2 * rows`` draws scaled by sqrt(noise_power / 2), in the order of one
-    ``rng.standard_normal`` call per part: every row's real part, then
-    every row's imaginary part.  Each ``add(part)`` adds the next draw to
-    ``part`` (a row's ``.real`` or ``.imag``) and hands its buffer back.
-    The worker starts on entry and is joined on exit, whether the block
-    finishes or raises.
+    The thread takes ``2 * rows`` draws of ``shape`` scaled by
+    sqrt(noise_power / 2), in the order of one ``rng.standard_normal`` call
+    per part: every row's real part, then every row's imaginary part.  At
+    most ``_NOISE_RING`` draws are in flight, in stream order.  Each
+    ``add(part)`` adds the next draw to ``part`` (a row's ``.real`` or
+    ``.imag``) and submits the next one.  A failed draw raises its own
+    error from ``add``.  On exit, whether the block finishes or raises,
+    draws not yet started are cancelled and the thread is joined.
     """
     sigma = np.sqrt(noise_power / 2.0)
-    free, ready = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(_NOISE_RING):
-        free.put(np.empty(shape))
 
-    def draw() -> None:
+    def draw(buf: np.ndarray) -> np.ndarray:
+        rng.standard_normal(out=buf)
+        buf *= sigma
+        return buf
+
+    with ThreadPoolExecutor(1, thread_name_prefix="bsradar-thermal-noise") as pool:
+        # each submitted when taken; its buffer is allocated on this thread,
+        # so freed draws go back to this thread's heap, not to a malloc arena
+        # of the executor thread that keeps its pages after the thread exits
+        draws = (pool.submit(draw, np.empty(shape)) for _ in range(2 * rows))
+        pending = deque(islice(draws, _NOISE_RING))
+
+        def add(part: np.ndarray) -> None:
+            part += pending.popleft().result()
+            pending.extend(islice(draws, 1))
+
         try:
-            for _ in range(2 * rows):
-                buf = free.get()
-                if buf is None:  # the block exited early
-                    return
-                rng.standard_normal(out=buf)
-                buf *= sigma
-                ready.put(buf)
+            yield add
         finally:
-            ready.put(None)  # so add() never waits on a worker that stopped
-
-    def add(part: np.ndarray) -> None:
-        buf = ready.get()
-        if buf is None:
-            raise RuntimeError("the thermal-noise worker stopped before its last draw")
-        part += buf
-        free.put(buf)
-
-    worker = threading.Thread(target=draw, name="bsradar-thermal-noise")
-    worker.start()
-    try:
-        yield add
-    finally:
-        free.put(None)
-        worker.join()
+            pool.shutdown(cancel_futures=True)
 
 
 def synthesize_datacube(
@@ -437,16 +431,17 @@ def synthesize_datacube(
     straight into the cube.  One pass over the antenna rows then
     inverse-transforms each row, adds the tones, and adds the row's
     real-part thermal noise; the imaginary parts follow.  The noise is drawn
-    ahead on one worker thread into a ring of ``_NOISE_RING`` row buffers
-    (8 MiB at the default sizes), which starts once the cube is allocated
-    (not at all when ``noise_power`` is 0) and is joined before this
-    returns or raises.  The worker takes the noise stream in the order of
-    one ``standard_normal`` call per part and runs no FFT or BLAS call, and
-    every sample sees the same operations in the same order as in a
-    single-threaded render, so the cube is bit-identical at any thread
-    count.  No cube-sized temporary is allocated.  A target whose delay
-    falls outside the pulse window is rejected before the cube is
-    allocated.
+    on one executor thread at most ``_NOISE_RING`` row draws ahead (8 MiB
+    at the default sizes), in stream order; the thread starts once the cube
+    is allocated (not at all when ``noise_power`` is 0).  A failed draw
+    raises its own error here, draws not yet started are cancelled, and the
+    thread is joined before this returns or raises.  The thread takes the
+    noise stream in the order of one ``standard_normal`` call per part and
+    runs no FFT or BLAS call, and every sample sees the same operations in
+    the same order as in a single-threaded render, so the cube is
+    bit-identical at any thread count.  No cube-sized temporary is
+    allocated.  A target whose delay falls outside the pulse window is
+    rejected before the cube is allocated.
     """
     for target in scenario.targets:
         delay = target.delay_samples(chirp)

@@ -88,6 +88,12 @@ class TestEstimateCovariance:
         with pytest.raises(ValueError, match=rf"got shape {re.escape(str(shape))}"):
             estimate_covariance(rng.standard_normal(shape) + 0j)
 
+    def test_overflowed_trace_is_named(self, rng):
+        # a load of inf * 1e-3 would make every weight NaN
+        snaps = random_complex(rng, (8, 64)) * 2.0**600
+        with pytest.raises(ValueError, match="^covariance trace is nan: .* overflow"):
+            estimate_covariance(snaps, 1e-3)
+
 
 class TestMvdrCorrelator:
     def test_white_noise_gives_matched_filter(self, geom):
@@ -157,6 +163,16 @@ class TestMvdrCorrelator:
         cov.matrix = np.diag([1.0, 1.0, -2.0, 1.0]).astype(complex)
         with pytest.raises(LinAlgError, match="pivot"):
             mvdr_correlator(cov, np.ones(4, dtype=complex))
+
+    def test_underflowed_snapshots_name_a_zero_covariance(self, rng):
+        # every outer product underflows to 0, so no trace-relative load helps
+        cov = estimate_covariance(random_complex(rng, (8, 64)) * 2.0**-560, 1e-3)
+        with pytest.raises(LinAlgError) as failure:
+            mvdr_correlator(cov, np.ones(8, dtype=complex))
+        message = str(failure.value)
+        assert message.endswith("the covariance is zero: its snapshots are zero or underflowed")
+        assert "no positive pivot at leading minor 1 of 8" in message
+        assert "loading" not in message
 
     def test_factorization_error_names_its_minor_and_smallest_eigenvalue(self, rng):
         # a Hermitian matrix with one negative eigenvalue, in a random basis

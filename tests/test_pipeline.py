@@ -14,6 +14,9 @@ from scipy.linalg.blas import zgemm
 from bsradar import (
     ArrayGeometry,
     ChirpParams,
+    DataCube,
+    Direction,
+    InterfererSpec,
     PipelineConfig,
     RangeDopplerMap,
     Scenario,
@@ -1326,3 +1329,62 @@ def test_blas_thread_count_moves_antenna_mvdr_at_roundoff_only(tmp_path):
     for method in ("beamspace-mvdr", "antenna-mvdr"):
         assert len(one[method + " cells"]) > 0
         assert np.array_equal(one[method + " cells"], two[method + " cells"])
+
+
+def scaling_setup():
+    """A 4x8 array over 512 samples and 16 pulses: four targets, a
+    wideband-noise interferer and a tone."""
+    geom = ArrayGeometry(4, 8, 10e9)
+    chirp = ChirpParams(pulse_samples=512, num_pulses=16, pri=4e-6)
+    targets = tuple(
+        TargetSpec(pos, vel, np.exp(1j * phase))
+        for pos, vel, phase in [
+            ((5.0, 40.0, 4.0), -20.0, 0.4),
+            ((-12.0, 70.0, -3.0), 15.0, 1.9),
+            ((20.0, 95.0, 8.0), 35.0, 3.1),
+            ((-2.0, 120.0, -10.0), -40.0, 5.0),
+        ]
+    )
+    interferers = (
+        InterfererSpec(Direction.from_degrees(25.0, -20.0), power=1e3),
+        InterfererSpec(Direction.from_degrees(-35.0, -15.0), 1e3, "narrowband-tone"),
+    )
+    scenario = Scenario(targets=targets, interferers=interferers, seed=9, label="scaling")
+    return geom, chirp, scenario
+
+
+class TestPowerOfTwoScaling:
+    """A cube times 2^k, with no sample or product overflowing or
+    underflowing, gives every output times 2^k bit for bit: the load is a
+    fraction of the trace, so the weights do not move, and the CFAR compares
+    ratios."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        geom, chirp, scenario = scaling_setup()
+        return scenario, synthesize_datacube(scenario, geom, chirp)
+
+    @pytest.mark.parametrize("fft_size", [None, (8, 16)], ids=["unpadded", "padded"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_outputs_scale_exactly(self, scene, method, fft_size):
+        scenario, cube = scene
+        cfg = tiny_config(cube.geometry, cube.chirp, scenario, method=method, fft_size=fft_size)
+        base = process_cube(cube, scenario, cfg)
+        assert base.detection_count > 0
+        for k in (-20, 3, 40):
+            scale = 2.0**k
+            scaled = DataCube(cube.samples * scale, cube.geometry, cube.chirp)
+            got = process_cube(scaled, scenario, cfg)
+            assert np.array_equal(got.subband_outputs, base.subband_outputs * scale)
+            assert np.array_equal(got.wideband_outputs, base.wideband_outputs * scale)
+            assert got.detections == base.detections  # cells and margins
+            for mine, theirs in zip(got.center_correlators, base.center_correlators):
+                assert np.array_equal(mine.weights, theirs.weights)
+
+    @pytest.mark.parametrize("method", [METHOD_ANTENNA, METHOD_BEAMSPACE])
+    def test_overflowed_covariance_is_named(self, scene, method):
+        scenario, cube = scene
+        cfg = tiny_config(cube.geometry, cube.chirp, scenario, method=method)
+        scaled = DataCube(cube.samples * 2.0**600, cube.geometry, cube.chirp)
+        with pytest.raises(StageError, match="^stage 'beamform': .*overflow"):
+            process_cube(scaled, scenario, cfg)

@@ -420,9 +420,9 @@ class TestReferenceSynthesis:
         assert_within_roundoff(got, reference_datacube(sc, geom, cp))
 
     def test_chunked_noise_draw_reproduces_one_draw(self):
-        # the worker's row draws, handed over in order through its ring
+        # the worker's row draws, added in stream order
         out = np.zeros((3, 5, 4), dtype=complex)
-        assert 2 * len(out) > _NOISE_RING  # so the ring's buffers are reused
+        assert 2 * len(out) > _NOISE_RING  # so the lookahead bound is reached
         with _thermal_noise(out.shape[1:], len(out), 3.0, np.random.default_rng(8)) as add:
             for part in ("real", "imag"):
                 for row in out:
@@ -441,7 +441,7 @@ def _noisy_scene(seed):
 
 
 class TestNoiseWorker:
-    GEOM = ArrayGeometry(2, 4, 10e9)  # 8 rows: 16 draws, more than the ring holds
+    GEOM = ArrayGeometry(2, 4, 10e9)  # 8 rows: 16 draws, more than the lookahead holds
     CHIRP = tiny_chirp(pulse_samples=512, num_pulses=8)
 
     @pytest.mark.parametrize("noise_power", [0.7, 0.0])
@@ -470,6 +470,29 @@ class TestNoiseWorker:
         # inside the call is gone by now
         assert threading.active_count() == before
         assert failed.value.args == ("render failed",)
+
+    def test_a_failed_draw_raises_its_own_error(self, monkeypatch):
+        import bsradar.simulate as simulate
+
+        class FailingGenerator:
+            """Draws like the noise generator, then fails on its third draw."""
+
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def standard_normal(self, *args, **kwargs):  # (shape) or out=
+                self.calls += 1
+                if self.calls == 3:
+                    raise MemoryError("third draw")
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(
+            simulate, "_noise_rng", lambda seed: FailingGenerator(_noise_rng(seed))
+        )
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="^third draw$"):
+            synthesize_datacube(_noisy_scene(seed=4), self.GEOM, self.CHIRP)
+        assert threading.active_count() == before
 
     def test_concurrent_calls_match_sequential_calls(self):
         # more callers than cores, switching often, each with its own worker

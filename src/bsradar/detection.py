@@ -243,6 +243,11 @@ def cfar_detect(
     ]
 
 
+def _circular_offset(index: int, truth: int, size: int) -> int:
+    """The shortest signed distance from ``truth`` to ``index`` modulo ``size``."""
+    return (index - truth + size // 2) % size - size // 2
+
+
 def score_detections(
     detections: Sequence[Detection],
     truth_range_bin: int,
@@ -253,14 +258,18 @@ def score_detections(
     """Match the nearest in-gate detection to the truth bins.
 
     The gate is ``GATE_RANGE_BINS`` range and ``GATE_VELOCITY_BINS``
-    velocity bins either side of the truth.  Errors are grid-quantized
-    (integer bins times the map resolution); with no detection inside the
-    gate the target is scored as a miss with symbolic infinite errors.
+    velocity bins either side of the truth.  Both axes are circular (the
+    matched filter and the slow-time DFT are), so an offset is the shortest
+    signed distance modulo the map's size along its axis, and a gate
+    reaches across the map's edge.  Errors are grid-quantized (integer bins
+    times the map resolution); with no detection inside the gate the target
+    is scored as a miss with symbolic infinite errors.
     """
+    n_range, n_velocity = rd_map.power.shape
     best = None
     for det in detections:
-        dr = det.range_bin - truth_range_bin
-        dv = det.velocity_bin - truth_velocity_bin
+        dr = _circular_offset(det.range_bin, truth_range_bin, n_range)
+        dv = _circular_offset(det.velocity_bin, truth_velocity_bin, n_velocity)
         if abs(dr) > GATE_RANGE_BINS or abs(dv) > GATE_VELOCITY_BINS:
             continue
         key = (dr * dr + dv * dv, -det.power_db_over_floor)

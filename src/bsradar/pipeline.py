@@ -15,7 +15,10 @@ carries ``timings``: per stage (simulate, channelize, beamform, synthesize,
 range_doppler, cfar, score) its wall seconds and the process's peak RSS in
 MB at the stage's end.  A cube channelized in blocks interleaves the two
 stages: ``channelize`` sums the blocks' channelizations and ``beamform`` is
-the rest.
+the rest.  A stage that fails raises :class:`StageError` naming it, and a
+floating-point overflow, division by zero or invalid operation fails its
+stage whatever the caller's warning filter, so no run returns scores
+computed on infinite or NaN values.
 
 A run checks its config once, where it enters (:func:`run_pipeline`,
 :func:`process_cube`, or each point of a :func:`sweep`, before any point
@@ -285,10 +288,15 @@ class StageError(RuntimeError):
 def _stage(name: str, timings: dict):
     """Run one stage, or one piece of a stage that runs in pieces: name it in
     any failure, add its wall seconds to ``timings[name]``, and record there
-    the peak RSS of this process so far (``ru_maxrss``, KiB on Linux) in MB."""
+    the peak RSS of this process so far (``ru_maxrss``, KiB on Linux) in MB.
+
+    A floating-point overflow, division by zero or invalid operation in a
+    numpy operation of the stage raises (and so fails the stage) whatever
+    the caller's warning filter; underflow keeps the caller's setting."""
     start = time.perf_counter()
     try:
-        yield
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
     except Exception as exc:
         raise StageError(f"stage '{name}': {exc}") from exc
     record = timings.setdefault(name, {"wall_s": 0.0})

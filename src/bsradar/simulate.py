@@ -14,18 +14,22 @@ x pulses) is written straight into the cube.  One pass over the antenna
 rows then finishes each row while it is in cache: its inverse transform,
 the narrowband tones, and the real part of its thermal noise; the
 imaginary parts of the noise are added after.  No cube-sized temporary is
-ever allocated.
+ever allocated.  Every scene takes this one path: a scene without wideband
+sources renders an empty product (zeros) and inverse-transforms it, and a
+noise-free scene adds no noise.  Each target's source is built, and its
+delay checked, before the cube is allocated.
 
-The thermal-noise stream is drawn on one executor thread while the main
-thread renders: it takes the scaled row draws at most ``_NOISE_RING``
-ahead of the row pass, in the order one ``standard_normal`` call per part
-would take them (every row's real part, then every row's imaginary part),
-and the row pass adds each draw as it comes.  A failed draw raises its own
-error in the caller, draws not yet started are cancelled, and the thread
-is joined before ``synthesize_datacube`` returns or raises.  Every FFT and
-matrix product stays on the main thread, and every sample sees the same
-operations in the same order as a single-threaded render, so the cube's
-bits do not depend on the thread or the BLAS thread count.
+The thermal-noise stream is drawn on one executor thread (none when the
+noise power is 0) while the main thread renders: it takes the scaled row
+draws at most ``_NOISE_RING`` ahead of the row pass, in the order one
+``standard_normal`` call per part would take them (every row's real part,
+then every row's imaginary part), and the row pass adds each draw as it
+comes.  A failed draw raises its own error in the caller, draws not yet
+started are cancelled, and the thread is joined before
+``synthesize_datacube`` returns or raises.  Every FFT and matrix product
+stays on the main thread, and every sample sees the same operations in the
+same order as a single-threaded render, so the cube's bits do not depend
+on the thread or the BLAS thread count.
 
 Generation is reproducible: a scenario carries its own seed, and identical
 (scenario, geometry, chirp) inputs yield bit-identical cubes.  Target
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -308,9 +312,15 @@ def _target_source(
 
     ``amplitude * fft(delayed chirp)`` weighs its steering per frequency,
     and its Doppler ramp is the pulse row at every frequency (a broadcast
-    view, not a per-target spectrum).
+    view, not a per-target spectrum).  A target whose delay falls outside
+    the pulse window is rejected.
     """
     delay = target.delay_samples(chirp)
+    if delay >= chirp.pulse_samples:
+        raise ValueError(
+            f"target at range {target.range:.1f} m needs delay {delay} samples, "
+            f"beyond the {chirp.pulse_samples}-sample pulse window"
+        )
     delayed = np.zeros(chirp.pulse_samples, dtype=complex)
     delayed[delay:] = pulse[: chirp.pulse_samples - delay]
     dopp = _doppler_phases(target.radial_velocity, chirp)
@@ -334,19 +344,22 @@ def _render_wideband(
     (pulses); noise emitters carry their waveform in the spectrum and have
     no weight.  Per frequency the field is ``steering (N, S) @ spectra
     (S, P)``, computed in frequency chunks straight into ``out`` along its
-    fast-time axis; the caller inverse-transforms each antenna row.
+    fast-time axis (an empty product, zeros, when there are no sources);
+    one steering and one spectra buffer of a chunk's size serve every
+    chunk.  The caller inverse-transforms each antenna row.
     """
     n_fast, n_pulses = chirp.pulse_samples, chirp.num_pulses
     rf = chirp.carrier_freq + np.fft.fftfreq(n_fast, 1.0 / chirp.sample_rate)
     chunk = max(1, _CHUNK_BYTES // (out.itemsize * geom.n * n_pulses))
+    steer_buf = np.empty((geom.n, min(chunk, n_fast), len(sources)), dtype=complex)
+    spectra_buf = np.empty((min(chunk, n_fast), len(sources), n_pulses), dtype=complex)
     for f0 in range(0, n_fast, chunk):
         f1 = min(n_fast, f0 + chunk)
-        columns = []
-        for direction, weight, _ in sources:
-            steer = steering_matrix(*spatial_frequencies(direction, rf[f0:f1], geom), geom)
-            columns.append(steer if weight is None else steer * weight[f0:f1])
-        steer = np.stack(columns, axis=-1)
-        spectra = np.stack([spectrum[f0:f1] for _, _, spectrum in sources], axis=1)
+        steer, spectra = steer_buf[:, : f1 - f0], spectra_buf[: f1 - f0]
+        for s, (direction, weight, spectrum) in enumerate(sources):
+            field = steering_matrix(*spatial_frequencies(direction, rf[f0:f1], geom), geom)
+            steer[..., s] = field if weight is None else field * weight[f0:f1]
+            spectra[:, s] = spectrum[f0:f1]
         np.matmul(steer.transpose(1, 0, 2), spectra, out=out[:, f0:f1, :].transpose(1, 0, 2))
 
 
@@ -387,8 +400,12 @@ def _thermal_noise(
     ``add(part)`` adds the next draw to ``part`` (a row's ``.real`` or
     ``.imag``) and submits the next one.  A failed draw raises its own
     error from ``add``.  On exit, whether the block finishes or raises,
-    draws not yet started are cancelled and the thread is joined.
+    draws not yet started are cancelled and the thread is joined.  When
+    ``noise_power`` is 0, ``add`` adds nothing and no thread is started.
     """
+    if noise_power == 0:
+        yield lambda part: None
+        return
     sigma = np.sqrt(noise_power / 2.0)
 
     def draw(buf: np.ndarray) -> np.ndarray:
@@ -426,37 +443,30 @@ def synthesize_datacube(
     target delays, and circular complex Gaussian noise of per-element
     variance ``noise_power``.
 
-    Targets and wideband-noise interferers are summed in the spectrum, one
-    per-frequency (antennas x sources) @ (sources x pulses) product written
-    straight into the cube.  One pass over the antenna rows then
+    Every scene takes one path.  Each target's source is built first, so a
+    target whose delay falls outside the pulse window is rejected before
+    the cube is allocated.  Targets and wideband-noise interferers are
+    summed in the spectrum, one per-frequency (antennas x sources) @
+    (sources x pulses) product written straight into the cube (zeros when
+    there is no such source).  One pass over the antenna rows then
     inverse-transforms each row, adds the tones, and adds the row's
     real-part thermal noise; the imaginary parts follow.  The noise is drawn
     on one executor thread at most ``_NOISE_RING`` row draws ahead (8 MiB
     at the default sizes), in stream order; the thread starts once the cube
-    is allocated (not at all when ``noise_power`` is 0).  A failed draw
-    raises its own error here, draws not yet started are cancelled, and the
-    thread is joined before this returns or raises.  The thread takes the
-    noise stream in the order of one ``standard_normal`` call per part and
-    runs no FFT or BLAS call, and every sample sees the same operations in
-    the same order as in a single-threaded render, so the cube is
-    bit-identical at any thread count.  No cube-sized temporary is
-    allocated.  A target whose delay falls outside the pulse window is
-    rejected before the cube is allocated.
+    is allocated (not at all when ``noise_power`` is 0, whose noise adds
+    nothing).  A failed draw raises its own error here, draws not yet
+    started are cancelled, and the thread is joined before this returns or
+    raises.  The thread takes the noise stream in the order of one
+    ``standard_normal`` call per part and runs no FFT or BLAS call, and
+    every sample sees the same operations in the same order as in a
+    single-threaded render, so the cube is bit-identical at any thread
+    count.  No cube-sized temporary is allocated.
     """
-    for target in scenario.targets:
-        delay = target.delay_samples(chirp)
-        if delay >= chirp.pulse_samples:
-            raise ValueError(
-                f"target at range {target.range:.1f} m needs delay {delay} samples, "
-                f"beyond the {chirp.pulse_samples}-sample pulse window"
-            )
+    pulse = generate_chirp(chirp)
+    targets = [_target_source(target, chirp, pulse) for target in scenario.targets]
     out = np.zeros((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
-    noise = nullcontext()
-    if scenario.noise_power > 0:
-        noise_rng = _noise_rng(scenario.seed)
-        noise = _thermal_noise(out.shape[1:], geom.n, scenario.noise_power, noise_rng)
-
-    with noise as add_noise:
+    noise_rng = _noise_rng(scenario.seed)
+    with _thermal_noise(out.shape[1:], geom.n, scenario.noise_power, noise_rng) as add_noise:
         ref_power = scenario.noise_power if scenario.noise_power > 0 else 1.0
         sources, tones = [], []
         for idx, spec in enumerate(scenario.interferers):
@@ -466,25 +476,18 @@ def synthesize_datacube(
                 sources.append((spec.direction, None, spectrum))
             else:
                 tones.append(_tone_waveform(spec, geom, chirp, ref_power, rng))
-        pulse = generate_chirp(chirp)
-        sources += [_target_source(target, chirp, pulse) for target in scenario.targets]
-        rendered = bool(sources)
-        if rendered:
-            _render_wideband(out, sources, geom, chirp)
-        del sources  # the spectra are not needed past this point
+        _render_wideband(out, sources + targets, geom, chirp)
+        del sources, targets  # the spectra are not needed past this point
 
         row_buf = np.empty(out.shape[1:], dtype=complex)
         for n, row in enumerate(out):
-            if rendered:
-                np.fft.ifft(row, axis=0, out=row)
+            np.fft.ifft(row, axis=0, out=row)
             for steer, tone in tones:
                 np.multiply(steer[n], tone, out=row_buf)
                 row += row_buf
-            if add_noise:
-                add_noise(row.real)
-        if add_noise:
-            for row in out:
-                add_noise(row.imag)
+            add_noise(row.real)
+        for row in out:
+            add_noise(row.imag)
 
     return DataCube(out, geom, chirp)
 

@@ -396,6 +396,28 @@ class TestScoreDetections:
         score = score_detections(dets, 10, 4, rd)
         assert score.range_error_bins == 1
 
+    def test_velocity_gate_wraps(self):
+        # the slow-time DFT is circular: column 15 of 16 is one bin from column 0
+        rd = RangeDopplerMap(np.ones((64, 16)), 0.3, 2.0)
+        score = score_detections([Detection(10, 15, 9.0)], 10, 0, rd)
+        assert score.detected
+        assert score.velocity_error_bins == 1 and score.velocity_error == 2.0
+        assert score.range_error_bins == 0
+
+    @pytest.mark.parametrize("truth, found", [(1, 62), (62, 1)])
+    def test_range_gate_wraps(self, truth, found):
+        # the matched filter is circular: range bins 62 and 1 of 64 are 3 apart
+        rd = RangeDopplerMap(np.ones((64, 16)), 0.3, 2.0)
+        score = score_detections([Detection(found, 8, 9.0)], truth, 8, rd)
+        assert score.detected
+        assert score.range_error_bins == 3
+        assert score.range_error == pytest.approx(3 * 0.3)
+
+    def test_wrapped_gate_keeps_its_width(self):
+        rd = RangeDopplerMap(np.ones((64, 16)), 0.3, 2.0)
+        assert not score_detections([Detection(10, 12, 9.0)], 10, 0, rd).detected  # 4 bins
+        assert not score_detections([Detection(58, 0, 9.0)], 0, 0, rd).detected  # 6 bins
+
 
 def test_report_writer(tmp_path):
     path = tmp_path / "report.csv"

@@ -1388,3 +1388,89 @@ class TestPowerOfTwoScaling:
         scaled = DataCube(cube.samples * 2.0**600, cube.geometry, cube.chirp)
         with pytest.raises(StageError, match="^stage 'beamform': .*overflow"):
             process_cube(scaled, scenario, cfg)
+
+    # RuntimeWarnings are ignored here, as a caller's default filter may:
+    # the stage must fail on the fault itself, not on the warning
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_map_fails_its_stage(self, scene):
+        # the samples are finite, but |doppler|^2 overflows: inf maps, which
+        # still scored every target as detected
+        scenario, cube = scene
+        cfg = tiny_config(cube.geometry, cube.chirp, scenario, method=METHOD_CONVENTIONAL)
+        scaled = DataCube(cube.samples * 2.0**512, cube.geometry, cube.chirp)
+        with pytest.raises(StageError, match="^stage 'range_doppler': overflow"):
+            process_cube(scaled, scenario, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", [METHOD_ANTENNA, METHOD_BEAMSPACE])
+    def test_underflowed_weights_fail_their_stage(self, scene, method):
+        # the covariance trace is finite (about 5e-309), but a^H R^-1 a is
+        # not: NaN weights, which detected nothing and raised nothing
+        scenario, cube = scene
+        cfg = tiny_config(cube.geometry, cube.chirp, scenario, method=method)
+        scaled = DataCube(cube.samples * 2.0**-520, cube.geometry, cube.chirp)
+        with pytest.raises(StageError, match="^stage 'beamform': invalid value"):
+            process_cube(scaled, scenario, cfg)
+
+
+class TestTargetOrderAndCommonPhase:
+    """Two more relations on the scaling scene, for all three methods on the
+    unpadded (4, 8) and the padded (8, 16) grid: reordering the targets
+    reorders every per-target output bit for bit, and a common phase on the
+    cube carries through to the outputs to roundoff with the same cells."""
+
+    ORDER = [2, 0, 3, 1]
+    PHASE = 0.7
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        geom, chirp, scenario = scaling_setup()
+        return scenario, synthesize_datacube(scenario, geom, chirp)
+
+    @pytest.fixture(scope="class")
+    def base_runs(self, scene):
+        scenario, cube = scene
+        runs = {}
+        for method in METHODS:
+            for fft_size in (None, (8, 16)):
+                cfg = tiny_config(
+                    cube.geometry, cube.chirp, scenario, method=method, fft_size=fft_size
+                )
+                runs[method, fft_size] = process_cube(cube, scenario, cfg)
+        return runs
+
+    @pytest.mark.parametrize("fft_size", [None, (8, 16)], ids=["unpadded", "padded"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_reordering_targets_reorders_outputs(self, scene, base_runs, method, fft_size):
+        scenario, cube = scene
+        base = base_runs[method, fft_size]
+        assert base.detection_count > 0
+        moved = replace(scenario, targets=tuple(scenario.targets[j] for j in self.ORDER))
+        cfg = tiny_config(cube.geometry, cube.chirp, moved, method=method, fft_size=fft_size)
+        got = process_cube(cube, moved, cfg)
+        assert np.array_equal(got.subband_outputs, base.subband_outputs[self.ORDER])
+        assert np.array_equal(got.wideband_outputs, base.wideband_outputs[self.ORDER])
+        for k, j in enumerate(self.ORDER):
+            assert np.array_equal(got.maps[k].power, base.maps[j].power)
+            assert got.detections[k] == base.detections[j]  # cells and margins
+            assert got.scores[k] == replace(base.scores[j], target_id=k)
+            mine, theirs = got.center_correlators[k], base.center_correlators[j]
+            assert np.array_equal(mine.weights, theirs.weights)
+            assert mine.window == theirs.window
+
+    @pytest.mark.parametrize("fft_size", [None, (8, 16)], ids=["unpadded", "padded"])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_common_phase_carries_through(self, scene, base_runs, method, fft_size):
+        scenario, cube = scene
+        base = base_runs[method, fft_size]
+        assert base.detection_count > 0
+        phase = np.exp(1j * self.PHASE)
+        cfg = tiny_config(cube.geometry, cube.chirp, scenario, method=method, fft_size=fft_size)
+        got = process_cube(DataCube(cube.samples * phase, cube.geometry, cube.chirp), scenario, cfg)
+        assert_within_roundoff(got.subband_outputs, base.subband_outputs * phase)
+        assert_within_roundoff(got.wideband_outputs, base.wideband_outputs * phase)
+
+        def cells(result):
+            return [[det[:2] for det in found] for found in result.detections]
+
+        assert cells(got) == cells(base)

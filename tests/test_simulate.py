@@ -449,8 +449,12 @@ class TestNoiseWorker:
         import bsradar.simulate as simulate
 
         if noise_power == 0:
-            # a noise-free scene has no worker to start
-            monkeypatch.setattr(simulate, "_thermal_noise", None)
+            # a noise-free scene builds no executor
+
+            def no_executor(*args, **kwargs):
+                raise AssertionError("a noise-free scene started an executor")
+
+            monkeypatch.setattr(simulate, "ThreadPoolExecutor", no_executor)
         before = threading.active_count()
         synthesize_datacube(replace(_noisy_scene(seed=4), noise_power=noise_power),
                             self.GEOM, self.CHIRP)

@@ -11,12 +11,13 @@ import numpy as np
 from bsradar import (
     ArrayGeometry,
     BeamspacePlan,
+    ChirpParams,
     Direction,
     beamspace_transform,
+    bin_center_frequencies,
     extract_window,
     spatial_frequencies,
     steering_vector,
-    subband_center_freq,
     window_for,
 )
 
@@ -27,9 +28,8 @@ def main() -> None:
           f"spacing {geom.spacing * 100:.2f} cm (half wavelength)")
 
     # subband centers: the widest and narrowest frequencies the pipeline sees
-    f_lo = subband_center_freq(-63, 128, 10e9, 500e6)
-    f_hi = subband_center_freq(64, 128, 10e9, 500e6)
-    print(f"128 subbands span {f_lo / 1e9:.4f} .. {f_hi / 1e9:.4f} GHz")
+    freqs = bin_center_frequencies(128, ChirpParams())
+    print(f"128 subbands span {freqs.min() / 1e9:.4f} .. {freqs.max() / 1e9:.4f} GHz")
 
     direction = Direction.from_degrees(azimuth_deg=20.0, elevation_deg=10.0)
     sf = spatial_frequencies(direction, geom.design_freq, geom)

@@ -22,7 +22,6 @@ from .beamspace import (
 from .channelizer import (
     bin_center_frequencies,
     channelize,
-    subband_index_for_bin,
     synthesize,
 )
 from .detection import (
@@ -42,7 +41,6 @@ from .geometry import (
     spatial_frequencies,
     steering_matrix,
     steering_vector,
-    subband_center_freq,
 )
 from .mvdr import (
     Correlator,

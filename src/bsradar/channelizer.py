@@ -1,12 +1,12 @@
 """Critically sampled block-DFT channelizer and its exact inverse.
 
 The fast-time axis is cut into consecutive length-L blocks and each block
-is DFT'd after a half-bin upward modulation, so that subband ``l`` is
-centered exactly on the subband-center frequency grid
-f_c + (l - 1/2)/L * f_s with l in {-L/2+1, ..., L/2}.  DFT bin b maps to
-subband index l = b for b <= L/2 and l = b - L above.  The forward DFT is
-unscaled and the inverse carries the 1/L factor, so channelizing multiplies
-total energy by exactly L and the round trip is lossless.
+is DFT'd after a half-bin upward modulation, so that every DFT bin is
+centered exactly on its subband's frequency, the grid that
+:func:`bin_center_frequencies` states and the beamformer steers by.  The
+forward DFT is unscaled and the inverse carries the 1/L factor, so
+channelizing multiplies total energy by exactly L and the round trip is
+lossless.
 
 Every length-L block lies within one pulse, so pulses channelize independently:
 :func:`channelize_into` writes any range of a cube's pulses into a buffer of
@@ -24,26 +24,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import is_count, subband_center_freq
+from .geometry import is_count
 from .simulate import ChirpParams, DataCube
-
-
-def subband_index_for_bin(bins, L: int):
-    """Map DFT bin(s) 0..L-1 to subband indices l in {-L/2+1, ..., L/2}."""
-    b = np.asarray(bins)
-    l = np.where(b <= L // 2, b, b - L)
-    return int(l) if np.isscalar(bins) else l
 
 
 def bin_center_frequencies(L: int, chirp: ChirpParams) -> np.ndarray:
     """Subband center frequency for every DFT bin, in bin order.
 
-    L must pass :func:`check_subbands` for the chirp's pulse."""
+    Bin b is subband l = b for b <= L/2 and l = b - L above, centered at
+    f_c + (l - 1/2)/L * f_s, so l runs over {-L/2+1, ..., L/2} and the
+    centers step by f_s/L symmetrically about the carrier f_c.  A single
+    subband is the carrier itself.  L must pass :func:`check_subbands` for
+    the chirp's pulse."""
     check_subbands(L, chirp.pulse_samples)
     if L == 1:
         return np.array([chirp.carrier_freq])
-    l = subband_index_for_bin(np.arange(L), L)
-    return subband_center_freq(l, L, chirp.carrier_freq, chirp.sample_rate)
+    b = np.arange(L)
+    l = np.where(b <= L // 2, b, b - L)
+    return chirp.carrier_freq + (l - 0.5) / L * chirp.sample_rate
 
 
 def check_subbands(L: int, pulse_samples: int) -> None:

@@ -18,6 +18,9 @@ offset size   field
 Complex payloads are interleaved float32 real/imag pairs in C order with
 the antenna axis outermost; real payloads (maps) are plain float32.  Values
 are quantized to float32 on write, so a load/save cycle is bit-exact.
+Values too small for float32 lose precision or flush to zero; a value
+float32 cannot hold (beyond its range, or not finite) is refused by the
+writers and, in a file, by the readers.
 """
 
 from __future__ import annotations
@@ -75,15 +78,22 @@ def _check_flags(flags: int, expected: int) -> None:
 
 
 def save_cube(path, cube: DataCube) -> None:
-    """Write a data cube as float32 IQ pairs behind the fixed header."""
+    """Write a data cube as float32 IQ pairs behind the fixed header.
+
+    A sample beyond float32's range raises a ``ValueError`` naming its
+    antenna row, and the partly written file is removed."""
     geom = cube.geometry
     dims = (geom.n_z, geom.n_x, cube.chirp.pulse_samples, cube.chirp.num_pulses)
     row_buf = np.empty(cube.samples.shape[1:], dtype="<c8")
-    with open(path, "wb") as handle:
-        _write_header(handle, FLAG_COMPLEX, dims, cube.chirp.sample_rate)
-        for row in cube.samples:
-            row_buf[...] = row
-            handle.write(row_buf)
+    try:
+        with open(path, "wb") as handle, np.errstate(over="raise", under="ignore"):
+            _write_header(handle, FLAG_COMPLEX, dims, cube.chirp.sample_rate)
+            for k, row in enumerate(cube.samples):
+                row_buf[...] = row
+                handle.write(row_buf)
+    except FloatingPointError:  # only the cast into row_buf computes
+        os.remove(path)
+        raise ValueError(f"antenna row {k}: a sample exceeds the float32 range") from None
 
 
 def load_cube(path, geometry: ArrayGeometry, chirp: ChirpParams) -> DataCube:
@@ -118,20 +128,33 @@ def load_cube(path, geometry: ArrayGeometry, chirp: ChirpParams) -> DataCube:
     return DataCube(samples, geometry, chirp)
 
 
+def _finite_map(payload: np.ndarray, path) -> np.ndarray:
+    """A float32 map payload, refused with a ``ValueError`` naming the map
+    if a value is not finite."""
+    if not np.isfinite(payload).all():
+        raise ValueError(f"map {path}: a value is not finite in float32")
+    return payload
+
+
 def save_map(path, power: np.ndarray, sample_rate: float) -> None:
-    """Write a real-valued range-Doppler power map (real-payload flag set)."""
+    """Write a real-valued range-Doppler power map (real-payload flag set).
+
+    A map that is not finite, or holds a value beyond float32's range, raises
+    a ``ValueError`` naming it before the file is opened."""
     arr = np.asarray(power)
     if arr.ndim != 2:
         raise ValueError("expected a 2D power map")
+    with np.errstate(over="ignore", under="ignore"):  # beyond float32's range: inf
+        payload = _finite_map(arr.astype("<f4"), path)
     dims = (arr.shape[0], arr.shape[1], 1, 1)
     with open(path, "wb") as handle:
         _write_header(handle, FLAG_MAP, dims, sample_rate)
-        handle.write(arr.astype("<f4").tobytes())
+        handle.write(payload)
 
 
 def load_map(path) -> np.ndarray:
     """Read a power map back; its header must carry the map flag alone and
-    dims (rows, cols, 1, 1)."""
+    dims (rows, cols, 1, 1), and its payload must be finite."""
     with open(path, "rb") as handle:
         flags, dims, _fs = _read_header(handle)
         _check_flags(flags, FLAG_MAP)
@@ -141,7 +164,7 @@ def load_map(path) -> np.ndarray:
     rows, cols = dims[:2]
     if raw.size != rows * cols:
         raise ValueError(f"payload holds {raw.size} floats, expected {rows * cols}")
-    return raw.reshape(rows, cols).astype(np.float64)
+    return _finite_map(raw, path).reshape(rows, cols).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -158,21 +158,6 @@ class SpatialFrequencies(NamedTuple):
     omega_z: float | np.ndarray
 
 
-def subband_center_freq(l, L: int, f_c: float, f_s: float):
-    """Center frequency of subband ``l`` out of ``L``: f_c + ((l - 1/2)/L) f_s.
-
-    Valid indices are l in {-L/2 + 1, ..., L/2}; ``l`` may be a scalar or an
-    integer array.
-    """
-    if L < 2 or L % 2 != 0:
-        raise ValueError(f"subband count L={L} must be even and >= 2")
-    l_arr = np.asarray(l)
-    if np.any(l_arr < -L // 2 + 1) or np.any(l_arr > L // 2):
-        raise ValueError(f"subband index {l!r} outside [-L/2+1, L/2] for L={L}")
-    out = f_c + (l_arr - 0.5) / L * f_s
-    return float(out) if np.isscalar(l) else out
-
-
 def spatial_frequencies(
     direction: Direction, eval_freq: float | np.ndarray, geom: ArrayGeometry
 ) -> SpatialFrequencies:

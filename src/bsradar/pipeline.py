@@ -16,9 +16,11 @@ range_doppler, cfar, score) its wall seconds and the process's peak RSS in
 MB at the stage's end.  A cube channelized in blocks interleaves the two
 stages: ``channelize`` sums the blocks' channelizations and ``beamform`` is
 the rest.  A stage that fails raises :class:`StageError` naming it, and a
-floating-point overflow, division by zero or invalid operation fails its
-stage whatever the caller's warning filter, so no run returns scores
-computed on infinite or NaN values.
+floating-point overflow, underflow, division by zero or invalid operation
+fails its stage whatever the caller's warning filter, so no run returns
+scores computed on infinite, NaN or flushed-to-zero values.  A training
+failure also names its subband (bin and center frequency) and the targets
+it was training.
 
 A run checks its config once, where it enters (:func:`run_pipeline`,
 :func:`process_cube`, or each point of a :func:`sweep`, before any point
@@ -290,12 +292,12 @@ def _stage(name: str, timings: dict):
     any failure, add its wall seconds to ``timings[name]``, and record there
     the peak RSS of this process so far (``ru_maxrss``, KiB on Linux) in MB.
 
-    A floating-point overflow, division by zero or invalid operation in a
-    numpy operation of the stage raises (and so fails the stage) whatever
-    the caller's warning filter; underflow keeps the caller's setting."""
+    A floating-point overflow, underflow, division by zero or invalid
+    operation in a numpy operation of the stage raises (and so fails the
+    stage) whatever the caller's warning filter."""
     start = time.perf_counter()
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with np.errstate(all="raise"):
             yield
     except Exception as exc:
         raise StageError(f"stage '{name}': {exc}") from exc
@@ -385,11 +387,14 @@ def _train(
         ids = [k for k, selector in enumerate(selectors) if selector == win]
         rows = slice(None) if win is None else window_rows(win)
         steerings = [steer[rows, k] for k in ids]
-        if cfg.method == METHOD_CONVENTIONAL:
-            corrs = [conventional_correlator(a, win) for a in steerings]
-        else:
-            cov = estimate_covariance(training[rows], cfg.loading)
-            corrs = [mvdr_correlator(cov, a, win) for a in steerings]
+        try:
+            if cfg.method == METHOD_CONVENTIONAL:
+                corrs = [conventional_correlator(a, win) for a in steerings]
+            else:
+                cov = estimate_covariance(training[rows], cfg.loading)
+                corrs = [mvdr_correlator(cov, a, win) for a in steerings]
+        except (ArithmeticError, ValueError) as exc:
+            raise type(exc)(f"targets {ids}: {exc}") from exc
         for k, corr in zip(ids, corrs):
             trained[k] = corr
     return trained
@@ -434,7 +439,10 @@ def _beamform(
                 for b in range(cfg.subbands):
                     # every method gathers the training columns once
                     training = subbands[:, b, :, : cfg.train_pulses].reshape(geom.n, -1)
-                    trained.append(_train(training, omegas[:, :, b], cfg, plan))
+                    try:
+                        trained.append(_train(training, omegas[:, :, b], cfg, plan))
+                    except (ArithmeticError, ValueError) as exc:
+                        raise type(exc)(f"subband {b} ({freqs[b]:.0f} Hz): {exc}") from exc
                 center = trained[CENTER_BIN]
                 weights = [lift_correlator(corrs) if beamspace else corrs for corrs in trained]
             n_block = subbands.shape[-1]

@@ -614,15 +614,11 @@ def scenario_preset(
     _check_seed(seed)  # before it seeds the layout
     if snr_db is not None and not is_finite(snr_db):
         raise ValueError(f"snr_db: {snr_db!r} is not a finite number")
-    if name == "noninterferer":
-        if snr_db is None:
-            snr_db = EASY_MODE_SNR_DB
-        targets = _preset_targets(1, seed, snr_db)
-        interferers: tuple[InterfererSpec, ...] = ()
-    else:
-        letter, mode = name[0], int(name[1])
-        if snr_db is None:
-            snr_db = EASY_MODE_SNR_DB if mode == 1 else DIFFICULT_MODE_SNR_DB
-        targets = _preset_targets(mode, seed, snr_db)
-        interferers = _preset_interferers(PRESET_INTERFERER_COUNTS[letter], seed)
+    mode, count = (
+        (1, 0) if name == "noninterferer" else (int(name[1]), PRESET_INTERFERER_COUNTS[name[0]])
+    )
+    if snr_db is None:
+        snr_db = EASY_MODE_SNR_DB if mode == 1 else DIFFICULT_MODE_SNR_DB
+    targets = _preset_targets(mode, seed, snr_db)
+    interferers = _preset_interferers(count, seed)
     return Scenario(targets=targets, interferers=interferers, seed=seed, label=name)

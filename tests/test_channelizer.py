@@ -10,8 +10,6 @@ from bsradar import (
     DataCube,
     bin_center_frequencies,
     channelize,
-    subband_center_freq,
-    subband_index_for_bin,
     synthesize,
 )
 
@@ -209,10 +207,22 @@ class TestLinearity:
         assert ratio == pytest.approx(128.0, rel=1e-10)
 
 
+def subband_offset(l, L, f_s):
+    """Subband l's center relative to the carrier: (l - 1/2)/L * f_s."""
+    return (l - 0.5) / L * f_s
+
+
+def bin_of(l, L, chirp):
+    """The DFT bin whose center frequency is subband l's."""
+    offsets = bin_center_frequencies(L, chirp) - chirp.carrier_freq
+    near = np.abs(offsets - subband_offset(l, L, chirp.sample_rate)) < chirp.sample_rate / L / 4
+    (b,) = np.flatnonzero(near)
+    return b
+
+
 def tone_cube(l, L, n_fast, f_s, n_ant=1, n_pulses=2, offset_bins=0.0):
     """Tone offset_bins away from the center of subband l."""
-    f_center = subband_center_freq(l, L, 0.0, f_s)
-    f = f_center + offset_bins * f_s / L
+    f = subband_offset(l, L, f_s) + offset_bins * f_s / L
     n = np.arange(n_fast)
     tone = np.exp(2j * np.pi * f / f_s * n)
     samples = np.tile(tone, (n_ant, n_pulses, 1)).transpose(0, 2, 1)
@@ -226,20 +236,34 @@ class TestToneMapping:
         cube = tone_cube(l, L, n_fast, 500e6)
         sub = channelize(cube, L)
         energy = np.sum(np.abs(sub[0]) ** 2, axis=(1, 2))
-        bins = subband_index_for_bin(np.arange(L), L)
-        share = energy[np.where(bins == l)[0][0]] / energy.sum()
+        share = energy[bin_of(l, L, cube.chirp)] / energy.sum()
         assert share >= 0.999  # exactly on center: no leakage at all
+
+    @pytest.mark.parametrize("L", [2, 32, 128])
+    def test_every_bin_center_tone_lands_in_that_bin(self, L):
+        # pulse p carries a tone at bin p's center frequency; pulses
+        # channelize independently, so one cube checks every bin at once
+        n_fast, f_s = 512, 500e6
+        chirp = make_cube(np.zeros((1, n_fast, L), dtype=complex), sample_rate=f_s).chirp
+        offsets = bin_center_frequencies(L, chirp) - chirp.carrier_freq
+        n = np.arange(n_fast)[:, None]
+        samples = np.exp(2j * np.pi * offsets[None, :] / f_s * n)[None]
+        sub = channelize(make_cube(samples, sample_rate=f_s), L)
+        energy = np.sum(np.abs(sub[0]) ** 2, axis=1)  # (bin, pulse)
+        share = np.diag(energy) / energy.sum(axis=0)
+        assert np.all(share >= 1 - 1e-9), np.flatnonzero(share < 1 - 1e-9)
 
     def test_off_center_leakage_matches_dirichlet(self):
         # rectangular-window DFT leakage: |sin(pi d) / (L sin(pi d / L))|^2
-        L, n_fast, offset = 32, 512, 0.3
-        cube = tone_cube(2, L, n_fast, 500e6, offset_bins=offset)
+        L, n_fast, f_s, offset = 32, 512, 500e6, 0.3
+        cube = tone_cube(2, L, n_fast, f_s, offset_bins=offset)
         sub = channelize(cube, L)
         energy = np.sum(np.abs(sub[0]) ** 2, axis=(1, 2))
         share = energy / energy.sum()
-        bins = subband_index_for_bin(np.arange(L), L)
+        offsets = bin_center_frequencies(L, cube.chirp) - cube.chirp.carrier_freq
         for b in range(L):
-            delta = 2 + offset - bins[b]  # |kernel|^2 is L-periodic in delta
+            # the tone's distance from bin b's center, in bins
+            delta = (subband_offset(2, L, f_s) - offsets[b]) * L / f_s + offset
             expected = (
                 np.sin(np.pi * delta) / (L * np.sin(np.pi * delta / L))
             ) ** 2
@@ -251,18 +275,18 @@ class TestToneMapping:
         cube_b = tone_cube(-7, L, n_fast, f_s)
         both = make_cube(cube_a.samples + cube_b.samples, sample_rate=f_s)
         sub = channelize(both, L)
-        bins = subband_index_for_bin(np.arange(L), L)
-        sub[:, np.where(bins == -7)[0][0]] = 0.0
+        sub[:, bin_of(-7, L, both.chirp)] = 0.0
         back = synthesize(sub)
         assert rel_err(back, cube_a.samples) < 1e-12
 
 
 class TestMetadata:
     def test_bin_center_frequencies_follow_the_index_map(self):
+        # bin b is subband b up to L/2 and b - L above
         chirp = ChirpParams(pulse_samples=512, num_pulses=2, pri=2e-6)
         freqs = bin_center_frequencies(8, chirp)
-        l = subband_index_for_bin(np.arange(8), 8)
-        expected = subband_center_freq(l, 8, chirp.carrier_freq, chirp.sample_rate)
+        l = np.array([0, 1, 2, 3, 4, -3, -2, -1])
+        expected = chirp.carrier_freq + (l - 0.5) / 8 * chirp.sample_rate
         assert np.array_equal(freqs, expected)
 
     @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -115,6 +116,14 @@ class TestBinaryCube:
         with pytest.raises(ValueError, match="magic"):
             load_cube(path, cube.geometry, cube.chirp)
 
+    def test_sample_beyond_float32_is_refused(self, tmp_path, cube):
+        samples = cube.samples.copy()
+        samples[5, 3, 1] = 2.0**200
+        path = tmp_path / "cube.bin"
+        with pytest.raises(ValueError, match="^antenna row 5: a sample exceeds the float32 range$"):
+            save_cube(path, DataCube(samples, cube.geometry, cube.chirp))
+        assert not path.exists()
+
     def test_map_file_is_not_a_cube(self, tmp_path, rng, cube):
         path = tmp_path / "map.bin"
         save_map(path, rng.exponential(1.0, (16, 4)), 500e6)
@@ -128,6 +137,26 @@ class TestBinaryMap:
         path = tmp_path / "map.bin"
         save_map(path, power, 500e6)
         assert np.array_equal(load_map(path), power)
+
+    @pytest.mark.parametrize("value", [2.0**200, np.inf, np.nan])
+    def test_value_float32_cannot_hold_is_refused(self, tmp_path, value):
+        power = np.ones((4, 3))
+        power[2, 1] = value
+        path = tmp_path / "map.bin"
+        match = f"^map {re.escape(str(path))}: a value is not finite in float32$"
+        with pytest.raises(ValueError, match=match):
+            save_map(path, power, 500e6)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_payload_rejected(self, tmp_path, value):
+        payload = np.ones(6, "<f4")
+        payload[4] = value
+        path = tmp_path / "map.bin"
+        path.write_bytes(_header(2, (2, 3, 1, 1)) + payload.tobytes())
+        match = f"^map {re.escape(str(path))}: a value is not finite in float32$"
+        with pytest.raises(ValueError, match=match):
+            load_map(path)
 
     def test_cube_file_is_not_a_map(self, tmp_path, cube):
         path = tmp_path / "cube.bin"

@@ -11,11 +11,11 @@ from bsradar import (
     SpatialFrequencies,
     TargetSpec,
     beam_pattern,
+    bin_center_frequencies,
     conventional_correlator,
     spatial_frequencies,
     steering_matrix,
     steering_vector,
-    subband_center_freq,
     synthesize_datacube,
 )
 
@@ -26,32 +26,37 @@ OFF_DESIGN = 10.3e9
 
 
 class TestSubbandCenterFreq:
+    """The subband grid, as :func:`bin_center_frequencies` gives it."""
+
     def test_first_subband_at_defaults(self):
-        # direct substitution: 10 GHz + (0.5/128) * 500 MHz
-        assert subband_center_freq(1, 128, 10e9, 500e6) == 10.001953125e9
+        # direct substitution at bin 1 of 128: 10 GHz + (0.5/128) * 500 MHz
+        assert bin_center_frequencies(128, ChirpParams())[1] == 10.001953125e9
 
     def test_smallest_even_count(self):
-        assert subband_center_freq(1, 2, 0.0, 1.0) == 0.25
+        # bins 0 and 1 sit a quarter of the sample rate below and above the carrier
+        freqs = bin_center_frequencies(2, ChirpParams())
+        assert freqs.tolist() == [10e9 - 125e6, 10e9 + 125e6]
+
+    def test_single_subband_is_the_carrier(self):
+        freqs = bin_center_frequencies(1, ChirpParams(carrier_freq=3.3e9))
+        assert freqs.tolist() == [3.3e9]
 
     def test_full_sweep_uniform_and_symmetric(self):
-        L, f_c, f_s = 128, 10e9, 500e6
-        l = np.arange(-L // 2 + 1, L // 2 + 1)
-        freqs = subband_center_freq(l, L, f_c, f_s)
+        chirp = ChirpParams()
+        L, f_c, f_s = 128, chirp.carrier_freq, chirp.sample_rate
+        freqs = np.sort(bin_center_frequencies(L, chirp))
         assert len(np.unique(freqs)) == L
         steps = np.diff(freqs)
         assert np.allclose(steps, f_s / L)
         # centers pair off symmetrically about the carrier
         assert np.allclose(freqs + freqs[::-1], 2 * f_c)
 
-    @pytest.mark.parametrize("bad_l", [-64, 65, 1000])
-    def test_index_out_of_range(self, bad_l):
-        with pytest.raises(ValueError):
-            subband_center_freq(bad_l, 128, 10e9, 500e6)
-
-    @pytest.mark.parametrize("bad_L", [0, 1, 3, 127])
+    @pytest.mark.parametrize("bad_L", [0, 3, 127])
     def test_odd_or_tiny_count_rejected(self, bad_L):
-        with pytest.raises(ValueError):
-            subband_center_freq(0, bad_L, 10e9, 500e6)
+        # 762 samples: 3 and 127 divide the pulse, so only their oddness rejects them
+        chirp = ChirpParams(pulse_samples=762, num_pulses=2, pri=2e-6)
+        with pytest.raises(ValueError, match=f"^subbands: {bad_L} must be"):
+            bin_center_frequencies(bad_L, chirp)
 
 
 class TestSpatialFrequencies:

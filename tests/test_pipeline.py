@@ -1381,12 +1381,20 @@ class TestPowerOfTwoScaling:
             for mine, theirs in zip(got.center_correlators, base.center_correlators):
                 assert np.array_equal(mine.weights, theirs.weights)
 
+    @staticmethod
+    def first_group(cfg):
+        """The message prefix of a failure in the first subband's first
+        group: bin 0 at its center frequency, and the targets that train
+        with target 0 (every target on the antennas)."""
+        freq = bin_center_frequencies(cfg.subbands, cfg.chirp)[0]
+        return rf"^stage 'beamform': subband 0 \({freq:.0f} Hz\): targets \[0(, \d+)*\]: "
+
     @pytest.mark.parametrize("method", [METHOD_ANTENNA, METHOD_BEAMSPACE])
     def test_overflowed_covariance_is_named(self, scene, method):
         scenario, cube = scene
         cfg = tiny_config(cube.geometry, cube.chirp, scenario, method=method)
         scaled = DataCube(cube.samples * 2.0**600, cube.geometry, cube.chirp)
-        with pytest.raises(StageError, match="^stage 'beamform': .*overflow"):
+        with pytest.raises(StageError, match=self.first_group(cfg) + ".*overflow"):
             process_cube(scaled, scenario, cfg)
 
     # RuntimeWarnings are ignored here, as a caller's default filter may:
@@ -1409,7 +1417,16 @@ class TestPowerOfTwoScaling:
         scenario, cube = scene
         cfg = tiny_config(cube.geometry, cube.chirp, scenario, method=method)
         scaled = DataCube(cube.samples * 2.0**-520, cube.geometry, cube.chirp)
-        with pytest.raises(StageError, match="^stage 'beamform': invalid value"):
+        with pytest.raises(StageError, match=self.first_group(cfg) + "invalid value"):
+            process_cube(scaled, scenario, cfg)
+
+    def test_underflowed_map_fails_its_stage(self, scene):
+        # |doppler|^2 underflows to all-zero maps, which detected nothing and
+        # raised nothing
+        scenario, cube = scene
+        cfg = tiny_config(cube.geometry, cube.chirp, scenario, method=METHOD_CONVENTIONAL)
+        scaled = DataCube(cube.samples * 2.0**-560, cube.geometry, cube.chirp)
+        with pytest.raises(StageError, match="^stage 'range_doppler': underflow"):
             process_cube(scaled, scenario, cfg)
 
 

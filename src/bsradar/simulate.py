@@ -9,27 +9,34 @@ wideband emitter is steered with its own frequency-scaled array response.
 Every wideband source is summed in the spectrum: a wideband-noise
 interferer by its random spectrum, a target by its steering weighted with
 ``amplitude * fft(delayed chirp)`` and its Doppler ramp across pulses.
-One small per-frequency matrix product (antennas x sources times sources
-x pulses) is written straight into the cube.  One pass over the antenna
-rows then finishes each row while it is in cache: its inverse transform,
-the narrowband tones, and the real part of its thermal noise; the
-imaginary parts of the noise are added after.  No cube-sized temporary is
-ever allocated.  Every scene takes this one path: a scene without wideband
-sources renders an empty product (zeros) and inverse-transforms it, and a
-noise-free scene adds no noise.  Each target's source is built, and its
-delay checked, before the cube is allocated.
+The antenna rows are rendered one block of whole x-columns at a time (at
+most 32 MiB, 8 rows at the default sizes) into one reused buffer: one
+small per-frequency matrix product (block rows x sources times sources x
+pulses), then each row's inverse transform and narrowband tones while the
+row is in cache.  Each finished row is then landed in the cube.  No
+cube-sized temporary is ever allocated.  Every scene takes this one path:
+a scene without wideband sources renders an empty product (zeros) and
+inverse-transforms it, and a noise-free scene adds no noise.  Each
+target's source is built, and its delay checked, before the cube is
+allocated.
 
 The thermal-noise stream is drawn on one executor thread (none when the
-noise power is 0) while the main thread renders: it takes the scaled row
-draws at most ``_NOISE_RING`` ahead of the row pass, in the order one
-``standard_normal`` call per part would take them (every row's real part,
-then every row's imaginary part), and the row pass adds each draw as it
-comes.  A failed draw raises its own error in the caller, draws not yet
-started are cancelled, and the thread is joined before
+noise power is 0) that runs free from the moment the cube is allocated:
+it takes the scaled row draws in the order one ``standard_normal`` call
+per part would take them (every row's real part, then every row's
+imaginary part) and lands each straight in its row's real or imaginary
+samples.  Each row part is thus the sum of two terms, the rendered row's
+part and the draw; under one lock, whichever lands first is written and
+the second is added.  IEEE addition is commutative, signed zeros
+included, so every sample is the one rounded sum of the same two operands
+at any interleaving.  A failed draw raises its own error in the caller, a
+failed render stops the thread, and the thread is joined before
 ``synthesize_datacube`` returns or raises.  Every FFT and matrix product
-stays on the main thread, and every sample sees the same operations in the
-same order as a single-threaded render, so the cube's bits do not depend
-on the thread or the BLAS thread count.
+stays on the main thread.  A block's steering is built by the same
+per-element operations as the whole array's, and the per-frequency product
+of two or more rows rounds each row as the whole array's product does, so
+the cube's bits depend neither on the block size, nor on the thread
+interleaving, nor on the BLAS thread count.
 
 Generation is reproducible: a scenario carries its own seed, and identical
 (scenario, geometry, chirp) inputs yield bit-identical cubes.  Target
@@ -40,11 +47,10 @@ roundoff: the sources share one product and one inverse transform.
 
 from __future__ import annotations
 
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +64,6 @@ from .geometry import (
     is_count,
     is_finite,
     spatial_frequencies,
-    steering_matrix,
     steering_vector,
 )
 
@@ -274,11 +279,15 @@ def _noise_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, 0)))
 
 
-#: Byte budget of one frequency chunk of the wideband spectrum product.
+#: Byte budget of one frequency chunk of the wideband spectrum product, as if
+#: it spanned every antenna row (a block's chunk spans only its own rows).
 _CHUNK_BYTES = 1 << 25
 
-#: Thermal-noise draws the executor thread may take ahead of the row pass.
-_NOISE_RING = 4
+#: Byte budget of the buffer one block of antenna rows is rendered in.
+_BLOCK_BYTES = 1 << 25
+
+#: Fast-time samples of a row that each narrowband tone is added to at a time.
+_TONE_SAMPLES = 256
 
 
 def _noise_interferer_spectrum(
@@ -311,9 +320,8 @@ def _target_source(
     """A target as a wideband source for ``_render_wideband``.
 
     ``amplitude * fft(delayed chirp)`` weighs its steering per frequency,
-    and its Doppler ramp is the pulse row at every frequency (a broadcast
-    view, not a per-target spectrum).  A target whose delay falls outside
-    the pulse window is rejected.
+    and its Doppler ramp across pulses is its spectrum at every frequency.
+    A target whose delay falls outside the pulse window is rejected.
     """
     delay = target.delay_samples(chirp)
     if delay >= chirp.pulse_samples:
@@ -323,44 +331,89 @@ def _target_source(
         )
     delayed = np.zeros(chirp.pulse_samples, dtype=complex)
     delayed[delay:] = pulse[: chirp.pulse_samples - delay]
-    dopp = _doppler_phases(target.radial_velocity, chirp)
     return (
         target.direction,
         target.amplitude * np.fft.fft(delayed),
-        np.broadcast_to(dopp, (chirp.pulse_samples, chirp.num_pulses)),
+        _doppler_phases(target.radial_velocity, chirp),
     )
 
 
+def _column_blocks(geom: ArrayGeometry, chirp: ChirpParams) -> list[tuple[int, int]]:
+    """X-column ranges of the render blocks, each at least two antenna rows.
+
+    A block holds as many whole x-columns as fit ``_BLOCK_BYTES``.  A
+    one-row product would take numpy's matrix-vector path, whose sums round
+    differently, so a single row never forms a block of its own (unless
+    the array has one row).
+    """
+    col_bytes = 16 * geom.n_z * chirp.pulse_samples * chirp.num_pulses
+    width = max(_BLOCK_BYTES // col_bytes, 2 if geom.n_z == 1 else 1)
+    edges = [*range(0, geom.n_x, width), geom.n_x]
+    if len(edges) > 2 and geom.n_z * (edges[-1] - edges[-2]) == 1:
+        del edges[-2]  # the last one-row block joins the block before it
+    return list(zip(edges, edges[1:]))
+
+
 def _render_wideband(
-    out: np.ndarray,
-    sources: Sequence[tuple[Direction, np.ndarray | None, np.ndarray]],
+    emitters: Sequence[tuple[Direction, np.ndarray]],
+    targets: Sequence[tuple[Direction, np.ndarray, np.ndarray]],
     geom: ArrayGeometry,
     chirp: ChirpParams,
-) -> None:
-    """Overwrite ``out`` with the summed spectrum of wideband sources.
+):
+    """Yield ``(n0, block)``: the summed spectrum of wideband sources at
+    antenna rows ``n0, n0 + 1, ...``, one block of whole x-columns at a time.
 
-    A source is ``(direction, weight, spectrum)``: at frequency f its array
-    field is ``steering(f) * weight[f]`` (antennas) times ``spectrum[f]``
-    (pulses); noise emitters carry their waveform in the spectrum and have
-    no weight.  Per frequency the field is ``steering (N, S) @ spectra
-    (S, P)``, computed in frequency chunks straight into ``out`` along its
-    fast-time axis (an empty product, zeros, when there are no sources);
-    one steering and one spectra buffer of a chunk's size serve every
-    chunk.  The caller inverse-transforms each antenna row.
+    Noise emitters ``(direction, spectrum)`` come first, then targets
+    ``(direction, weight, doppler)``.  At frequency f a source's array field
+    is ``steering(f)`` (antennas) times its spectrum row ``spectrum[f]`` or
+    ``weight[f] * doppler`` (pulses).  Per frequency the block's field is
+    one product ``steering (rows, S) @ spectra (S, P)``, computed in
+    frequency chunks straight into the block along its fast-time axis (an
+    empty product, zeros, when there are no sources).  A block's steering
+    is ``a_x`` of its own columns times ``a_z``, shared by every block, then
+    a target's weight: the per-element operations of
+    :func:`~bsradar.geometry.steering_matrix`.  One block buffer, one
+    steering and one spectra buffer (whose target rows, the same at every
+    frequency, are written once) serve every block and chunk, so each
+    yielded block is overwritten by the next; the caller inverse-transforms
+    its rows in between.
     """
     n_fast, n_pulses = chirp.pulse_samples, chirp.num_pulses
     rf = chirp.carrier_freq + np.fft.fftfreq(n_fast, 1.0 / chirp.sample_rate)
-    chunk = max(1, _CHUNK_BYTES // (out.itemsize * geom.n * n_pulses))
-    steer_buf = np.empty((geom.n, min(chunk, n_fast), len(sources)), dtype=complex)
-    spectra_buf = np.empty((min(chunk, n_fast), len(sources), n_pulses), dtype=complex)
-    for f0 in range(0, n_fast, chunk):
-        f1 = min(n_fast, f0 + chunk)
-        steer, spectra = steer_buf[:, : f1 - f0], spectra_buf[: f1 - f0]
-        for s, (direction, weight, spectrum) in enumerate(sources):
-            field = steering_matrix(*spatial_frequencies(direction, rf[f0:f1], geom), geom)
-            steer[..., s] = field if weight is None else field * weight[f0:f1]
-            spectra[:, s] = spectrum[f0:f1]
-        np.matmul(steer.transpose(1, 0, 2), spectra, out=out[:, f0:f1, :].transpose(1, 0, 2))
+    directions = [source[0] for source in (*emitters, *targets)]
+    omega = np.empty((2, n_fast, len(directions)))  # (omega_x, omega_z) per bin and source
+    for s, direction in enumerate(directions):
+        omega[:, :, s] = spatial_frequencies(direction, rf, geom)
+    a_z = np.exp(1j * (np.arange(geom.n_z)[:, None, None] * omega[1]))
+    weights = np.empty((n_fast, len(targets)), dtype=complex)
+    for t, (_, weight, _) in enumerate(targets):
+        weights[:, t] = weight
+
+    blocks = _column_blocks(geom, chirp)
+    width = max(c1 - c0 for c0, c1 in blocks)
+    chunk = min(n_fast, max(1, _CHUNK_BYTES // (16 * geom.n * n_pulses)))
+    block_buf = np.empty((geom.n_z * width, n_fast, n_pulses), dtype=complex)
+    steer_buf = np.empty((width, geom.n_z, chunk, len(directions)), dtype=complex)
+    spectra_buf = np.empty((chunk, len(directions), n_pulses), dtype=complex)
+    for t, (_, _, doppler) in enumerate(targets, start=len(emitters)):
+        spectra_buf[:, t] = doppler
+    for c0, c1 in blocks:
+        block = block_buf[: geom.n_z * (c1 - c0)]
+        for f0 in range(0, n_fast, chunk):
+            f1 = min(n_fast, f0 + chunk)
+            steer, spectra = steer_buf[: c1 - c0, :, : f1 - f0], spectra_buf[: f1 - f0]
+            a_x = np.exp(1j * (np.arange(c0, c1)[:, None, None] * omega[0, f0:f1]))
+            np.multiply(a_x[:, None], a_z[None, :, f0:f1], out=steer)
+            weighted = steer[..., len(emitters) :]
+            np.multiply(weighted, weights[f0:f1], out=weighted)
+            for e, (_, spectrum) in enumerate(emitters):
+                spectra[:, e] = spectrum[f0:f1]
+            np.matmul(
+                steer.reshape(len(block), f1 - f0, -1).transpose(1, 0, 2),
+                spectra,
+                out=block[:, f0:f1].transpose(1, 0, 2),
+            )
+        yield geom.n_z * c0, block
 
 
 def _tone_waveform(
@@ -387,47 +440,84 @@ def _tone_waveform(
     return steer, tone
 
 
-@contextmanager
-def _thermal_noise(
-    shape: tuple[int, ...], rows: int, noise_power: float, rng: np.random.Generator
-):
-    """Draw circular Gaussian noise on one executor thread; yield ``add(part)``.
+class _RowSums:
+    """The cube's row parts, each the sum of a rendered term and a noise term.
 
-    The thread takes ``2 * rows`` draws of ``shape`` scaled by
+    ``land(n, part, value)`` puts one term into antenna row ``n``'s real
+    (part 0) or imaginary (part 1) samples, under one lock: the first term
+    to land is written, the second is added to it.  IEEE addition is
+    commutative (signed zeros included), so each sample is the one rounded
+    sum of the same two operands whichever term lands first.
+    """
+
+    def __init__(self, cube: np.ndarray) -> None:
+        self.parts = (cube.real, cube.imag)
+        self._lock = threading.Lock()
+        self._written = np.zeros((2, len(cube)), dtype=bool)
+
+    def land(self, n: int, part: int, value: np.ndarray) -> None:
+        dst = self.parts[part][n]
+        with self._lock:
+            if self._written[part, n]:
+                dst += value
+            else:
+                dst[...] = value
+                self._written[part, n] = True
+
+
+@contextmanager
+def _thermal_noise(sums: _RowSums, noise_power: float, rng: np.random.Generator):
+    """Draw circular Gaussian noise into the cube's row parts on one executor thread.
+
+    The thread starts on entry and runs free: it takes ``2 * rows`` draws
+    of a row's shape into one buffer allocated here, each scaled by
     sqrt(noise_power / 2), in the order of one ``rng.standard_normal`` call
-    per part: every row's real part, then every row's imaginary part.  At
-    most ``_NOISE_RING`` draws are in flight, in stream order.  Each
-    ``add(part)`` adds the next draw to ``part`` (a row's ``.real`` or
-    ``.imag``) and submits the next one.  A failed draw raises its own
-    error from ``add``.  On exit, whether the block finishes or raises,
-    draws not yet started are cancelled and the thread is joined.  When
-    ``noise_power`` is 0, ``add`` adds nothing and no thread is started.
+    per part (every row's real part, then every row's imaginary part), and
+    lands each in its row part through ``sums``.  On a normal exit the
+    draws are waited for, and a failed draw raises its own error; when the
+    block raises, the thread stops after its current draw.  Either way the
+    thread is joined.  When ``noise_power`` is 0 no thread is started.
     """
     if noise_power == 0:
-        yield lambda part: None
+        yield
         return
     sigma = np.sqrt(noise_power / 2.0)
+    # allocated on this thread, so its pages go back to this thread's heap,
+    # not to a malloc arena of the executor thread that outlives the draws
+    buf = np.empty(sums.parts[0].shape[1:])
+    stop = threading.Event()
 
-    def draw(buf: np.ndarray) -> np.ndarray:
-        rng.standard_normal(out=buf)
-        buf *= sigma
-        return buf
+    def draw_all() -> None:
+        for part in (0, 1):
+            for n in range(len(sums.parts[part])):
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=buf)
+                np.multiply(buf, sigma, out=buf)
+                sums.land(n, part, buf)
 
     with ThreadPoolExecutor(1, thread_name_prefix="bsradar-thermal-noise") as pool:
-        # each submitted when taken; its buffer is allocated on this thread,
-        # so freed draws go back to this thread's heap, not to a malloc arena
-        # of the executor thread that keeps its pages after the thread exits
-        draws = (pool.submit(draw, np.empty(shape)) for _ in range(2 * rows))
-        pending = deque(islice(draws, _NOISE_RING))
-
-        def add(part: np.ndarray) -> None:
-            part += pending.popleft().result()
-            pending.extend(islice(draws, 1))
-
+        worker = pool.submit(draw_all)
         try:
-            yield add
-        finally:
-            pool.shutdown(cancel_futures=True)
+            yield
+        except BaseException:
+            stop.set()
+            raise
+        worker.result()
+
+
+def _add_tones(row: np.ndarray, n: int, tones, buf: np.ndarray) -> None:
+    """Add each tone's row-``n`` field to ``row``, ``len(buf)`` fast-time samples at a time.
+
+    Every sample takes the tones in order, each by one multiply into
+    ``buf`` and one add, as a whole-row multiply-then-add would.
+    """
+    for f0 in range(0, len(row), len(buf)):
+        part = row[f0 : f0 + len(buf)]
+        term = buf[: len(part)]
+        for steer, tone in tones:
+            np.multiply(steer[n], tone[f0 : f0 + len(buf)], out=term)
+            part += term
 
 
 def synthesize_datacube(
@@ -445,49 +535,53 @@ def synthesize_datacube(
 
     Every scene takes one path.  Each target's source is built first, so a
     target whose delay falls outside the pulse window is rejected before
-    the cube is allocated.  Targets and wideband-noise interferers are
-    summed in the spectrum, one per-frequency (antennas x sources) @
-    (sources x pulses) product written straight into the cube (zeros when
-    there is no such source).  One pass over the antenna rows then
-    inverse-transforms each row, adds the tones, and adds the row's
-    real-part thermal noise; the imaginary parts follow.  The noise is drawn
-    on one executor thread at most ``_NOISE_RING`` row draws ahead (8 MiB
-    at the default sizes), in stream order; the thread starts once the cube
-    is allocated (not at all when ``noise_power`` is 0, whose noise adds
-    nothing).  A failed draw raises its own error here, draws not yet
-    started are cancelled, and the thread is joined before this returns or
-    raises.  The thread takes the noise stream in the order of one
-    ``standard_normal`` call per part and runs no FFT or BLAS call, and
-    every sample sees the same operations in the same order as in a
-    single-threaded render, so the cube is bit-identical at any thread
-    count.  No cube-sized temporary is allocated.
+    the cube is allocated.  The thermal-noise thread starts as soon as the
+    cube is allocated (not at all when ``noise_power`` is 0) and draws the
+    whole stream straight into the cube while the main thread renders.
+    The main thread renders the wideband product (targets and
+    wideband-noise interferers, summed in the spectrum: zeros when there is
+    no such source) one block of whole x-columns at a time into one reused
+    buffer of at most ``_BLOCK_BYTES`` (8 antenna rows, 32 MiB, at the
+    default sizes; never a one-row block unless the array has one row).
+    It inverse-transforms each of the block's rows there, adds the tones
+    ``_TONE_SAMPLES`` fast-time samples at a time, and lands the row in the
+    cube.  Each row part is the sum of its rendered term and its noise
+    draw, written by whichever lands first and added by the other
+    (:class:`_RowSums`); IEEE addition is commutative, so every sample is
+    the same single rounded sum at any interleaving.  A block's steering
+    is built by the per-element operations of
+    :func:`~bsradar.geometry.steering_matrix`, and a product of two or more
+    rows rounds each row as the whole array's does, so the cube is
+    bit-identical at any block size, interleaving and BLAS thread count.
+    The noise thread takes the stream in the order of one
+    ``standard_normal`` call per part and runs no FFT or BLAS call.  A
+    failed draw raises its own error here; a failed render stops the
+    thread; the thread is joined before this returns or raises.  No
+    cube-sized temporary is allocated.
     """
     pulse = generate_chirp(chirp)
     targets = [_target_source(target, chirp, pulse) for target in scenario.targets]
-    out = np.zeros((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
-    noise_rng = _noise_rng(scenario.seed)
-    with _thermal_noise(out.shape[1:], geom.n, scenario.noise_power, noise_rng) as add_noise:
+    out = np.empty((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
+    sums = _RowSums(out)
+    with _thermal_noise(sums, scenario.noise_power, _noise_rng(scenario.seed)):
         ref_power = scenario.noise_power if scenario.noise_power > 0 else 1.0
-        sources, tones = [], []
+        emitters, tones = [], []
         for idx, spec in enumerate(scenario.interferers):
             rng = _interferer_rng(scenario.seed, idx)
             if spec.waveform_kind == "wideband-noise":
                 spectrum = _noise_interferer_spectrum(spec, chirp, ref_power, rng)
-                sources.append((spec.direction, None, spectrum))
+                emitters.append((spec.direction, spectrum))
             else:
                 tones.append(_tone_waveform(spec, geom, chirp, ref_power, rng))
-        _render_wideband(out, sources + targets, geom, chirp)
-        del sources, targets  # the spectra are not needed past this point
-
-        row_buf = np.empty(out.shape[1:], dtype=complex)
-        for n, row in enumerate(out):
-            np.fft.ifft(row, axis=0, out=row)
-            for steer, tone in tones:
-                np.multiply(steer[n], tone, out=row_buf)
-                row += row_buf
-            add_noise(row.real)
-        for row in out:
-            add_noise(row.imag)
+        tone_buf = np.empty(
+            (min(_TONE_SAMPLES, chirp.pulse_samples), chirp.num_pulses), dtype=complex
+        )
+        for n0, block in _render_wideband(emitters, targets, geom, chirp):
+            for n, row in enumerate(block, start=n0):
+                np.fft.ifft(row, axis=0, out=row)
+                _add_tones(row, n, tones, tone_buf)
+                sums.land(n, 0, row.real)
+                sums.land(n, 1, row.imag)
 
     return DataCube(out, geom, chirp)
 

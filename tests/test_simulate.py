@@ -21,11 +21,11 @@ from bsradar import (
     synthesize_datacube,
 )
 from bsradar.simulate import (
-    _NOISE_RING,
     _doppler_phases,
     _ground_elevation,
     _interferer_rng,
     _noise_rng,
+    _RowSums,
     _thermal_noise,
 )
 
@@ -420,13 +420,10 @@ class TestReferenceSynthesis:
         assert_within_roundoff(got, reference_datacube(sc, geom, cp))
 
     def test_chunked_noise_draw_reproduces_one_draw(self):
-        # the worker's row draws, added in stream order
-        out = np.zeros((3, 5, 4), dtype=complex)
-        assert 2 * len(out) > _NOISE_RING  # so the lookahead bound is reached
-        with _thermal_noise(out.shape[1:], len(out), 3.0, np.random.default_rng(8)) as add:
-            for part in ("real", "imag"):
-                for row in out:
-                    add(getattr(row, part))
+        # the worker's row draws, landed in stream order
+        out = np.empty((3, 5, 4), dtype=complex)
+        with _thermal_noise(_RowSums(out), 3.0, np.random.default_rng(8)):
+            pass
         rng = np.random.default_rng(8)
         sigma = np.sqrt(3.0 / 2.0)
         real = sigma * rng.standard_normal(out.shape)
@@ -441,7 +438,7 @@ def _noisy_scene(seed):
 
 
 class TestNoiseWorker:
-    GEOM = ArrayGeometry(2, 4, 10e9)  # 8 rows: 16 draws, more than the lookahead holds
+    GEOM = ArrayGeometry(2, 4, 10e9)  # 8 rows: 16 draws
     CHIRP = tiny_chirp(pulse_samples=512, num_pulses=8)
 
     @pytest.mark.parametrize("noise_power", [0.7, 0.0])
@@ -520,6 +517,110 @@ class TestNoiseWorker:
             sys.setswitchinterval(interval)
         for k in range(len(scenes)):
             assert np.array_equal(got[k], want[k])
+
+
+def _on_noise_thread():
+    return threading.current_thread().name.startswith("bsradar-thermal-noise")
+
+
+class GatedGenerator:
+    """Draws like the noise generator, once ``gate`` opens."""
+
+    def __init__(self, rng, gate):
+        self.rng, self.gate = rng, gate
+
+    def standard_normal(self, *args, **kwargs):
+        assert self.gate.wait(timeout=60), "the gate never opened"
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+class ZeroGenerator:
+    def standard_normal(self, out):
+        out[...] = 0.0
+
+
+def _render_then_add_noise(monkeypatch, scene, geom, chirp):
+    """The cube with its noise draws zeroed, then each part's draw added, as a
+    single-threaded render adds them.  A zero draw keeps every rendered sample
+    (a -0 becomes +0, and either zero plus a nonzero draw is the draw), so
+    this is the cube at any interleaving."""
+    import bsradar.simulate as simulate
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "_noise_rng", lambda seed: ZeroGenerator())
+        cube = synthesize_datacube(scene, geom, chirp).samples
+    rng = _noise_rng(scene.seed)
+    sigma = np.sqrt(scene.noise_power / 2.0)
+    cube.real += sigma * rng.standard_normal(cube.shape)
+    cube.imag += sigma * rng.standard_normal(cube.shape)
+    return cube
+
+
+class TestInterleavingsAndBlocks:
+    """The cube keeps its bytes whichever writer lands a row part first, and at any block size."""
+
+    GEOM = TestNoiseWorker.GEOM
+    CHIRP = TestNoiseWorker.CHIRP
+
+    def _open_after_landing(self, monkeypatch, on_noise_thread, gate, wait=None):
+        """Patch ``_RowSums.land`` to set ``gate`` once every row part has landed
+        from the noise thread (or from the main thread); a landing from the
+        other thread first waits for ``wait``, if given."""
+        import bsradar.simulate as simulate
+
+        land, landed = simulate._RowSums.land, []
+
+        def gated(sums, n, part, value):
+            if _on_noise_thread() != on_noise_thread and wait is not None:
+                assert wait.wait(timeout=60), "the other thread never finished landing"
+            land(sums, n, part, value)
+            if _on_noise_thread() == on_noise_thread:
+                landed.append((n, part))
+                if len(landed) == 2 * self.GEOM.n:
+                    gate.set()
+
+        monkeypatch.setattr(simulate._RowSums, "land", gated)
+
+    def test_every_draw_lands_before_any_row(self, monkeypatch):
+        scene = _noisy_scene(seed=5)
+        want = _render_then_add_noise(monkeypatch, scene, self.GEOM, self.CHIRP)
+        draws_landed = threading.Event()
+        self._open_after_landing(monkeypatch, True, draws_landed, wait=draws_landed)
+        got = synthesize_datacube(scene, self.GEOM, self.CHIRP).samples
+        assert draws_landed.is_set()
+        assert got.tobytes() == want.tobytes()
+
+    def test_every_row_lands_before_the_first_draw(self, monkeypatch):
+        import bsradar.simulate as simulate
+
+        scene = _noisy_scene(seed=5)
+        want = _render_then_add_noise(monkeypatch, scene, self.GEOM, self.CHIRP)
+        rows_landed = threading.Event()
+        self._open_after_landing(monkeypatch, False, rows_landed)
+        monkeypatch.setattr(
+            simulate, "_noise_rng", lambda seed: GatedGenerator(_noise_rng(seed), rows_landed)
+        )
+        got = synthesize_datacube(scene, self.GEOM, self.CHIRP).samples
+        assert rows_landed.is_set()
+        assert got.tobytes() == want.tobytes()
+
+    # (2, 4): blocks of 2, 4 and 8 rows; (3, 5): odd rows and a short last
+    # block; (1, 5): a one-row last block joins the block before it.  Five
+    # wideband sources, so a one-row product would round differently.
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 5), (1, 5)])
+    def test_block_budgets_do_not_change_the_cube(self, monkeypatch, shape):
+        import bsradar.simulate as simulate
+
+        geom = ArrayGeometry(*shape, 10e9)
+        scene = _small_scene((NOISE, TONE), noise_power=0.7, seed=6, n_targets=4)
+        column = 16 * geom.n_z * self.CHIRP.pulse_samples * self.CHIRP.num_pulses
+        cubes = {}
+        for columns in (1, 2, geom.n_x):
+            monkeypatch.setattr(simulate, "_BLOCK_BYTES", columns * column)
+            blocks = simulate._column_blocks(geom, self.CHIRP)
+            assert all(geom.n_z * (c1 - c0) >= 2 for c0, c1 in blocks)
+            cubes[columns] = synthesize_datacube(scene, geom, self.CHIRP).samples.tobytes()
+        assert cubes[1] == cubes[2] == cubes[geom.n_x]
 
 
 def test_cube_check_holds_one_row_of_bools():

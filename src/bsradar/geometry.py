@@ -1,7 +1,10 @@
 """Uniform planar array geometry, spatial frequencies, and steering vectors.
 
 This module is the one array manifold: every other module turns a
-direction and a frequency into element phases through it.
+direction and a frequency into element phases through it, a whole
+array's steering through :func:`steering_matrix` and one axis's phases
+for a range of its elements through :func:`element_phases` (the scene
+renderer builds a block of x-columns from them).
 
 It is also the one home of the number contract every input is built
 under.  A count is a Python ``int`` and not a bool; a NumPy int is not a
@@ -198,14 +201,25 @@ def steering_vector(sf: SpatialFrequencies, geom: ArrayGeometry) -> np.ndarray:
     return steering_matrix(sf.omega_x, sf.omega_z, geom)[:, 0]
 
 
+def element_phases(omega, first: int, stop: int) -> np.ndarray:
+    """Phases ``exp(1j * k * omega)`` of one array axis's elements k in
+    ``[first, stop)``, stacked on a new leading axis: shape
+    ``(stop - first, *omega.shape)`` for an ``omega`` of any shape."""
+    return np.exp(1j * np.multiply.outer(np.arange(first, stop), omega))
+
+
 def steering_matrix(
     omega_x: np.ndarray, omega_z: np.ndarray, geom: ArrayGeometry
 ) -> np.ndarray:
-    """Stack steering vectors for paired spatial-frequency arrays, shape (N, K)."""
-    omega_x = np.atleast_1d(np.asarray(omega_x, dtype=float))
-    omega_z = np.atleast_1d(np.asarray(omega_z, dtype=float))
+    """Stack steering vectors for paired spatial-frequency arrays, shape (N, K).
+
+    Column k is ``a_x`` (:func:`element_phases` of the x-axis at
+    ``omega_x[k]``) times ``a_z`` element by element, x-major with z fastest.
+    """
+    omega_x = np.asarray(omega_x, dtype=float)
+    omega_z = np.asarray(omega_z, dtype=float)
     if omega_x.shape != omega_z.shape:
         raise ValueError("omega_x and omega_z must have matching shapes")
-    a_x = np.exp(1j * np.outer(np.arange(geom.n_x), omega_x))
-    a_z = np.exp(1j * np.outer(np.arange(geom.n_z), omega_z))
+    a_x = element_phases(omega_x.ravel(), 0, geom.n_x)
+    a_z = element_phases(omega_z.ravel(), 0, geom.n_z)
     return (a_x[:, None, :] * a_z[None, :, :]).reshape(geom.n, -1)

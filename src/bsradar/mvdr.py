@@ -212,11 +212,13 @@ def apply_correlator(
         if c.dim != dim:
             raise ValueError(f"snapshot length {dim} != correlator dim {c.dim}")
     weights = np.array([c.weights for c in corrs], dtype=complex).reshape(len(corrs), dim)
-    # (y^T conj(W)^T)^T: the snapshots' C-ordered (dim, n) matrix, a copy only
-    # if they are strided, and the weights enter as Fortran-ordered transposes,
-    # so the BLAS wrapper copies neither
-    out = zgemm(1.0, arr.reshape(dim, -1).T, weights.conj().T).T
-    out = out.reshape(len(corrs), *arr.shape[1:])
+    # conj(W) Y with the snapshots on the product's N axis, so a snapshot's
+    # output takes the same operations at any product width: the weights and
+    # the snapshots' C-ordered (dim, n) matrix (a copy only if they are
+    # strided) enter as Fortran-ordered transposes that the BLAS wrapper does
+    # not copy, and trans_a=2 conjugates the weights in the kernel
+    out = zgemm(1.0, weights.T, arr.reshape(dim, -1).T, trans_a=2, trans_b=1)
+    out = np.moveaxis(out.T.reshape(*arr.shape[1:], len(corrs)), -1, 0)
     return out if group else out[0]
 
 

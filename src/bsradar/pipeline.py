@@ -60,7 +60,11 @@ last reader's beamforming, so the buffer is freed then, and synthesis and
 detection run beside the outputs alone.  A sweep keeps a buffer only
 between points that share it, and drops each point's result once its rows
 are made.  Blocks change no number: every fast-time DFT, training column
-and product column reads the same samples whichever block holds them.
+and product column reads the same samples whichever block holds them, and
+the snapshots are each product's N axis, so a snapshot's output takes the
+same operations at any product width (on the M axis, OpenBLAS rounds the
+edge rows of a width that is not a multiple of its kernel's panel
+differently, so a block's width would move bits).
 
 All three methods run one beamforming routine.  A method only chooses the
 **basis** a subband's training snapshots are expressed in (the antennas,
@@ -191,7 +195,9 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method: {self.method!r} not one of {METHODS}")
-        _require_scenario(self.scenario)
+        _require("scenario", self.scenario, Scenario)
+        _require("geometry", self.geometry, ArrayGeometry)
+        _require("chirp", self.chirp, ChirpParams)
         for name in ("window", "fft_size"):
             value = getattr(self, name)
             pair = isinstance(value, tuple) and len(value) == 2 and all(map(is_count, value))
@@ -221,9 +227,12 @@ class PipelineConfig:
         return BeamspacePlan.for_geometry(self.geometry, *(self.fft_size or ()))
 
 
-def _require_scenario(scenario) -> None:
-    if not isinstance(scenario, Scenario):
-        raise ValueError(f"scenario: expected a Scenario, got {type(scenario).__name__}")
+def _require(name: str, value, kind: type) -> None:
+    """The one type rule of a run's inputs: reject a ``value`` that is not a
+    ``kind``, naming its field, before any of its attributes is read."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name}: expected {article} {kind.__name__}, got {type(value).__name__}")
 
 
 @dataclass
@@ -307,12 +316,14 @@ def _stage(name: str, timings: dict):
 
 
 def _check_inputs(cube: DataCube, scenario: Scenario, cfg: PipelineConfig) -> None:
-    """Reject a cube or scenario the config does not describe.
+    """Reject a cube or scenario of the wrong type, or one the config does not describe.
 
     Channelization reads the cube; everything after it reads the config's
     geometry, chirp and scene.  So the cube's geometry and chirp must be
     the config's, and the scenario must be ``cfg.scenario`` or equal to it.
     """
+    _require("cube", cube, DataCube)
+    _require("scenario", scenario, Scenario)
     if cube.geometry != cfg.geometry:
         raise ValueError(
             f"geometry: cube {cube.geometry} does not match config {cfg.geometry}"
@@ -621,7 +632,7 @@ def sweep(cfg: PipelineConfig, axis: str, values: Sequence, out_path=None) -> li
     cases = [replace(cfg, **{axis: value}) for value in values]
     failed: dict[int, Exception] = {}
     for i, case in enumerate(cases):
-        _require_scenario(case.scenario)
+        _require("scenario", case.scenario, Scenario)
         try:
             case.validate()
         except Exception as exc:  # recorded as the point's row below

@@ -13,30 +13,24 @@ The antenna rows are rendered one block of whole x-columns at a time (at
 most 32 MiB, 8 rows at the default sizes) into one reused buffer: one
 small per-frequency matrix product (block rows x sources times sources x
 pulses), then each row's inverse transform and narrowband tones while the
-row is in cache.  Each finished row is then landed in the cube.  No
-cube-sized temporary is ever allocated.  Every scene takes this one path:
-a scene without wideband sources renders an empty product (zeros) and
-inverse-transforms it, and a noise-free scene adds no noise.  Each
-target's source is built, and its delay checked, before the cube is
-allocated.
+row is in cache.  A block's steering takes its element phases from
+:func:`~bsradar.geometry.element_phases`, the array manifold that
+:func:`~bsradar.geometry.steering_matrix` is built from.  Each finished
+row is then landed in the cube.  No cube-sized temporary is ever
+allocated.  Every scene takes this one path: a scene without wideband
+sources renders an empty product (zeros) and inverse-transforms it, and a
+noise-free scene adds no noise.  Each target's source is built, and its
+delay checked, before the cube is allocated.
 
 The thermal-noise stream is drawn on one executor thread (none when the
-noise power is 0) that runs free from the moment the cube is allocated:
-it takes the scaled row draws in the order one ``standard_normal`` call
-per part would take them (every row's real part, then every row's
-imaginary part) and lands each straight in its row's real or imaginary
-samples.  Each row part is thus the sum of two terms, the rendered row's
-part and the draw; under one lock, whichever lands first is written and
-the second is added.  IEEE addition is commutative, signed zeros
-included, so every sample is the one rounded sum of the same two operands
-at any interleaving.  A failed draw raises its own error in the caller, a
-failed render stops the thread, and the thread is joined before
-``synthesize_datacube`` returns or raises.  Every FFT and matrix product
-stays on the main thread.  A block's steering is built by the same
-per-element operations as the whole array's, and the per-frequency product
-of two or more rows rounds each row as the whole array's product does, so
-the cube's bits depend neither on the block size, nor on the thread
-interleaving, nor on the BLAS thread count.
+noise power is 0) that runs free from the moment the cube is allocated;
+every FFT and matrix product stays on the main thread.  How a rendered
+row and its draws meet in the cube, and why its bits depend on neither
+the block size, the thread interleaving nor the BLAS thread count, is
+stated once, in :class:`_RowSums`.  A failed draw raises its own error
+once the block being rendered has landed, a failed render stops the
+thread, and the thread is joined before ``synthesize_datacube`` returns
+or raises.
 
 Generation is reproducible: a scenario carries its own seed, and identical
 (scenario, geometry, chirp) inputs yield bit-identical cubes.  Target
@@ -59,8 +53,10 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayGeometry,
     Direction,
+    angle_frequencies,
     check_count,
     check_finite,
+    element_phases,
     is_count,
     is_finite,
     spatial_frequencies,
@@ -369,9 +365,12 @@ def _render_wideband(
     ``weight[f] * doppler`` (pulses).  Per frequency the block's field is
     one product ``steering (rows, S) @ spectra (S, P)``, computed in
     frequency chunks straight into the block along its fast-time axis (an
-    empty product, zeros, when there are no sources).  A block's steering
-    is ``a_x`` of its own columns times ``a_z``, shared by every block, then
-    a target's weight: the per-element operations of
+    empty product, zeros, when there are no sources).  Every source's
+    spatial frequencies at every bin come from one
+    :func:`~bsradar.geometry.angle_frequencies` call.  A block's steering
+    is :func:`~bsradar.geometry.element_phases` ``a_x`` of its own columns
+    times ``a_z``, computed once and shared by every block, then a target's
+    weight: the per-element operations of
     :func:`~bsradar.geometry.steering_matrix`.  One block buffer, one
     steering and one spectra buffer (whose target rows, the same at every
     frequency, are written once) serve every block and chunk, so each
@@ -380,11 +379,9 @@ def _render_wideband(
     """
     n_fast, n_pulses = chirp.pulse_samples, chirp.num_pulses
     rf = chirp.carrier_freq + np.fft.fftfreq(n_fast, 1.0 / chirp.sample_rate)
-    directions = [source[0] for source in (*emitters, *targets)]
-    omega = np.empty((2, n_fast, len(directions)))  # (omega_x, omega_z) per bin and source
-    for s, direction in enumerate(directions):
-        omega[:, :, s] = spatial_frequencies(direction, rf, geom)
-    a_z = np.exp(1j * (np.arange(geom.n_z)[:, None, None] * omega[1]))
+    angles = np.reshape([(d.azimuth, d.elevation) for d, *_ in (*emitters, *targets)], (-1, 2))
+    omega_x, omega_z = angle_frequencies(*angles.T, rf[:, None], geom)  # (bin, source)
+    a_z = element_phases(omega_z, 0, geom.n_z)
     weights = np.empty((n_fast, len(targets)), dtype=complex)
     for t, (_, weight, _) in enumerate(targets):
         weights[:, t] = weight
@@ -393,8 +390,8 @@ def _render_wideband(
     width = max(c1 - c0 for c0, c1 in blocks)
     chunk = min(n_fast, max(1, _CHUNK_BYTES // (16 * geom.n * n_pulses)))
     block_buf = np.empty((geom.n_z * width, n_fast, n_pulses), dtype=complex)
-    steer_buf = np.empty((width, geom.n_z, chunk, len(directions)), dtype=complex)
-    spectra_buf = np.empty((chunk, len(directions), n_pulses), dtype=complex)
+    steer_buf = np.empty((width, geom.n_z, chunk, len(angles)), dtype=complex)
+    spectra_buf = np.empty((chunk, len(angles), n_pulses), dtype=complex)
     for t, (_, _, doppler) in enumerate(targets, start=len(emitters)):
         spectra_buf[:, t] = doppler
     for c0, c1 in blocks:
@@ -402,7 +399,7 @@ def _render_wideband(
         for f0 in range(0, n_fast, chunk):
             f1 = min(n_fast, f0 + chunk)
             steer, spectra = steer_buf[: c1 - c0, :, : f1 - f0], spectra_buf[: f1 - f0]
-            a_x = np.exp(1j * (np.arange(c0, c1)[:, None, None] * omega[0, f0:f1]))
+            a_x = element_phases(omega_x[f0:f1], c0, c1)
             np.multiply(a_x[:, None], a_z[None, :, f0:f1], out=steer)
             weighted = steer[..., len(emitters) :]
             np.multiply(weighted, weights[f0:f1], out=weighted)
@@ -441,13 +438,24 @@ def _tone_waveform(
 
 
 class _RowSums:
-    """The cube's row parts, each the sum of a rendered term and a noise term.
+    """The cube's row parts, each the sum of a rendered term and a noise term:
+    the one statement of how the render and the thermal-noise thread land.
 
-    ``land(n, part, value)`` puts one term into antenna row ``n``'s real
-    (part 0) or imaginary (part 1) samples, under one lock: the first term
-    to land is written, the second is added to it.  IEEE addition is
-    commutative (signed zeros included), so each sample is the one rounded
-    sum of the same two operands whichever term lands first.
+    The main thread lands each rendered row's real and imaginary parts, a
+    block at a time; the noise thread lands each scaled draw, taken in the
+    order of one ``standard_normal`` call per part (every row's real part,
+    then every row's imaginary part).  ``land(n, part, value)`` puts one
+    term into antenna row ``n``'s real (part 0) or imaginary (part 1)
+    samples, under one lock: the first term to land is written, the second
+    is added to it.  IEEE addition is commutative (signed zeros included),
+    so each sample is the one rounded sum of the same two operands
+    whichever term lands first.  The rendered term does not depend on the
+    block either: a block's steering takes the per-element operations of
+    :func:`~bsradar.geometry.steering_matrix`, and a per-frequency product
+    of two or more rows rounds each row as the whole array's does (a one-row
+    product takes numpy's matrix-vector path, which rounds differently, so
+    no block is one row).  So the cube is bit-identical at any block size,
+    thread interleaving and BLAS thread count.
     """
 
     def __init__(self, cube: np.ndarray) -> None:
@@ -471,15 +479,16 @@ def _thermal_noise(sums: _RowSums, noise_power: float, rng: np.random.Generator)
 
     The thread starts on entry and runs free: it takes ``2 * rows`` draws
     of a row's shape into one buffer allocated here, each scaled by
-    sqrt(noise_power / 2), in the order of one ``rng.standard_normal`` call
-    per part (every row's real part, then every row's imaginary part), and
-    lands each in its row part through ``sums``.  On a normal exit the
-    draws are waited for, and a failed draw raises its own error; when the
-    block raises, the thread stops after its current draw.  Either way the
-    thread is joined.  When ``noise_power`` is 0 no thread is started.
+    sqrt(noise_power / 2), and lands each through ``sums`` (see
+    :class:`_RowSums` for the order and the landing rule).  Yields a check
+    that raises a draw's error once the thread has failed, for the caller
+    to call between blocks (a no-op when ``noise_power`` is 0, which starts
+    no thread).  On a normal exit the draws are waited for, and a failed
+    draw raises its own error; when the block raises, the thread stops
+    after its current draw.  Either way the thread is joined.
     """
     if noise_power == 0:
-        yield
+        yield lambda: None
         return
     sigma = np.sqrt(noise_power / 2.0)
     # allocated on this thread, so its pages go back to this thread's heap,
@@ -499,7 +508,7 @@ def _thermal_noise(sums: _RowSums, noise_power: float, rng: np.random.Generator)
     with ThreadPoolExecutor(1, thread_name_prefix="bsradar-thermal-noise") as pool:
         worker = pool.submit(draw_all)
         try:
-            yield
+            yield lambda: worker.done() and worker.result()
         except BaseException:
             stop.set()
             raise
@@ -537,33 +546,26 @@ def synthesize_datacube(
     target whose delay falls outside the pulse window is rejected before
     the cube is allocated.  The thermal-noise thread starts as soon as the
     cube is allocated (not at all when ``noise_power`` is 0) and draws the
-    whole stream straight into the cube while the main thread renders.
-    The main thread renders the wideband product (targets and
-    wideband-noise interferers, summed in the spectrum: zeros when there is
-    no such source) one block of whole x-columns at a time into one reused
-    buffer of at most ``_BLOCK_BYTES`` (8 antenna rows, 32 MiB, at the
-    default sizes; never a one-row block unless the array has one row).
-    It inverse-transforms each of the block's rows there, adds the tones
-    ``_TONE_SAMPLES`` fast-time samples at a time, and lands the row in the
-    cube.  Each row part is the sum of its rendered term and its noise
-    draw, written by whichever lands first and added by the other
-    (:class:`_RowSums`); IEEE addition is commutative, so every sample is
-    the same single rounded sum at any interleaving.  A block's steering
-    is built by the per-element operations of
-    :func:`~bsradar.geometry.steering_matrix`, and a product of two or more
-    rows rounds each row as the whole array's does, so the cube is
-    bit-identical at any block size, interleaving and BLAS thread count.
-    The noise thread takes the stream in the order of one
-    ``standard_normal`` call per part and runs no FFT or BLAS call.  A
-    failed draw raises its own error here; a failed render stops the
-    thread; the thread is joined before this returns or raises.  No
-    cube-sized temporary is allocated.
+    whole stream straight into the cube while the main thread renders; it
+    runs no FFT or BLAS call.  The main thread renders the wideband product
+    (targets and wideband-noise interferers, summed in the spectrum: zeros
+    when there is no such source) one block of whole x-columns at a time
+    into one reused buffer of at most ``_BLOCK_BYTES`` (8 antenna rows,
+    32 MiB, at the default sizes; never a one-row block unless the array
+    has one row).  It inverse-transforms each of the block's rows there,
+    adds the tones ``_TONE_SAMPLES`` fast-time samples at a time, and lands
+    the row in the cube by :class:`_RowSums`'s rule, which is also why the
+    cube's bits depend on no block size, interleaving or BLAS thread count.
+    After each block it checks the noise thread, so a failed draw raises
+    its own error here before the next block renders; a failed render
+    stops the thread; the thread is joined before this returns or raises.
+    No cube-sized temporary is allocated.
     """
     pulse = generate_chirp(chirp)
     targets = [_target_source(target, chirp, pulse) for target in scenario.targets]
     out = np.empty((geom.n, chirp.pulse_samples, chirp.num_pulses), dtype=complex)
     sums = _RowSums(out)
-    with _thermal_noise(sums, scenario.noise_power, _noise_rng(scenario.seed)):
+    with _thermal_noise(sums, scenario.noise_power, _noise_rng(scenario.seed)) as check_noise:
         ref_power = scenario.noise_power if scenario.noise_power > 0 else 1.0
         emitters, tones = [], []
         for idx, spec in enumerate(scenario.interferers):
@@ -582,6 +584,7 @@ def synthesize_datacube(
                 _add_tones(row, n, tones, tone_buf)
                 sums.land(n, 0, row.real)
                 sums.land(n, 1, row.imag)
+            check_noise()
 
     return DataCube(out, geom, chirp)
 

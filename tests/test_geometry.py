@@ -18,6 +18,7 @@ from bsradar import (
     steering_vector,
     synthesize_datacube,
 )
+from bsradar.geometry import angle_frequencies, element_phases
 
 # 0.6-wavelength spacing, evaluated off the design frequency: a consumer
 # that drops the spacing ratio or the frequency scaling steers elsewhere
@@ -199,6 +200,31 @@ class TestOneManifold:
         for i, f in enumerate(freqs):
             one = spatial_frequencies(self.arrival, f, WIDE)
             assert (sf.omega_x[i], sf.omega_z[i]) == (one.omega_x, one.omega_z)
+
+    def test_angle_by_frequency_grid_matches_per_direction_calls_bit_for_bit(self):
+        # the scene renderer's one call: every source's angles against every bin
+        az, el = np.deg2rad([20.0, -35.0, 0.0, 61.0]), np.deg2rad([-12.0, 5.0, 0.0, 33.0])
+        freqs = np.linspace(9.6e9, 10.4e9, 33)
+        grid = angle_frequencies(az, el, freqs[:, None], WIDE)
+        assert grid.omega_x.shape == grid.omega_z.shape == (33, 4)
+        for s in range(4):
+            one = spatial_frequencies(Direction(az[s], el[s]), freqs, WIDE)
+            assert np.array_equal(grid.omega_x[:, s], one.omega_x)
+            assert np.array_equal(grid.omega_z[:, s], one.omega_z)
+
+    def test_element_phases_of_a_range_are_rows_of_the_whole_axis(self, rng):
+        # a render block's columns take the bits of the whole array's
+        omega = rng.uniform(-np.pi, np.pi, (5, 3))
+        whole = element_phases(omega, 0, 8)
+        assert whole.shape == (8, 5, 3)
+        assert np.array_equal(whole[1], np.exp(1j * omega))
+        for first, stop in [(0, 8), (3, 5), (7, 8), (4, 4)]:
+            assert np.array_equal(element_phases(omega, first, stop), whole[first:stop])
+        wx, wz = omega[:, 0], omega[:, 1]
+        a_x, a_z = element_phases(wx, 0, WIDE.n_x), element_phases(wz, 0, WIDE.n_z)
+        assert np.array_equal(
+            steering_matrix(wx, wz, WIDE), (a_x[:, None] * a_z[None]).reshape(WIDE.n, -1)
+        )
 
     def test_any_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError, match="eval_freq"):

@@ -311,8 +311,15 @@ class TestConfigValidation:
                 r"^subbands: 3 must be even \(or 1\)",
             ),
             (dict(loading=-1e-3), "^loading: must be >= 0"),
+            (dict(geometry=None), "^geometry: expected an ArrayGeometry, got NoneType$"),
+            (dict(geometry=dict(n_z=4)), "^geometry: expected an ArrayGeometry, got dict$"),
+            (dict(chirp=None), "^chirp: expected a ChirpParams, got NoneType$"),
+            (dict(chirp=dict(pulse_samples=256)), "^chirp: expected a ChirpParams, got dict$"),
         ],
-        ids=["odd-subbands", "negative-loading"],
+        ids=[
+            "odd-subbands", "negative-loading", "geometry-none", "geometry-dict", "chirp-none",
+            "chirp-dict",
+        ],
     )
     def test_input_checks(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -391,6 +398,19 @@ class TestCubeContract:
         cfg = tiny_config(geom, longer, scenario)
         with pytest.raises(ValueError, match="^chirp: "):
             process_cube(cube, scenario, cfg)
+
+    def test_cube_and_scenario_must_have_their_types(self):
+        geom, chirp, scenario = tiny_setup(n_targets=1)
+        cube = synthesize_datacube(scenario, geom, chirp)
+        cfg = tiny_config(geom, chirp, scenario)
+        for given, match in [
+            (cube.samples, "^cube: expected a DataCube, got ndarray$"),
+            (None, "^cube: expected a DataCube, got NoneType$"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                process_cube(given, scenario, cfg)
+        with pytest.raises(ValueError, match="^scenario: expected a Scenario, got str$"):
+            process_cube(cube, "tiny", cfg)
 
 
 class TestScenarioContract:
@@ -892,8 +912,14 @@ class TestCallersCubeInBlocks:
             (16, dict(train_pulses=5), [5, 5, 5, 1]),
             (14, dict(train_pulses=3), [4, 4, 4, 2]),
             (16, dict(train_pulses=3, subbands=1), [4, 4, 4, 4]),
+            # 2 snapshots a subband, so the apply products are 10, 10, 10 and 2
+            # columns wide against the owned cube's 32
+            (16, dict(train_pulses=5, subbands=128), [5, 5, 5, 1]),
         ],
-        ids=["one-block", "one-training-pulse", "short-last", "short-cube", "one-subband"],
+        ids=[
+            "one-block", "one-training-pulse", "short-last", "short-cube", "one-subband",
+            "odd-widths",
+        ],
     )
     def test_equals_run_pipeline_bit_for_bit(
         self, monkeypatch, method, num_pulses, kw, blocks

@@ -495,6 +495,39 @@ class TestNoiseWorker:
             synthesize_datacube(_noisy_scene(seed=4), self.GEOM, self.CHIRP)
         assert threading.active_count() == before
 
+    def test_a_failed_draw_stops_the_render_at_the_next_block(self, monkeypatch):
+        import bsradar.simulate as simulate
+
+        class FailingGenerator:
+            def standard_normal(self, *args, **kwargs):
+                raise MemoryError("first draw")
+
+        futures = []
+
+        class RecordingExecutor(simulate.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        rendered = []
+
+        def gated_render(emitters, targets, geom, chirp):
+            """One zero block per x-column, once the draw has failed."""
+            assert isinstance(futures[0].exception(timeout=60), MemoryError)
+            block = np.zeros((geom.n_z, chirp.pulse_samples, chirp.num_pulses), complex)
+            for c in range(geom.n_x):
+                rendered.append(c)
+                yield geom.n_z * c, block
+
+        monkeypatch.setattr(simulate, "_noise_rng", lambda seed: FailingGenerator())
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(simulate, "_render_wideband", gated_render)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="^first draw$"):
+            synthesize_datacube(_noisy_scene(seed=4), self.GEOM, self.CHIRP)
+        assert rendered == [0]  # of the 4 blocks
+        assert threading.active_count() == before
+
     def test_concurrent_calls_match_sequential_calls(self):
         # more callers than cores, switching often, each with its own worker
         scenes = [_noisy_scene(seed=seed) for seed in (11, 12, 13)]

@@ -22,11 +22,19 @@ rejected when the estimate is built.
 finite relative load of at least 0; :func:`estimate_covariance` applies it
 to every call, and ``PipelineConfig.validate`` asks it of a run's
 ``loading``, so both reject a load with the same message.
+
+The products are small (a covariance of at most the array's size, and a
+few dozen weights applied per subband), so a second BLAS thread only spins
+between calls; :func:`_one_blas_thread` runs them on the calling thread.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,6 +44,54 @@ from scipy.linalg.blas import zgemm
 
 from .beamspace import WindowSpec, adjoint_transform, scatter_window
 from .geometry import ArrayGeometry, angle_frequencies, is_finite, steering_matrix
+
+# the thread-count pair's names in the bundled OpenBLAS builds, by preference
+_OPENBLAS_API = [f"{lib}_{{}}_num_threads{abi}" for lib in ("scipy_openblas", "openblas")
+                 for abi in ("", "64_")]
+_blas_lock = threading.Lock()
+_blas_held: list[list[int]] = []  # per holder; the first's counts are at the bottom
+
+
+@functools.cache
+def _openblas_pools() -> list[tuple]:
+    """The (get, set) thread-count pair of every OpenBLAS library loaded in
+    this process, found in ``/proc/self/maps``; none without ``/proc``."""
+    try:
+        with open("/proc/self/maps") as handle:
+            paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    except OSError:
+        return []
+    pools = []
+    for path in sorted(p for p in paths if ".so" in p):
+        lib = ctypes.CDLL(path)
+        pairs = [[getattr(lib, n.format(v), None) for v in ("get", "set")] for n in _OPENBLAS_API]
+        for get, put in [pair for pair in pairs if None not in pair][:1]:  # the first whole pair
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            pools.append((get, put))
+    return pools
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run every OpenBLAS library of the process on one thread while held.
+
+    The count is the process's, so holders share it under one lock: the
+    first to enter saves each library's count and sets 1, and the last to
+    leave restores those counts, whether its run returns or raises.
+    """
+    with _blas_lock:
+        _blas_held.append([get() for get, _ in _openblas_pools()])
+        if len(_blas_held) == 1:
+            for _, put in _openblas_pools():
+                put(1)
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            counts = _blas_held.pop()
+            if not _blas_held:
+                for (_, put), count in zip(_openblas_pools(), counts):
+                    put(count)
 
 
 @dataclass
@@ -132,9 +188,8 @@ def estimate_covariance(
     dim, n_t = arr.shape
     arr = np.ascontiguousarray(arr, dtype=np.complex128)
 
-    # scipy BLAS keeps the whole dense path (gemm + Cholesky) in one
-    # threadpool; mixing numpy's and scipy's OpenBLAS builds in a tight
-    # loop makes their idle spinners fight for cores
+    # zgemm conjugates the second factor in its kernel (trans_b=2): no
+    # conjugate copy of the snapshots is made
     r = zgemm(1.0 / n_t, arr, arr, trans_b=2)
 
     trace = float(np.trace(r).real)

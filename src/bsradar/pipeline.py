@@ -154,6 +154,7 @@ from .geometry import ArrayGeometry, SpatialFrequencies, spatial_frequencies, st
 from .geometry import check_count, is_count  # the number contract
 from .mvdr import (
     Correlator,
+    _one_blas_thread,
     apply_correlator,
     conventional_correlator,
     estimate_covariance,
@@ -411,6 +412,7 @@ def _train(
     return trained
 
 
+@_one_blas_thread()  # every BLAS call of a run is made in here
 def _beamform(
     blocks: Iterable[tuple[int, np.ndarray]], cfg: PipelineConfig, timings: dict
 ) -> tuple[np.ndarray, list[Correlator]]:
@@ -444,8 +446,6 @@ def _beamform(
     for first, subbands in blocks:
         with _stage("beamform", timings):
             if first == 0:
-                # all training runs before the first product: Python work
-                # between products keeps the idle BLAS threads spinning
                 trained = []
                 for b in range(cfg.subbands):
                     # every method gathers the training columns once

@@ -1,7 +1,9 @@
 import csv
+import ctypes
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from collections import Counter
@@ -1312,7 +1314,7 @@ import numpy as np
 from bsradar import (ArrayGeometry, ChirpParams, Direction, InterfererSpec, PipelineConfig,
                      Scenario, TargetSpec, process_cube, synthesize_datacube)
 
-geom = ArrayGeometry(4, 8, 10e9)
+geom = ArrayGeometry(4, 32, 10e9)
 chirp = ChirpParams(pulse_samples=256, num_pulses=16, pri=2e-6)
 targets = tuple(
     TargetSpec((4.0 * k - 5.0, 30.0 + 9.0 * k, 1.0 - k), -20.0 + 15.0 * k, 1.0 + 0.5j)
@@ -1337,9 +1339,10 @@ np.savez(sys.argv[1], **saved)
 """
 
 
-def test_blas_thread_count_moves_antenna_mvdr_at_roundoff_only(tmp_path):
-    # the cube and beamspace outputs keep their bits at 1 and 2 BLAS threads;
-    # LAPACK's Cholesky of a full antenna covariance may not
+def test_blas_thread_count_moves_no_output_bit(tmp_path):
+    # the cube and both methods' outputs keep their bits at 1 and 2 BLAS
+    # threads: beamforming runs on one; at 2, LAPACK's Cholesky of this full
+    # 128-antenna covariance rounds otherwise
     runs = []
     for threads in ("1", "2"):
         path = tmp_path / f"threads{threads}.npz"
@@ -1351,7 +1354,7 @@ def test_blas_thread_count_moves_antenna_mvdr_at_roundoff_only(tmp_path):
     one, two = runs
     assert np.array_equal(one["cube"], two["cube"])
     assert np.array_equal(one["beamspace-mvdr"], two["beamspace-mvdr"])
-    assert_within_roundoff(two["antenna-mvdr"], one["antenna-mvdr"])
+    assert np.array_equal(one["antenna-mvdr"], two["antenna-mvdr"])
     for method in ("beamspace-mvdr", "antenna-mvdr"):
         assert len(one[method + " cells"]) > 0
         assert np.array_equal(one[method + " cells"], two[method + " cells"])
@@ -1454,6 +1457,150 @@ class TestPowerOfTwoScaling:
         scaled = DataCube(cube.samples * 2.0**-560, cube.geometry, cube.chirp)
         with pytest.raises(StageError, match="^stage 'range_doppler': underflow"):
             process_cube(scaled, scenario, cfg)
+
+
+def openblas_pools():
+    """The (get, set) thread-count functions of each OpenBLAS library loaded
+    in this process, found from ``/proc/self/maps``; none without it."""
+    if not os.path.exists("/proc/self/maps"):
+        return []
+    with open("/proc/self/maps") as handle:
+        paths = {line.split()[-1] for line in handle if "openblas" in line.lower()}
+    pools = []
+    for path in sorted(p for p in paths if ".so" in p):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads", "openblas_{}_num_threads64_"):
+            if hasattr(lib, name.format("get")):
+                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+                pools.append((get, put))
+                break
+    return pools
+
+
+class TestOneBlasThread:
+    """Beamforming runs every OpenBLAS library of the process on one thread,
+    and a run leaves each library's count as it found it, whether it
+    returns or raises, also when two runs overlap."""
+
+    BEFORE = 3  # each library's count before a run: not the default of a 2-core box
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        geom, chirp, scenario = scaling_setup()
+        return scenario, synthesize_datacube(scenario, geom, chirp)
+
+    @pytest.fixture
+    def inside(self, monkeypatch):
+        """Set every library to BEFORE threads, and record every library's
+        count at each covariance and each apply of a run (restored after)."""
+        pools = openblas_pools()
+        if not pools:
+            pytest.skip("no OpenBLAS library is loaded")
+        saved = [get() for get, _ in pools]
+        for _, put in pools:
+            put(self.BEFORE)
+        seen = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                seen.append([get() for get, _ in pools])
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("estimate_covariance", "apply_correlator"):
+            monkeypatch.setattr(pipeline, name, recording(getattr(pipeline, name)))
+        yield seen
+        for (_, put), count in zip(pools, saved):
+            put(count)
+
+    def after(self):
+        return [get() for get, _ in openblas_pools()]
+
+    def test_a_run(self, scene, inside):
+        scenario, cube = scene
+        process_cube(cube, scenario, tiny_config(cube.geometry, cube.chirp, scenario))
+        assert inside and all(counts == [1] * len(counts) for counts in inside)
+        assert self.after() == [self.BEFORE] * len(inside[0])
+
+    def test_a_run_that_raises(self, scene, inside):
+        # the overflowed covariance of TestPowerOfTwoScaling
+        scenario, cube = scene
+        scaled = DataCube(cube.samples * 2.0**600, cube.geometry, cube.chirp)
+        with pytest.raises(StageError, match="overflow"):
+            process_cube(scaled, scenario, tiny_config(cube.geometry, cube.chirp, scenario))
+        assert inside and all(counts == [1] * len(counts) for counts in inside)
+        assert self.after() == [self.BEFORE] * len(inside[0])
+
+    def test_many_holders_at_once(self, inside):
+        # more threads than cores enter and leave at a short switch interval:
+        # a holder that reads the count before the first sets it, or a lost
+        # update of the holders, shows as a count other than 1 inside or a
+        # count not restored after
+        pools = openblas_pools()
+        wrong = []
+
+        def hold():
+            for _ in range(2000):
+                with mvdr._one_blas_thread():
+                    counts = [get() for get, _ in pools]
+                    if counts != [1] * len(pools):
+                        wrong.append(counts)
+
+        threads = [threading.Thread(target=hold) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert self.after() == [self.BEFORE] * len(pools)
+
+    def test_two_runs_at_once(self, scene, inside, monkeypatch):
+        # the main thread's run enters first and leaves first: the second
+        # run starts at the first's first apply and waits in its own first
+        # apply until the first has returned, so it applies after the first
+        # left and must still read one thread, and it restores the counts
+        scenario, cube = scene
+        cfg = tiny_config(cube.geometry, cube.chirp, scenario)
+        second_inside, first_done = threading.Event(), threading.Event()
+        results = {}
+
+        def run_second():
+            try:
+                results["second"] = process_cube(cube, scenario, cfg)
+            except Exception as exc:  # raised again on the main thread
+                results["second"] = exc
+
+        second = threading.Thread(target=run_second)
+        recorded = pipeline.apply_correlator
+
+        def apply(*args, **kwargs):
+            if threading.current_thread() is second and not second_inside.is_set():
+                second_inside.set()
+                assert first_done.wait(60)
+            elif threading.current_thread() is not second and second.ident is None:
+                second.start()
+                assert second_inside.wait(60)
+            return recorded(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "apply_correlator", apply)
+        first = process_cube(cube, scenario, cfg)
+        first_done.set()
+        second.join(60)
+        assert not second.is_alive()
+        if isinstance(results.get("second"), Exception):
+            raise results["second"]
+        assert np.array_equal(results["second"].subband_outputs, first.subband_outputs)
+        assert inside and all(counts == [1] * len(counts) for counts in inside)
+        assert self.after() == [self.BEFORE] * len(inside[0])
 
 
 class TestTargetOrderAndCommonPhase:
